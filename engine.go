@@ -147,7 +147,7 @@ func NewEngine(g *Undirected, opt Options) *Engine {
 // and WCC use the directed graph. With Options.Reorder set, both views are
 // relabeled (ranked by total degree across the two CSRs).
 func NewDirectedEngine(g *Directed, opt Options) *Engine {
-	e := &Engine{opt: opt, directed: true, dir: g, und: graph.Undirect(g)}
+	e := &Engine{opt: opt, directed: true, dir: g, und: graph.UndirectThreads(g, opt.Threads)}
 	if opt.Reorder != ReorderNone {
 		switch opt.Reorder {
 		case ReorderDegree:

@@ -96,6 +96,26 @@ func BenchmarkBuildUndirectedParallel(b *testing.B) {
 	}
 }
 
+// undirectSink keeps BenchmarkUndirect's result live.
+var undirectSink *graph.Undirected
+
+// BenchmarkUndirect measures the §6.1 undirected view derived from an
+// already-built directed CSR (the engine boot and publish path), in arcs/s.
+func BenchmarkUndirect(b *testing.B) {
+	edges, n := buildBenchInput(b)
+	d := graph.BuildDirected(n, edges)
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				undirectSink = graph.UndirectThreads(d, p)
+			}
+			if s := b.Elapsed().Seconds(); s > 0 {
+				b.ReportMetric(float64(d.NumArcs())*float64(b.N)/s, "arcs/s")
+			}
+		})
+	}
+}
+
 // BenchmarkParseEdgeListSerial is the pinned line-at-a-time seed parser.
 func BenchmarkParseEdgeListSerial(b *testing.B) {
 	edges, _ := buildBenchInput(b)

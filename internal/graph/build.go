@@ -104,41 +104,84 @@ func BuildUndirectedSerial(n int, edges []Edge) *Undirected {
 // Undirect converts a directed graph to the undirected graph used by CC,
 // BiCC and BgCC, per paper §6.1: create a reverse edge for any vertex pair
 // that shares only one directed edge, keeping the vertex count unchanged.
+//
+// It relies on the invariant every Directed carries (the builders, the v1
+// and .aqg loaders and the relabelings all establish it): out- and
+// in-segments are strictly increasing and loop-free, and the in-CSR is the
+// transpose of the out-CSR. Vertex u's undirected list is then exactly the
+// sorted union Out(u) ∪ In(u), which a linear merge produces directly.
 func Undirect(g *Directed) *Undirected { return UndirectThreads(g, 0) }
 
-// UndirectThreads is Undirect with an explicit worker count.
+// UndirectThreads is Undirect with an explicit worker count. It makes two
+// merge passes over the vertices — count |Out(u) ∪ In(u)| into the offsets,
+// prefix-sum, then write the unions — on degree-weighted chunks (a vertex
+// weighs its out- plus in-degree, so in-hubs balance too), and finishes the
+// mate/eid indexes. No edge list, histogram, atomic or sort is involved; one
+// worker runs the same loops serially.
 func UndirectThreads(g *Directed, threads int) *Undirected {
-	p := buildThreads(threads, len(g.outAdj))
-	if p <= 1 {
-		return undirectSerial(g)
-	}
-	// Every out-CSR slot expands to a fixed pair of positions; self-loop
-	// slots produce {u,u} twice, dropped by the builder.
-	edges := make([]Edge, 2*len(g.outAdj))
-	forDegreeChunks(g.outOff, p, func(u int) {
-		for s := g.outOff[u]; s < g.outOff[u+1]; s++ {
-			v := g.outAdj[s]
-			edges[2*s] = Edge{V(u), v}
-			edges[2*s+1] = Edge{v, V(u)}
-		}
-	})
-	off, adj := buildCSR(g.n, edges, false, p)
-	return finishUndirected(g.n, off, adj, p)
+	return undirect(g, buildThreads(threads, len(g.outAdj)))
 }
 
-// undirectSerial is the seed implementation of Undirect.
-func undirectSerial(g *Directed) *Undirected {
-	edges := make([]Edge, 0, 2*len(g.outAdj))
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.Out(V(u)) {
-			if V(u) == v {
-				continue
-			}
-			edges = append(edges, Edge{V(u), v}, Edge{v, V(u)})
+// undirect is UndirectThreads with the worker count already resolved, so the
+// differential tests can drive small graphs through the parallel schedule.
+func undirect(g *Directed, p int) *Undirected {
+	n := g.n
+	// Seed off with the summed out/in offsets — itself a CSR offset array,
+	// weighting each vertex by out+in degree — and cut the chunk bounds from
+	// it before the count pass overwrites off[u+1] with u's union size.
+	off := make([]int64, n+1)
+	parallel.For(0, n+1, p, func(i int) { off[i] = g.outOff[i] + g.inOff[i] })
+	bounds := degreeChunks(off, p)
+	forChunks(bounds, p, func(u int) {
+		off[u+1] = unionSize(g.Out(V(u)), g.In(V(u)))
+	})
+	prefixInPlace(off, p)
+	adj := make([]V, off[n])
+	forChunks(bounds, p, func(u int) {
+		unionInto(adj[off[u]:off[u+1]], g.Out(V(u)), g.In(V(u)))
+	})
+	return finishUndirected(n, off, adj, p)
+}
+
+// unionSize is |a ∪ b| for strictly increasing a and b.
+func unionSize(a, b []V) int64 {
+	i, j, c := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			i++
+			j++
 		}
+		c++
 	}
-	off, adj := buildCSRSerial(g.n, edges, false)
-	return finishUndirectedSerial(g.n, off, adj)
+	return int64(c + len(a) - i + len(b) - j)
+}
+
+// unionInto writes the sorted union of strictly increasing a and b into dst,
+// which must be exactly unionSize(a, b) long.
+func unionInto(dst, a, b []V) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst[k] = a[i]
+			i++
+		case a[i] > b[j]:
+			dst[k] = b[j]
+			j++
+		default:
+			dst[k] = a[i]
+			i++
+			j++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // buildCSR counts, sorts and dedups an edge list into CSR arrays with up to p
@@ -421,8 +464,19 @@ func searchSlot(off []int64, adj []V, u, target V) int64 {
 // dynamically — the builder-side twin of the traversal kernels' degree-aware
 // frontier scheduling.
 func forDegreeChunks(off []int64, p int, body func(u int)) {
+	forChunks(degreeChunks(off, p), p, body)
+}
+
+// degreeChunks cuts [0, len(off)-1) into the degree-weighted chunks
+// forDegreeChunks schedules, returned as exclusive end bounds.
+func degreeChunks(off []int64, p int) []int32 {
 	n := len(off) - 1
-	bounds := AppendRangeWorkChunks(off, WorkGrain(off[n]+int64(n), p, buildGrainFloor), nil)
+	return AppendRangeWorkChunks(off, WorkGrain(off[n]+int64(n), p, buildGrainFloor), nil)
+}
+
+// forChunks runs body(u) for every vertex of the chunks bounds describes,
+// claiming chunks dynamically with up to p workers.
+func forChunks(bounds []int32, p int, body func(u int)) {
 	parallel.ForDynamic(0, len(bounds), p, 1, func(ci int) {
 		lo := 0
 		if ci > 0 {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"sync/atomic"
 	"unsafe"
@@ -509,13 +510,22 @@ func ReadContainer(r io.Reader) (*Container, error) {
 	return c, nil
 }
 
-// assembleDirected validates both CSRs and wraps them in a Directed graph.
+// assembleDirected validates both CSRs — each canonical, and the in-CSR the
+// transpose of the out-CSR, which Undirect's merge relies on — and wraps
+// them in a Directed graph.
 func (h *aqgHeader) assembleDirected(outOff []int64, outAdj []V, inOff []int64, inAdj []V) (*Container, error) {
 	if err := validateCSR(h.n, outOff, outAdj, "out"); err != nil {
 		return nil, err
 	}
 	if err := validateCSR(h.n, inOff, inAdj, "in"); err != nil {
 		return nil, err
+	}
+	// Both arc sets are duplicate-free and equally sized, so equal keyed
+	// multiset hashes mean equal sets (a mismatch slips through with
+	// probability ~2⁻⁶⁴ under the per-load random key).
+	key := rand.Uint64()
+	if arcHash(outOff, outAdj, key, false) != arcHash(inOff, inAdj, key, true) {
+		return nil, fmt.Errorf("graph: container in-CSR is not the transpose of the out-CSR")
 	}
 	g := &Directed{n: int(h.n), outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
 	return &Container{Directed: g}, nil
@@ -579,6 +589,31 @@ func validateCSR(n int64, off []int64, adj []V, what string) error {
 		return fmt.Errorf("graph: container %s adjacency segment not strictly increasing", what)
 	}
 	return nil
+}
+
+// arcHash is an order-independent keyed hash of a CSR's arc set: the
+// wrapping sum of a 64-bit mix of every arc u→v (v→u for an in-CSR, so a
+// CSR and its transpose hash alike). The scan is vertex-parallel and
+// allocates O(1).
+func arcHash(off []int64, adj []V, key uint64, in bool) uint64 {
+	var sum atomic.Uint64
+	parallel.ForBlocks(0, len(off)-1, parallel.Threads(0), func(lo, hi, _ int) {
+		var s uint64
+		for u := lo; u < hi; u++ {
+			for _, v := range adj[off[u]:off[u+1]] {
+				src, dst := uint64(u), uint64(v)
+				if in {
+					src, dst = dst, src
+				}
+				z := (src<<32 | dst) ^ key
+				z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+				z = (z ^ z>>27) * 0x94d049bb133111eb
+				s += z ^ z>>31
+			}
+		}
+		sum.Add(s)
+	})
+	return sum.Load()
 }
 
 // validateUndirectedIndex bounds-checks the mate/eid sections: every mate

@@ -220,6 +220,16 @@ func TestContainerCorruptRejected(t *testing.T) {
 			}
 			return mut
 		}()},
+		// Both CSRs canonical, but the in-sections repeat the out-sections:
+		// an asymmetric graph's out-CSR is not its own transpose.
+		{"in-CSR not the transpose", func() []byte {
+			mut := bytes.Clone(dbuf.Bytes())
+			for i := 0; i < 2; i++ {
+				src, dst := dh.sec[i], dh.sec[i+2]
+				copy(mut[dst.off:dst.off+dst.size], mut[src.off:src.off+src.size])
+			}
+			return mut
+		}()},
 		{"mate out of range", put64(ubuf.Bytes(), uh.sec[2].off, uint64(len(ug.adj)))},
 		{"mate not involutive", put64(ubuf.Bytes(), uh.sec[2].off, uint64(ug.mate[0]+1))},
 		{"eid out of range", put64(ubuf.Bytes(), uh.sec[3].off, uint64(ug.m))},

@@ -79,8 +79,9 @@ func FuzzReadEdgeListParity(f *testing.F) {
 }
 
 // FuzzParallelBuildParity fuzzes the parallel CSR builder against the serial
-// seed builder on small adversarial edge lists (the size clamp is bypassed by
-// driving buildCSR directly).
+// seed builder, and the merge-based Undirect against the expand-and-build
+// oracle, on small adversarial edge lists (the size clamp is bypassed by
+// driving buildCSR and undirect directly).
 func FuzzParallelBuildParity(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 2, 2, 2, 3, 0})
 	f.Add([]byte{1, 0, 0})
@@ -99,6 +100,7 @@ func FuzzParallelBuildParity(f *testing.F) {
 		}
 		wantD := BuildDirectedSerial(n, edges)
 		wantU := BuildUndirectedSerial(n, edges)
+		wantUD := undirectSerial(wantD)
 		for _, p := range []int{2, 4} {
 			outOff, outAdj := buildCSR(n, edges, false, p)
 			inOff, inAdj := buildCSR(n, edges, true, p)
@@ -110,6 +112,8 @@ func FuzzParallelBuildParity(f *testing.F) {
 			}
 			off, adj := buildCSR(n, sym, false, p)
 			sameUndirected(t, wantU, finishUndirectedSerial(n, off, adj))
+			sameUndirected(t, wantUD, UndirectThreads(wantD, p))
+			sameUndirected(t, wantUD, undirect(wantD, p))
 		}
 	})
 }
@@ -143,6 +147,9 @@ func FuzzContainerRoundTrip(f *testing.F) {
 		if c.Undirected != nil {
 			err = WriteUndirectedContainer(&again, c.Undirected)
 		} else {
+			// Undirect merges the out- and in-CSR; an accepted pair must
+			// be consistent enough for it to finish without panicking.
+			Undirect(c.Directed)
 			err = WriteContainer(&again, c.Directed)
 		}
 		if err != nil {

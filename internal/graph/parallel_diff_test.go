@@ -155,11 +155,117 @@ func TestFinishUndirectedParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// undirectSerial is the seed Undirect — expand every arc into both
+// orientations, then count/sort/dedup through the serial builder — kept as
+// the pinned oracle for the merge-based UndirectThreads.
+func undirectSerial(g *Directed) *Undirected {
+	edges := make([]Edge, 0, 2*len(g.outAdj))
+	for u := 0; u < g.n; u++ {
+		for _, v := range g.Out(V(u)) {
+			if V(u) == v {
+				continue
+			}
+			edges = append(edges, Edge{V(u), v}, Edge{v, V(u)})
+		}
+	}
+	off, adj := buildCSRSerial(g.n, edges, false)
+	return finishUndirectedSerial(g.n, off, adj)
+}
+
+// undirectCases are the differential shapes for UndirectThreads: degenerate
+// sizes, isolated vertices, pure in- and out-hubs, fully mutual and fully
+// one-way arc sets, and a skewed random graph. The hub, mutual, one-way and
+// random shapes exceed minParallelBuild arcs, so the public entry point runs
+// them in parallel too.
+func undirectCases() map[string]*Directed {
+	const hubN = minParallelBuild + 100
+	star := func(in bool) []Edge {
+		edges := make([]Edge, 0, hubN-1)
+		for v := 1; v < hubN; v++ {
+			if in {
+				edges = append(edges, Edge{V(v), 0})
+			} else {
+				edges = append(edges, Edge{0, V(v)})
+			}
+		}
+		return edges
+	}
+	var mutual, oneWay []Edge
+	for _, e := range diffEdges(1<<12, 1<<14, 5) {
+		mutual = append(mutual, e, Edge{e.V, e.U})
+	}
+	for _, e := range diffEdges(1<<12, 1<<15, 6) {
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
+		}
+		oneWay = append(oneWay, e)
+	}
+	return map[string]*Directed{
+		"empty":    BuildDirectedSerial(0, nil),
+		"single":   BuildDirectedSerial(1, nil),
+		"isolated": BuildDirectedSerial(5000, diffEdges(300, 2000, 3)),
+		"in-hub":   BuildDirectedSerial(hubN, star(true)),
+		"out-hub":  BuildDirectedSerial(hubN, star(false)),
+		"mutual":   BuildDirectedSerial(1<<12, mutual),
+		"one-way":  BuildDirectedSerial(1<<12, oneWay),
+		"random":   BuildDirectedSerial(1<<12, diffEdges(1<<12, 1<<16, 11)),
+	}
+}
+
+// TestUndirectParallelMatchesSerial pins the merge-based Undirect to the
+// seed expand-and-build oracle: every field byte-identical, for every worker
+// count, both through the public entry point and with the size clamp
+// bypassed.
 func TestUndirectParallelMatchesSerial(t *testing.T) {
-	g := BuildDirected(1<<12, diffEdges(1<<12, 1<<16, 11))
+	for name, g := range undirectCases() {
+		want := undirectSerial(g)
+		for _, p := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("%s/p=%d", name, p), func(t *testing.T) {
+				sameUndirected(t, want, UndirectThreads(g, p))
+				sameUndirected(t, want, undirect(g, p))
+			})
+		}
+	}
+}
+
+// TestUndirectMappedContainer runs the merge over CSR slices aliased onto an
+// mmap'd .aqg file rather than the Go heap.
+func TestUndirectMappedContainer(t *testing.T) {
+	g := BuildDirected(1<<12, diffEdges(1<<12, 1<<16, 12))
+	var buf bytes.Buffer
+	if err := WriteContainer(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	c, err := LoadContainer(writeTempContainer(t, buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Release()
 	want := undirectSerial(g)
-	for _, p := range []int{2, 4, 8} {
-		sameUndirected(t, want, UndirectThreads(g, p))
+	for _, p := range []int{1, 2, 4, 8} {
+		sameUndirected(t, want, UndirectThreads(c.Directed, p))
+	}
+}
+
+// TestUndirectAllocBudget pins the removal of the 2|E| edge-list expansion:
+// Undirect may allocate its output (offsets, adjacency, mate, eid) plus O(n)
+// scratch, where the expansion alone would be 8 bytes per arc on top.
+func TestUndirectAllocBudget(t *testing.T) {
+	n := 1 << 12
+	g := BuildDirected(n, diffEdges(n, 1<<17, 13))
+	if g.NumArcs() < 1<<16 {
+		t.Fatalf("graph too small for the budget to bite: %d arcs", g.NumArcs())
+	}
+	UndirectThreads(g, 2) // warm the worker pool
+	for _, p := range []int{1, 2} {
+		var u *Undirected
+		alloc := totalAlloc(func() { u = UndirectThreads(g, p) })
+		slots := uint64(len(u.adj))
+		out := uint64(8*(n+1)) + 4*slots + 16*slots
+		if budget := out + uint64(64*n) + 64<<10; alloc > budget {
+			t.Fatalf("p=%d: Undirect allocated %d bytes for a %d-byte result, budget %d",
+				p, alloc, out, budget)
+		}
 	}
 }
 
