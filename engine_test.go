@@ -484,3 +484,40 @@ func TestUndirectedViewExposed(t *testing.T) {
 	}
 	_ = graph.NoVertex
 }
+
+// TestEdgeIDsLazy pins what the edge-id index is not built for: graph-level
+// counting, adjacency tests and endpoint listing, and the connectivity
+// serving path of a directed engine — insert-only Apply, Connected and
+// LargestCC answer from the CSR and the union-find alone.
+func TestEdgeIDsLazy(t *testing.T) {
+	d := gen.Random(2000, 8000, 3)
+	e := NewDirectedEngine(d, Options{Threads: 2, RebuildThreshold: -1})
+	u := e.Undirected()
+	if u.NumEdges() == 0 || len(u.EdgeEndpoints()) != int(u.NumEdges()) {
+		t.Fatalf("endpoint listing disagrees with NumEdges %d", u.NumEdges())
+	}
+	ep := u.EdgeEndpoints()[0]
+	if !u.HasEdge(ep[1], ep[0]) || u.HasEdge(ep[0], ep[0]) {
+		t.Fatal("HasEdge wrong on an endpoint pair")
+	}
+	for i := 0; i < 4; i++ {
+		batch := []Edge{{U: V(i), V: V(1000 + i)}, {U: V(1999 - i), V: V(7 * i)}}
+		if _, err := e.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+		if !e.Connected(V(i), V(1000+i)) {
+			t.Fatalf("batch %d: inserted edge endpoints not connected", i)
+		}
+		if e.LargestCC().Size == 0 {
+			t.Fatalf("batch %d: empty largest component", i)
+		}
+	}
+	if u.EdgeIDsBuilt() {
+		t.Fatal("connectivity serving built the edge-id index")
+	}
+	// The first edge-indexed query pays the build.
+	e.BiCC()
+	if !e.Undirected().EdgeIDsBuilt() {
+		t.Fatal("BiCC ran without the edge-id index")
+	}
+}

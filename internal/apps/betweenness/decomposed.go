@@ -152,6 +152,7 @@ func Decomposed(g *graph.Undirected, threads int) []float64 {
 	}
 
 	// Per-block weighted Brandes, task-parallel across blocks.
+	eids := g.EdgeIDs()
 	partial := make([][]float64, p)
 	parallel.ForChunksDynamic(0, numBlocks, p, 1, func(lo, hi, w int) {
 		if partial[w] == nil {
@@ -169,7 +170,7 @@ func Decomposed(g *graph.Undirected, threads int) []float64 {
 				return 1
 			}
 			for _, src := range members[b] {
-				scratch.run(g, src, int64(b), res.BlockOf, weight, partial[w])
+				scratch.run(g, eids, src, int64(b), res.BlockOf, weight, partial[w])
 			}
 		}
 	})
@@ -206,8 +207,8 @@ func newBlockScratch(n int) *blockScratch {
 }
 
 // run is one weighted-Brandes source pass over the edges whose BlockOf label
-// equals block.
-func (s *blockScratch) run(g *graph.Undirected, source graph.V, block int64, blockOf []int64, weight func(graph.V) float64, bc []float64) {
+// equals block; eids is g's edge-id index.
+func (s *blockScratch) run(g *graph.Undirected, eids []int64, source graph.V, block int64, blockOf []int64, weight func(graph.V) float64, bc []float64) {
 	s.order = s.order[:0]
 	s.sigma[source] = 1
 	s.level[source] = 0
@@ -216,7 +217,7 @@ func (s *blockScratch) run(g *graph.Undirected, source graph.V, block int64, blo
 		u := s.order[head]
 		lo, hi := g.SlotRange(u)
 		for slot := lo; slot < hi; slot++ {
-			if blockOf[g.EdgeID(slot)] != block {
+			if blockOf[eids[slot]] != block {
 				continue
 			}
 			v := g.SlotTarget(slot)
@@ -235,7 +236,7 @@ func (s *blockScratch) run(g *graph.Undirected, source graph.V, block int64, blo
 		coeff := (weight(v) + s.delta[v]) / s.sigma[v]
 		lo, hi := g.SlotRange(v)
 		for slot := lo; slot < hi; slot++ {
-			if blockOf[g.EdgeID(slot)] != block {
+			if blockOf[eids[slot]] != block {
 				continue
 			}
 			u := g.SlotTarget(slot)

@@ -220,6 +220,7 @@ func Bridges(g *graph.Undirected) []bool {
 // by connected_components on a filtered_graph, which is what this reproduces.
 func BgCC(g *graph.Undirected) []uint32 {
 	bridge := Bridges(g)
+	eids := g.EdgeIDs()
 	n := g.NumVertices()
 	label := make([]uint32, n)
 	for i := range label {
@@ -237,7 +238,7 @@ func BgCC(g *graph.Undirected) []uint32 {
 			stack = stack[:len(stack)-1]
 			lo, hi := g.SlotRange(u)
 			for s := lo; s < hi; s++ {
-				if bridge[g.EdgeID(s)] {
+				if bridge[eids[s]] {
 					continue
 				}
 				w := g.SlotTarget(s)

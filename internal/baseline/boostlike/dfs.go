@@ -49,6 +49,7 @@ const (
 func UndirectedDFS(g *graph.Undirected, vis DFSVisitor) {
 	n := g.NumVertices()
 	colors := make([]color, n)
+	eids := g.EdgeIDs()
 	type frame struct {
 		v          graph.V
 		slot       int64
@@ -76,7 +77,7 @@ func UndirectedDFS(g *graph.Undirected, vis DFSVisitor) {
 			s := f.slot
 			f.slot++
 			w := g.SlotTarget(s)
-			eid := g.EdgeID(s)
+			eid := eids[s]
 			if eid == f.parentEdge {
 				continue
 			}

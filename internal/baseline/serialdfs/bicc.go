@@ -35,6 +35,7 @@ func BiCC(g *graph.Undirected) *BiCCResult {
 		disc[i] = unvisited
 	}
 	var timer int32
+	eids := g.EdgeIDs()
 	edgeStack := make([]int64, 0, 1024)
 
 	type frame struct {
@@ -62,7 +63,7 @@ func BiCC(g *graph.Undirected) *BiCCResult {
 				s := f.slot
 				f.slot++
 				w := g.SlotTarget(s)
-				e := g.EdgeID(s)
+				e := eids[s]
 				if e == f.parentEdge {
 					continue // the tree edge back to the parent
 				}

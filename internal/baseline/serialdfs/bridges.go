@@ -15,6 +15,7 @@ func Bridges(g *graph.Undirected) []bool {
 		disc[i] = unvisited
 	}
 	var timer int32
+	eids := g.EdgeIDs()
 
 	type frame struct {
 		v          graph.V
@@ -39,7 +40,7 @@ func Bridges(g *graph.Undirected) []bool {
 				s := f.slot
 				f.slot++
 				w := g.SlotTarget(s)
-				e := g.EdgeID(s)
+				e := eids[s]
 				if e == f.parentEdge {
 					continue
 				}
@@ -88,6 +89,7 @@ func CCAvoidingEdges(g *graph.Undirected, deleted []bool) []uint32 {
 	for i := range label {
 		label[i] = graph.NoVertex
 	}
+	eids := g.EdgeIDs()
 	stack := make([]graph.V, 0, 1024)
 	for r := 0; r < n; r++ {
 		if label[r] != graph.NoVertex {
@@ -101,7 +103,7 @@ func CCAvoidingEdges(g *graph.Undirected, deleted []bool) []uint32 {
 			stack = stack[:len(stack)-1]
 			lo, hi := g.SlotRange(u)
 			for s := lo; s < hi; s++ {
-				if deleted[g.EdgeID(s)] {
+				if deleted[eids[s]] {
 					continue
 				}
 				v := g.SlotTarget(s)

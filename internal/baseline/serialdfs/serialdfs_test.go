@@ -111,7 +111,7 @@ func TestBiCCPaperExample(t *testing.T) {
 	blocks5 := make(map[int64]bool)
 	lo, hi := g.SlotRange(5)
 	for s := lo; s < hi; s++ {
-		blocks5[res.BlockOf[g.EdgeID(s)]] = true
+		blocks5[res.BlockOf[g.EdgeIDs()[s]]] = true
 	}
 	if len(blocks5) != 3 {
 		t.Errorf("AP 5 appears in %d blocks, want 3", len(blocks5))

@@ -102,6 +102,7 @@ func BiCCLP(g *graph.Undirected, threads int) *Result {
 
 	// Collect blocks: one per set of tree edges; assign non-tree edges to the
 	// set of their deeper endpoint.
+	eids := g.EdgeIDs()
 	blockID := make(map[graph.V]int64)
 	for v := 0; v < n; v++ {
 		if tree.Level[v] < 1 {
@@ -128,7 +129,7 @@ func BiCCLP(g *graph.Undirected, threads int) *Result {
 			if tree.Level[y] > tree.Level[deeper] {
 				deeper = y
 			}
-			res.BlockOf[g.EdgeID(slot)] = blockID[uf.find(deeper)]
+			res.BlockOf[eids[slot]] = blockID[uf.find(deeper)]
 		}
 	}
 	res.NumBlocks = len(blockID)

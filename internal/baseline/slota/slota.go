@@ -51,6 +51,7 @@ func BiCCBFS(g *graph.Undirected, threads int) *Result {
 	tree := bfs.NewTree(n)
 	tree.RunForest(g, g.MaxDegreeVertex(), nil, bfs.Options{Threads: p})
 
+	eids := g.EdgeIDs()
 	marked := bitmap.NewAtomic(int(g.NumEdges()))
 	blocked := func(e int64) bool { return marked.Get(uint32(e)) }
 	var nextBlock int64
@@ -91,7 +92,7 @@ func BiCCBFS(g *graph.Undirected, threads int) *Result {
 						continue
 					}
 					res.IsAP[parent] = true
-					claim(g, parent, region, scratch, marked, &nextBlock, res.BlockOf)
+					claim(g, eids, parent, region, scratch, marked, &nextBlock, res.BlockOf)
 				}
 			}
 		})
@@ -114,7 +115,7 @@ func BiCCBFS(g *graph.Undirected, threads int) *Result {
 				if tree.Parent[c] != root || tree.Level[c] != 1 {
 					continue
 				}
-				if marked.Get(uint32(g.EdgeID(slot))) {
+				if marked.Get(uint32(eids[slot])) {
 					continue
 				}
 				parallel.AddI64(&checks, 1)
@@ -124,7 +125,7 @@ func BiCCBFS(g *graph.Undirected, threads int) *Result {
 					Blocked: blocked,
 				})
 				groups++
-				claim(g, root, region, scratch, marked, &nextBlock, res.BlockOf)
+				claim(g, eids, root, region, scratch, marked, &nextBlock, res.BlockOf)
 			}
 			if groups >= 2 {
 				res.IsAP[root] = true
@@ -148,14 +149,14 @@ func groupByParent(verts []graph.V, parent []graph.V) [][]graph.V {
 	return out
 }
 
-func claim(g *graph.Undirected, cut graph.V, region []graph.V, scratch *bfs.Scratch,
+func claim(g *graph.Undirected, eids []int64, cut graph.V, region []graph.V, scratch *bfs.Scratch,
 	marked *bitmap.Atomic, nextBlock *int64, blockOf []int64) {
 	id := parallel.AddI64(nextBlock, 1) - 1
 	for _, u := range region {
 		lo, hi := g.SlotRange(u)
 		for slot := lo; slot < hi; slot++ {
 			w := g.SlotTarget(slot)
-			eid := g.EdgeID(slot)
+			eid := eids[slot]
 			if marked.Get(uint32(eid)) {
 				continue
 			}

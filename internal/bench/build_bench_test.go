@@ -116,6 +116,23 @@ func BenchmarkUndirect(b *testing.B) {
 	}
 }
 
+// BenchmarkEdgeIDs measures the first-use build of the dense edge-id index
+// (the serial cursor pass) on a fresh undirected view each iteration, in
+// ids/s. The Undirect that makes the fresh view is not timed.
+func BenchmarkEdgeIDs(b *testing.B) {
+	edges, n := buildBenchInput(b)
+	d := graph.BuildDirected(n, edges)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		undirectSink = graph.UndirectThreads(d, 0)
+		b.StartTimer()
+		undirectSink.EdgeIDs()
+	}
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(undirectSink.NumEdges())*float64(b.N)/s, "ids/s")
+	}
+}
+
 // BenchmarkParseEdgeListSerial is the pinned line-at-a-time seed parser.
 func BenchmarkParseEdgeListSerial(b *testing.B) {
 	edges, _ := buildBenchInput(b)

@@ -291,6 +291,7 @@ func largestSCCPartial(w Workload, threads int) int {
 // component of the master pivot — skipping the small-component labeling.
 func largestBgCCPartial(w Workload, threads int) int {
 	res := bgcc.Run(w.U, bgcc.Options{Threads: threads, BridgeOnly: true})
+	eids := w.U.EdgeIDs()
 	master := w.U.MaxDegreeVertex()
 	size := 0
 	seen := make([]bool, w.U.NumVertices())
@@ -301,7 +302,7 @@ func largestBgCCPartial(w Workload, threads int) int {
 		size++
 		lo, hi := w.U.SlotRange(u)
 		for s := lo; s < hi; s++ {
-			if res.IsBridge[w.U.EdgeID(s)] {
+			if res.IsBridge[eids[s]] {
 				continue
 			}
 			v := w.U.SlotTarget(s)

@@ -52,6 +52,7 @@ func (s *Scratch) Run(g *graph.Undirected, c Constraint) (reached bool, visited 
 		s.epoch = 1
 	}
 	e := s.epoch
+	eids := g.EdgeIDs()
 	s.mark[c.Start] = e
 	s.queue = append(s.queue[:0], c.Start)
 	for head := 0; head < len(s.queue); head++ {
@@ -62,7 +63,7 @@ func (s *Scratch) Run(g *graph.Undirected, c Constraint) (reached bool, visited 
 			if v == c.BannedVertex {
 				continue
 			}
-			eid := g.EdgeID(slot)
+			eid := eids[slot]
 			if eid == c.BannedEdge {
 				continue
 			}

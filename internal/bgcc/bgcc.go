@@ -78,6 +78,7 @@ func Run(g *graph.Undirected, opt Options) *Result {
 		return res
 	}
 
+	eids := g.EdgeIDs()
 	marked := bitmap.NewAtomic(int(g.NumEdges()))
 	var removed []bool
 	if !opt.NoTrim {
@@ -179,7 +180,7 @@ func Run(g *graph.Undirected, opt Options) *Result {
 					ulo, uhi := g.SlotRange(u)
 					for slot := ulo; slot < uhi; slot++ {
 						if scratch.WasVisited(g.SlotTarget(slot)) {
-							marked.Set(uint32(g.EdgeID(slot)))
+							marked.Set(uint32(eids[slot]))
 						}
 					}
 				}
@@ -212,6 +213,7 @@ func (r *Result) labelComponents(g *graph.Undirected, p int, done <-chan struct{
 	if n == 0 {
 		return
 	}
+	eids := g.EdgeIDs()
 	master := g.MaxDegreeVertex()
 	visited := bitmap.NewAtomic(n)
 	visited.Set(master)
@@ -227,7 +229,7 @@ func (r *Result) labelComponents(g *graph.Undirected, p int, done <-chan struct{
 				u := frontier[i]
 				ulo, uhi := g.SlotRange(u)
 				for slot := ulo; slot < uhi; slot++ {
-					if r.IsBridge[g.EdgeID(slot)] {
+					if r.IsBridge[eids[slot]] {
 						continue
 					}
 					v := g.SlotTarget(slot)
@@ -298,6 +300,7 @@ func propagateMinFiltered(g *graph.Undirected, label []uint32, active []bool, de
 			frontier = append(frontier, graph.V(v))
 		}
 	}
+	eids := g.EdgeIDs()
 	inNext := make([]uint32, g.NumVertices())
 	epoch := uint32(0)
 	for len(frontier) > 0 {
@@ -313,7 +316,7 @@ func propagateMinFiltered(g *graph.Undirected, label []uint32, active []bool, de
 				lu := parallel.LoadU32(&label[u])
 				ulo, uhi := g.SlotRange(u)
 				for slot := ulo; slot < uhi; slot++ {
-					if deleted[g.EdgeID(slot)] {
+					if deleted[eids[slot]] {
 						continue
 					}
 					v := g.SlotTarget(slot)

@@ -146,7 +146,7 @@ func trimPendants(g *graph.Undirected, res *Result, opt Options) (removed []bool
 func runConstrained(g *graph.Undirected, res *Result, opt Options) {
 	n := g.NumVertices()
 	p := parallel.Threads(opt.Threads)
-	st := &state{g: g, opt: opt, p: p, res: res,
+	st := &state{g: g, eid: g.EdgeIDs(), opt: opt, p: p, res: res,
 		marked: bitmap.NewAtomic(int(g.NumEdges()))}
 
 	removed, bridges := trimPendants(g, res, opt)
@@ -194,6 +194,7 @@ func runConstrained(g *graph.Undirected, res *Result, opt Options) {
 // state carries the shared pieces of one Run.
 type state struct {
 	g         *graph.Undirected
+	eid       []int64 // g.EdgeIDs(), hoisted out of the per-slot loops
 	opt       Options
 	p         int
 	res       *Result
@@ -339,7 +340,7 @@ func (s *state) processRoots() {
 				if s.tree.Parent[c] != root || s.tree.Level[c] != 1 {
 					continue // a non-tree edge inside some group
 				}
-				eid := s.g.EdgeID(slot)
+				eid := s.eid[slot]
 				if s.marked.Get(uint32(eid)) {
 					continue // group already claimed via an earlier child
 				}
@@ -378,7 +379,7 @@ func (s *state) claimBlock(cut graph.V, region []graph.V, scratch *bfs.Scratch) 
 		lo, hi := s.g.SlotRange(u)
 		for slot := lo; slot < hi; slot++ {
 			w := s.g.SlotTarget(slot)
-			eid := s.g.EdgeID(slot)
+			eid := s.eid[slot]
 			if s.marked.Get(uint32(eid)) {
 				continue
 			}

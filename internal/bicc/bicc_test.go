@@ -107,7 +107,7 @@ func TestPaperExampleBlocks(t *testing.T) {
 	blocks := map[int64]bool{}
 	lo, hi := g.SlotRange(5)
 	for s := lo; s < hi; s++ {
-		blocks[res.BlockOf[g.EdgeID(s)]] = true
+		blocks[res.BlockOf[g.EdgeIDs()[s]]] = true
 	}
 	if len(blocks) != 3 {
 		t.Errorf("AP 5 in %d blocks, want 3", len(blocks))

@@ -394,6 +394,7 @@ func (s *skeletonState) emit(labels *cc.Result) {
 			}
 		}
 		s.res.NumBlocks = int(next)
+		eid := s.g.EdgeIDs()
 		parallel.ForBlocks(0, n, s.p, func(blo, bhi, _ int) {
 			for vi := blo; vi < bhi; vi++ {
 				v := graph.V(vi)
@@ -411,7 +412,7 @@ func (s *skeletonState) emit(labels *cc.Result) {
 					if id < 0 {
 						id = blockID[lab[v]]
 					}
-					s.res.BlockOf[s.g.EdgeID(slot)] = id
+					s.res.BlockOf[eid[slot]] = id
 				}
 			}
 		})

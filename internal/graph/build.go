@@ -20,7 +20,7 @@ type Edge struct {
 const minParallelBuild = 1 << 14
 
 // buildGrainFloor is the minimum per-chunk edge budget for the degree-chunked
-// builder passes (segment sort, dedup, mate/eid); below this the dynamic
+// builder passes (segment sort, dedup, Undirect's merge); below this the dynamic
 // claim traffic dominates.
 const buildGrainFloor = 2048
 
@@ -84,7 +84,7 @@ func BuildUndirectedThreads(n int, edges []Edge, threads int) *Undirected {
 		}
 	})
 	off, adj := buildCSR(n, sym, false, p)
-	return finishUndirected(n, off, adj, p)
+	return &Undirected{n: n, off: off, adj: adj}
 }
 
 // BuildUndirectedSerial is the single-threaded seed builder for undirected
@@ -98,7 +98,7 @@ func BuildUndirectedSerial(n int, edges []Edge) *Undirected {
 		sym = append(sym, e, Edge{e.V, e.U})
 	}
 	off, adj := buildCSRSerial(n, sym, false)
-	return finishUndirectedSerial(n, off, adj)
+	return &Undirected{n: n, off: off, adj: adj}
 }
 
 // Undirect converts a directed graph to the undirected graph used by CC,
@@ -115,9 +115,9 @@ func Undirect(g *Directed) *Undirected { return UndirectThreads(g, 0) }
 // UndirectThreads is Undirect with an explicit worker count. It makes two
 // merge passes over the vertices — count |Out(u) ∪ In(u)| into the offsets,
 // prefix-sum, then write the unions — on degree-weighted chunks (a vertex
-// weighs its out- plus in-degree, so in-hubs balance too), and finishes the
-// mate/eid indexes. No edge list, histogram, atomic or sort is involved; one
-// worker runs the same loops serially.
+// weighs its out- plus in-degree, so in-hubs balance too). No edge list,
+// histogram, atomic or sort is involved; one worker runs the same loops
+// serially. The edge-id index is left for EdgeIDs to build on first use.
 func UndirectThreads(g *Directed, threads int) *Undirected {
 	return undirect(g, buildThreads(threads, len(g.outAdj)))
 }
@@ -140,7 +140,7 @@ func undirect(g *Directed, p int) *Undirected {
 	forChunks(bounds, p, func(u int) {
 		unionInto(adj[off[u]:off[u+1]], g.Out(V(u)), g.In(V(u)))
 	})
-	return finishUndirected(n, off, adj, p)
+	return &Undirected{n: n, off: off, adj: adj}
 }
 
 // unionSize is |a ∪ b| for strictly increasing a and b.
@@ -380,83 +380,43 @@ func dedupSegments(n int, off []int64, adj []V, p int) ([]int64, []V) {
 	return newOff, newAdj
 }
 
-// finishUndirected computes the mate-slot and dense-edge-id indexes for a
-// symmetric, sorted, deduplicated CSR with up to p workers. Edge ids are
-// assigned exactly as in the serial pass — dense in (lower endpoint, slot)
-// order — via a per-vertex prefix sum of lower-endpoint slot counts.
-func finishUndirected(n int, off []int64, adj []V, p int) *Undirected {
-	if p <= 1 || len(adj) < minParallelBuild {
-		return finishUndirectedSerial(n, off, adj)
-	}
-	mate := make([]int64, len(adj))
-	eid := make([]int64, len(adj))
-	base := make([]int64, n+1)
-	forDegreeChunks(off, p, func(u int) {
-		var c int64
-		for s := off[u]; s < off[u+1]; s++ {
-			if adj[s] > V(u) {
-				c++
-			}
-		}
-		base[u+1] = c
-	})
-	prefixInPlace(base, p)
-	forDegreeChunks(off, p, func(u int) {
-		k := base[u]
-		for s := off[u]; s < off[u+1]; s++ {
-			v := adj[s]
-			if v > V(u) {
-				// The worker owning the lesser endpoint writes both slots;
-				// every mate slot has exactly one owner, so the writes are
-				// disjoint across workers.
-				r := searchSlot(off, adj, v, V(u))
-				mate[s] = r
-				mate[r] = s
-				eid[s] = k
-				eid[r] = k
-				k++
-			}
-		}
-	})
-	return &Undirected{n: n, off: off, adj: adj, mate: mate, eid: eid, m: base[n]}
-}
-
-// finishUndirectedSerial is the seed single-threaded mate/eid pass.
-func finishUndirectedSerial(n int, off []int64, adj []V) *Undirected {
-	mate := make([]int64, len(adj))
-	eid := make([]int64, len(adj))
-	var m int64
+// walkEdges visits every undirected edge of a sorted, loop-free CSR once, in
+// edge-id order — (lower endpoint, slot) — calling visit(s, r, k) with the
+// edge's slot s in the lower endpoint's segment, its reverse slot r and its
+// id k. Vertices are taken in ascending order, so when u's turn comes every
+// lower neighbour has already claimed its reverse slot at the front of u's
+// segment: u's upper slots start at the cursor cur[u], and the reverse slot
+// of upper slot s → v is v's next unclaimed slot, cur[v]++. No binary search
+// is involved; the scratch is the n cursors.
+//
+// walkEdges stops and reports false as soon as visit does, or as soon as the
+// CSR proves asymmetric: a claimed slot that does not point back, or a lower
+// slot still unclaimed when its vertex's turn comes. A true result therefore
+// also certifies symmetry.
+func walkEdges(off []int64, adj []V, visit func(s, r, k int64) bool) bool {
+	n := len(off) - 1
+	cur := make([]int64, n)
+	copy(cur, off[:n])
+	var k int64
 	for u := 0; u < n; u++ {
-		for s := off[u]; s < off[u+1]; s++ {
+		lo, hi := cur[u], off[u+1]
+		if lo < hi && adj[lo] <= V(u) {
+			return false
+		}
+		for s := lo; s < hi; s++ {
 			v := adj[s]
-			if V(u) < v {
-				// Find the reverse slot by binary search in v's list.
-				r := searchSlot(off, adj, v, V(u))
-				mate[s] = r
-				mate[r] = s
-				eid[s] = m
-				eid[r] = m
-				m++
+			r := cur[v]
+			if r >= off[v+1] || adj[r] != V(u) {
+				return false
 			}
+			cur[v] = r + 1
+			if !visit(s, r, k) {
+				return false
+			}
+			k++
 		}
 	}
-	return &Undirected{n: n, off: off, adj: adj, mate: mate, eid: eid, m: m}
-}
-
-func searchSlot(off []int64, adj []V, u, target V) int64 {
-	lo, hi := off[u], off[u+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case adj[mid] < target:
-			lo = mid + 1
-		case adj[mid] > target:
-			hi = mid
-		default:
-			return mid
-		}
-	}
-	panic("graph: asymmetric CSR — reverse edge missing")
+	return true
 }
 
 // forDegreeChunks runs body(u) for every vertex u in [0, len(off)-1), fanned

@@ -37,8 +37,9 @@ func AppendWorkChunks(off []int64, verts []V, targetWork int64, bounds []int32) 
 // [0, len(off)-1): it appends chunk end indices (exclusive vertex bounds) of
 // roughly targetWork weight, where a vertex weighs its degree per off plus
 // one. The last appended bound is always len(off)-1; an empty range appends
-// nothing. The CSR builder's per-vertex passes (segment sort, dedup, mate/eid)
-// use this so a hub's giant segment cannot serialize a whole worker share.
+// nothing. The CSR builder's per-vertex passes (segment sort, dedup,
+// Undirect's merge) use this so a hub's giant segment cannot serialize a
+// whole worker share.
 func AppendRangeWorkChunks(off []int64, targetWork int64, bounds []int32) []int32 {
 	n := len(off) - 1
 	if n <= 0 {

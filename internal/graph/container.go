@@ -19,9 +19,11 @@ import (
 // rebuild work. Unlike the legacy v1 format (WriteBinary/ReadBinary), which
 // stored only the out-CSR and forced every loader to reconstruct the rest, a
 // v2 container persists everything a graph carries — the in-CSR for directed
-// graphs, the mate/eid indexes for undirected ones — so LoadContainer can
-// alias the graph's slices directly onto the file mapping after a bounded
-// validation pass.
+// graphs, the mate-slot and edge-id indexes for undirected ones — so
+// LoadContainer can alias the graph's slices directly onto the file mapping
+// after a bounded validation pass. Both undirected indexes are the canonical
+// ones the cursor pass (walkEdges) derives from the CSR; the loader checks
+// them and keeps only the edge ids.
 //
 // Layout (all fixed-width fields little-endian):
 //
@@ -177,21 +179,33 @@ func WriteContainer(w io.Writer, g *Directed) error {
 // WriteUndirectedContainer serializes an undirected graph as an .aqg v2
 // container, persisting the mate-slot and dense-edge-id indexes so nothing is
 // reconstructed on load. This is the checkpoint format for the engine's
-// materialized undirected graphs.
+// materialized undirected graphs. It builds g's edge-id index if g has none
+// yet; the mate slots are derived for the write and dropped.
 func WriteUndirectedContainer(w io.Writer, g *Undirected) error {
 	h := &aqgHeader{
 		flags: aqgFlagUndirected,
 		n:     int64(g.n),
 		slots: int64(len(g.adj)),
-		edges: g.m,
+		edges: g.NumEdges(),
 	}
 	h.layout()
 	cw := newContainerWriter(w, h)
 	cw.int64Section(0, g.off)
 	cw.vSection(1, g.adj)
-	cw.int64Section(2, g.mate)
-	cw.int64Section(3, g.eid)
+	cw.int64Section(2, mateSlots(g.off, g.adj))
+	cw.int64Section(3, g.EdgeIDs())
 	return cw.finish()
+}
+
+// mateSlots derives the mate-slot index of a symmetric CSR — slot s maps to
+// the slot holding the reverse copy of its edge — by the cursor pass.
+func mateSlots(off []int64, adj []V) []int64 {
+	mate := make([]int64, len(adj))
+	walkEdges(off, adj, func(s, r, _ int64) bool {
+		mate[s], mate[r] = r, s
+		return true
+	})
+	return mate
 }
 
 // containerWriter streams header and sections with canonical padding,
@@ -514,17 +528,19 @@ func ReadContainer(r io.Reader) (*Container, error) {
 // transpose of the out-CSR, which Undirect's merge relies on — and wraps
 // them in a Directed graph.
 func (h *aqgHeader) assembleDirected(outOff []int64, outAdj []V, inOff []int64, inAdj []V) (*Container, error) {
-	if err := validateCSR(h.n, outOff, outAdj, "out"); err != nil {
-		return nil, err
-	}
-	if err := validateCSR(h.n, inOff, inAdj, "in"); err != nil {
-		return nil, err
-	}
 	// Both arc sets are duplicate-free and equally sized, so equal keyed
 	// multiset hashes mean equal sets (a mismatch slips through with
 	// probability ~2⁻⁶⁴ under the per-load random key).
 	key := rand.Uint64()
-	if arcHash(outOff, outAdj, key, false) != arcHash(inOff, inAdj, key, true) {
+	outHash, err := validateCSR(h.n, outOff, outAdj, "out", key, false)
+	if err != nil {
+		return nil, err
+	}
+	inHash, err := validateCSR(h.n, inOff, inAdj, "in", key, true)
+	if err != nil {
+		return nil, err
+	}
+	if outHash != inHash {
 		return nil, fmt.Errorf("graph: container in-CSR is not the transpose of the out-CSR")
 	}
 	g := &Directed{n: int(h.n), outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
@@ -532,15 +548,17 @@ func (h *aqgHeader) assembleDirected(outOff []int64, outAdj []V, inOff []int64, 
 }
 
 // assembleUndirected validates the CSR plus the mate/eid indexes and wraps
-// them in an Undirected graph.
+// them in an Undirected graph that keeps the edge ids (the mate slots are
+// only checked).
 func (h *aqgHeader) assembleUndirected(off []int64, adj []V, mate, eid []int64) (*Container, error) {
-	if err := validateCSR(h.n, off, adj, "adjacency"); err != nil {
+	if _, err := validateCSR(h.n, off, adj, "adjacency", 0, false); err != nil {
 		return nil, err
 	}
-	if err := validateUndirectedIndex(h.n, h.edges, off, adj, mate, eid); err != nil {
+	if err := validateUndirectedIndex(off, adj, mate, eid); err != nil {
 		return nil, err
 	}
-	g := &Undirected{n: int(h.n), off: off, adj: adj, mate: mate, eid: eid, m: h.edges}
+	g := &Undirected{n: int(h.n), off: off, adj: adj}
+	g.eid.Store(&eid)
 	return &Container{Undirected: g}, nil
 }
 
@@ -548,59 +566,41 @@ func (h *aqgHeader) assembleUndirected(off []int64, adj []V, mate, eid []int64) 
 // monotone from 0 to len(adj), every target in range, every segment strictly
 // increasing (sorted, deduplicated) with no self-loops — exactly the
 // invariants the builders emit and the binary-search query paths (HasArc,
-// EdgeIDOf) rely on. The scan is vertex-parallel and allocates O(1).
-func validateCSR(n int64, off []int64, adj []V, what string) error {
+// EdgeIDOf) rely on. The same scan returns the CSR's keyed arc-set hash: the
+// wrapping sum of a 64-bit mix of every arc u→v (v→u for an in-CSR, so a CSR
+// and its transpose hash alike). It is vertex-parallel and allocates O(1).
+func validateCSR(n int64, off []int64, adj []V, what string, key uint64, in bool) (uint64, error) {
 	if int64(len(off)) != n+1 {
-		return fmt.Errorf("graph: container %s offsets length %d, want %d", what, len(off), n+1)
+		return 0, fmt.Errorf("graph: container %s offsets length %d, want %d", what, len(off), n+1)
 	}
 	if off[0] != 0 {
-		return fmt.Errorf("graph: container %s offsets must start at 0", what)
+		return 0, fmt.Errorf("graph: container %s offsets must start at 0", what)
 	}
 	if off[n] != int64(len(adj)) {
-		return fmt.Errorf("graph: container %s offsets end at %d, want %d", what, off[n], len(adj))
+		return 0, fmt.Errorf("graph: container %s offsets end at %d, want %d", what, off[n], len(adj))
 	}
 	var badOff, badTarget, badOrder atomic.Bool
-	parallel.For(0, int(n), parallel.Threads(0), func(u int) {
-		lo, hi := off[u], off[u+1]
-		if lo < 0 || lo > hi || hi > int64(len(adj)) {
-			badOff.Store(true)
-			return
-		}
-		var prev V
-		first := true
-		for _, v := range adj[lo:hi] {
-			if int64(v) >= n || v == V(u) {
-				badTarget.Store(true)
-				return
-			}
-			if !first && v <= prev {
-				badOrder.Store(true)
-				return
-			}
-			prev, first = v, false
-		}
-	})
-	switch {
-	case badOff.Load():
-		return fmt.Errorf("graph: container %s offsets not monotone", what)
-	case badTarget.Load():
-		return fmt.Errorf("graph: container %s adjacency target out of range", what)
-	case badOrder.Load():
-		return fmt.Errorf("graph: container %s adjacency segment not strictly increasing", what)
-	}
-	return nil
-}
-
-// arcHash is an order-independent keyed hash of a CSR's arc set: the
-// wrapping sum of a 64-bit mix of every arc u→v (v→u for an in-CSR, so a
-// CSR and its transpose hash alike). The scan is vertex-parallel and
-// allocates O(1).
-func arcHash(off []int64, adj []V, key uint64, in bool) uint64 {
 	var sum atomic.Uint64
-	parallel.ForBlocks(0, len(off)-1, parallel.Threads(0), func(lo, hi, _ int) {
-		var s uint64
-		for u := lo; u < hi; u++ {
-			for _, v := range adj[off[u]:off[u+1]] {
+	parallel.ForBlocks(0, int(n), parallel.Threads(0), func(ulo, uhi, _ int) {
+		var h uint64
+		for u := ulo; u < uhi; u++ {
+			lo, hi := off[u], off[u+1]
+			if lo < 0 || lo > hi || hi > int64(len(adj)) {
+				badOff.Store(true)
+				return
+			}
+			var prev V
+			first := true
+			for _, v := range adj[lo:hi] {
+				if int64(v) >= n || v == V(u) {
+					badTarget.Store(true)
+					return
+				}
+				if !first && v <= prev {
+					badOrder.Store(true)
+					return
+				}
+				prev, first = v, false
 				src, dst := uint64(u), uint64(v)
 				if in {
 					src, dst = dst, src
@@ -608,46 +608,36 @@ func arcHash(off []int64, adj []V, key uint64, in bool) uint64 {
 				z := (src<<32 | dst) ^ key
 				z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
 				z = (z ^ z>>27) * 0x94d049bb133111eb
-				s += z ^ z>>31
+				h += z ^ z>>31
 			}
 		}
-		sum.Add(s)
-	})
-	return sum.Load()
-}
-
-// validateUndirectedIndex bounds-checks the mate/eid sections: every mate
-// slot is an involution landing in the reverse endpoint's segment, and the
-// two slots of an edge agree on an in-range edge id.
-func validateUndirectedIndex(n, m int64, off []int64, adj []V, mate, eid []int64) error {
-	slots := int64(len(adj))
-	if int64(len(mate)) != slots || int64(len(eid)) != slots {
-		return fmt.Errorf("graph: container mate/eid length %d/%d, want %d", len(mate), len(eid), slots)
-	}
-	var badMate, badEid atomic.Bool
-	parallel.For(0, int(n), parallel.Threads(0), func(u int) {
-		for s := off[u]; s < off[u+1]; s++ {
-			r := mate[s]
-			if r < 0 || r >= slots || mate[r] != s {
-				badMate.Store(true)
-				return
-			}
-			v := adj[s]
-			if r < off[v] || r >= off[v+1] || adj[r] != V(u) {
-				badMate.Store(true)
-				return
-			}
-			if id := eid[s]; id < 0 || id >= m || eid[r] != id {
-				badEid.Store(true)
-				return
-			}
-		}
+		sum.Add(h)
 	})
 	switch {
-	case badMate.Load():
-		return fmt.Errorf("graph: container mate index corrupt")
-	case badEid.Load():
-		return fmt.Errorf("graph: container edge-id index corrupt")
+	case badOff.Load():
+		return 0, fmt.Errorf("graph: container %s offsets not monotone", what)
+	case badTarget.Load():
+		return 0, fmt.Errorf("graph: container %s adjacency target out of range", what)
+	case badOrder.Load():
+		return 0, fmt.Errorf("graph: container %s adjacency segment not strictly increasing", what)
+	}
+	return sum.Load(), nil
+}
+
+// validateUndirectedIndex checks the mate/eid sections for equality with the
+// canonical indexes the cursor pass derives from the (already validated)
+// CSR. That is complete: it rejects an asymmetric CSR, a mate that is not the
+// reverse slot, and any edge-id assignment but the dense (lower endpoint,
+// slot) order — two edges sharing an id included. The pass is serial and
+// allocates one cursor per vertex.
+func validateUndirectedIndex(off []int64, adj []V, mate, eid []int64) error {
+	if len(mate) != len(adj) || len(eid) != len(adj) {
+		return fmt.Errorf("graph: container mate/eid length %d/%d, want %d", len(mate), len(eid), len(adj))
+	}
+	if !walkEdges(off, adj, func(s, r, k int64) bool {
+		return mate[s] == r && mate[r] == s && eid[s] == k && eid[r] == k
+	}) {
+		return fmt.Errorf("graph: container adjacency asymmetric or mate/edge-id index not canonical")
 	}
 	return nil
 }

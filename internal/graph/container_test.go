@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -76,7 +77,8 @@ func TestContainerRoundTripDirected(t *testing.T) {
 }
 
 // TestContainerRoundTripUndirected is the same parity check for the
-// undirected container, including the persisted mate/eid indexes.
+// undirected container, including the persisted mate/eid indexes; the writer
+// must also emit exactly what the seed binary-search finish would have.
 func TestContainerRoundTripUndirected(t *testing.T) {
 	g := BuildUndirected(150, testEdges(150, 2500, 2))
 	var buf bytes.Buffer
@@ -92,6 +94,24 @@ func TestContainerRoundTripUndirected(t *testing.T) {
 		t.Fatal("undirected container loaded as directed")
 	}
 	sameUndirected(t, g, c.Undirected)
+
+	// The seed writer persisted the binary-search finish's indexes; the
+	// cursor-derived ones must serialize to the same bytes.
+	seedMate, seedEid := seedEdgeIndex(g.n, g.off, g.adj)
+	h := &aqgHeader{flags: aqgFlagUndirected, n: int64(g.n), slots: int64(len(g.adj)), edges: g.NumEdges()}
+	h.layout()
+	var seed bytes.Buffer
+	cw := newContainerWriter(&seed, h)
+	cw.int64Section(0, g.off)
+	cw.vSection(1, g.adj)
+	cw.int64Section(2, seedMate)
+	cw.int64Section(3, seedEid)
+	if err := cw.finish(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seed.Bytes(), buf.Bytes()) {
+		t.Fatal("writer output differs from the seed-index serialization")
+	}
 
 	path := writeTempContainer(t, buf.Bytes())
 	mc, err := LoadContainer(path)
@@ -153,6 +173,8 @@ func TestContainerCorruptRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	umate, ueid := seedEdgeIndex(ug.n, ug.off, ug.adj)
+	uEidAt := func(s int64) int64 { return uh.sec[3].off + 8*s }
 
 	put64 := func(b []byte, at int64, v uint64) []byte {
 		mut := bytes.Clone(b)
@@ -231,9 +253,15 @@ func TestContainerCorruptRejected(t *testing.T) {
 			return mut
 		}()},
 		{"mate out of range", put64(ubuf.Bytes(), uh.sec[2].off, uint64(len(ug.adj)))},
-		{"mate not involutive", put64(ubuf.Bytes(), uh.sec[2].off, uint64(ug.mate[0]+1))},
-		{"eid out of range", put64(ubuf.Bytes(), uh.sec[3].off, uint64(ug.m))},
-		{"eid mates disagree", put64(ubuf.Bytes(), uh.sec[3].off+8*ug.mate[0], uint64(ug.eid[ug.mate[0]])+1)},
+		{"mate not involutive", put64(ubuf.Bytes(), uh.sec[2].off, uint64(umate[0]+1))},
+		{"eid out of range", put64(ubuf.Bytes(), uEidAt(0), uint64(ug.NumEdges()))},
+		{"eid mates disagree", put64(ubuf.Bytes(), uEidAt(umate[0]), uint64(ueid[umate[0]])+1)},
+		// Both slots of edge 1 relabeled to id 0: in range and agreeing
+		// across mates, yet two edges now share an id.
+		{"two edges share an id", func() []byte {
+			s := slices.Index(ueid, 1)
+			return put64(put64(ubuf.Bytes(), uEidAt(int64(s)), 0), uEidAt(umate[s]), 0)
+		}()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -111,7 +111,7 @@ func FuzzParallelBuildParity(f *testing.F) {
 				sym = append(sym, e, Edge{e.V, e.U})
 			}
 			off, adj := buildCSR(n, sym, false, p)
-			sameUndirected(t, wantU, finishUndirectedSerial(n, off, adj))
+			sameUndirected(t, wantU, &Undirected{n: n, off: off, adj: adj})
 			sameUndirected(t, wantUD, UndirectThreads(wantD, p))
 			sameUndirected(t, wantUD, undirect(wantD, p))
 		}

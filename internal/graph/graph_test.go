@@ -2,10 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestBuildDirectedBasics(t *testing.T) {
@@ -54,21 +57,22 @@ func TestBuildUndirectedSymmetry(t *testing.T) {
 
 func TestMateAndEdgeID(t *testing.T) {
 	g := BuildUndirected(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}})
+	mate, eid := mateSlots(g.off, g.adj), g.EdgeIDs()
 	seen := make(map[int64]int)
 	for u := 0; u < g.NumVertices(); u++ {
 		lo, hi := g.SlotRange(V(u))
 		for s := lo; s < hi; s++ {
-			m := g.MateSlot(s)
-			if g.MateSlot(m) != s {
+			m := mate[s]
+			if mate[m] != s {
 				t.Fatalf("mate not involutive at slot %d", s)
 			}
 			if g.SlotTarget(m) != V(u) {
 				t.Fatalf("mate of slot %d does not point back to %d", s, u)
 			}
-			if g.EdgeID(s) != g.EdgeID(m) {
+			if eid[s] != eid[m] {
 				t.Fatalf("edge id differs across mates at slot %d", s)
 			}
-			seen[g.EdgeID(s)]++
+			seen[eid[s]]++
 		}
 	}
 	if int64(len(seen)) != g.NumEdges() {
@@ -77,6 +81,34 @@ func TestMateAndEdgeID(t *testing.T) {
 	for id, count := range seen {
 		if count != 2 {
 			t.Errorf("edge id %d appears in %d slots, want 2", id, count)
+		}
+	}
+}
+
+// TestEdgeIDsConcurrent races the first EdgeIDs calls on a fresh graph: every
+// goroutine must get the one shared index, equal to the seed finish.
+func TestEdgeIDsConcurrent(t *testing.T) {
+	g := BuildUndirected(1<<10, testEdges(1<<10, 1<<13, 9))
+	if g.EdgeIDsBuilt() {
+		t.Fatal("fresh graph already has an edge-id index")
+	}
+	_, want := seedEdgeIndex(g.n, g.off, g.adj)
+	got := make([][]int64, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = g.EdgeIDs()
+		}()
+	}
+	wg.Wait()
+	for i, ids := range got {
+		if unsafe.SliceData(ids) != unsafe.SliceData(got[0]) {
+			t.Fatalf("goroutine %d got its own index", i)
+		}
+		if !slices.Equal(ids, want) {
+			t.Fatalf("goroutine %d: edge ids differ from the seed finish", i)
 		}
 	}
 }
@@ -210,7 +242,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 }
 
 // Property: for any random edge set, the undirected builder produces a
-// symmetric, sorted, deduplicated CSR whose mate index is involutive.
+// symmetric, sorted, deduplicated CSR whose derived mate index is involutive.
 func TestUndirectedBuilderProperties(t *testing.T) {
 	f := func(raw []uint16) bool {
 		const n = 64
@@ -219,6 +251,7 @@ func TestUndirectedBuilderProperties(t *testing.T) {
 			edges = append(edges, Edge{V(raw[i] % n), V(raw[i+1] % n)})
 		}
 		g := BuildUndirected(n, edges)
+		mate := mateSlots(g.off, g.adj)
 		for u := 0; u < n; u++ {
 			ns := g.Neighbors(V(u))
 			for i, v := range ns {
@@ -234,7 +267,7 @@ func TestUndirectedBuilderProperties(t *testing.T) {
 			}
 			lo, hi := g.SlotRange(V(u))
 			for s := lo; s < hi; s++ {
-				if g.MateSlot(g.MateSlot(s)) != s {
+				if mate[mate[s]] != s {
 					return false
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -68,10 +69,13 @@ func sameDirected(t *testing.T, want, got *Directed) {
 	}
 }
 
+// sameUndirected checks got against want field by field: the CSR arrays
+// byte-identical, and got's edge ids and derived mate slots equal to the seed
+// binary-search finish over that CSR.
 func sameUndirected(t *testing.T, want, got *Undirected) {
 	t.Helper()
-	if want.n != got.n || want.m != got.m {
-		t.Fatalf("shape: want n=%d m=%d, got n=%d m=%d", want.n, want.m, got.n, got.m)
+	if want.n != got.n || want.NumEdges() != got.NumEdges() {
+		t.Fatalf("shape: want n=%d m=%d, got n=%d m=%d", want.n, want.NumEdges(), got.n, got.NumEdges())
 	}
 	if !reflect.DeepEqual(want.off, got.off) {
 		t.Fatal("offsets differ")
@@ -79,12 +83,34 @@ func sameUndirected(t *testing.T, want, got *Undirected) {
 	if !reflect.DeepEqual(want.adj, got.adj) {
 		t.Fatal("adjacency differs")
 	}
-	if !reflect.DeepEqual(want.mate, got.mate) {
+	wantMate, wantEid := seedEdgeIndex(want.n, want.off, want.adj)
+	if !slices.Equal(wantMate, mateSlots(got.off, got.adj)) {
 		t.Fatal("mate index differs")
 	}
-	if !reflect.DeepEqual(want.eid, got.eid) {
+	if !slices.Equal(wantEid, got.EdgeIDs()) {
 		t.Fatal("edge ids differ")
 	}
+}
+
+// seedEdgeIndex is the seed mate/eid finish — ids dense in (lower endpoint,
+// slot) order, each reverse slot found by binary search — kept as the oracle
+// for the cursor pass (walkEdges).
+func seedEdgeIndex(n int, off []int64, adj []V) (mate, eid []int64) {
+	mate = make([]int64, len(adj))
+	eid = make([]int64, len(adj))
+	var m int64
+	for u := 0; u < n; u++ {
+		for s := off[u]; s < off[u+1]; s++ {
+			v := adj[s]
+			if V(u) < v {
+				r := searchSlot(off, adj, v, V(u))
+				mate[s], mate[r] = r, s
+				eid[s], eid[r] = m, m
+				m++
+			}
+		}
+	}
+	return mate, eid
 }
 
 // TestBuildDirectedParallelMatchesSerial pins the tentpole determinism claim:
@@ -125,14 +151,14 @@ func TestBuildUndirectedParallelMatchesSerial(t *testing.T) {
 				if tc.m >= minParallelBuild {
 					got = BuildUndirectedThreads(tc.n, edges, p)
 				} else {
-					// Force the parallel symmetrize+build+finish path below
-					// the size clamp.
+					// Force the parallel symmetrize+build path below the
+					// size clamp.
 					sym := make([]Edge, 0, 2*len(edges))
 					for _, e := range edges {
 						sym = append(sym, e, Edge{e.V, e.U})
 					}
 					off, adj := buildCSR(tc.n, sym, false, p)
-					got = finishUndirectedSerial(tc.n, off, adj)
+					got = &Undirected{n: tc.n, off: off, adj: adj}
 				}
 				sameUndirected(t, want, got)
 			}
@@ -140,18 +166,15 @@ func TestBuildUndirectedParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFinishUndirectedParallelMatchesSerial targets the parallel mate/eid
-// assignment specifically, on inputs big enough to pass its size gate.
+// TestFinishUndirectedParallelMatchesSerial pins the edge-id finish of graphs
+// built at every worker count — the cursor pass, run on first use — to the
+// seed binary-search finish over the serial build, on inputs big enough for
+// the parallel builder to run.
 func TestFinishUndirectedParallelMatchesSerial(t *testing.T) {
 	edges := diffEdges(1<<12, 1<<16, 7)
-	sym := make([]Edge, 0, 2*len(edges))
-	for _, e := range edges {
-		sym = append(sym, e, Edge{e.V, e.U})
-	}
-	off, adj := buildCSRSerial(1<<12, sym, false)
-	want := finishUndirectedSerial(1<<12, off, adj)
-	for _, p := range []int{2, 4, 8} {
-		sameUndirected(t, want, finishUndirected(1<<12, off, adj, p))
+	want := BuildUndirectedSerial(1<<12, edges)
+	for _, p := range []int{1, 2, 4, 8} {
+		sameUndirected(t, want, BuildUndirectedThreads(1<<12, edges, p))
 	}
 }
 
@@ -169,7 +192,7 @@ func undirectSerial(g *Directed) *Undirected {
 		}
 	}
 	off, adj := buildCSRSerial(g.n, edges, false)
-	return finishUndirectedSerial(g.n, off, adj)
+	return &Undirected{n: g.n, off: off, adj: adj}
 }
 
 // undirectCases are the differential shapes for UndirectThreads: degenerate
@@ -247,9 +270,10 @@ func TestUndirectMappedContainer(t *testing.T) {
 	}
 }
 
-// TestUndirectAllocBudget pins the removal of the 2|E| edge-list expansion:
-// Undirect may allocate its output (offsets, adjacency, mate, eid) plus O(n)
-// scratch, where the expansion alone would be 8 bytes per arc on top.
+// TestUndirectAllocBudget pins the removal of the 2|E| edge-list expansion
+// and of the eager edge indexes: Undirect may allocate its output (offsets
+// and adjacency) plus O(n) scratch, where the expansion would add 8 bytes
+// per arc and an eager edge-id index 8 bytes per slot.
 func TestUndirectAllocBudget(t *testing.T) {
 	n := 1 << 12
 	g := BuildDirected(n, diffEdges(n, 1<<17, 13))
@@ -260,11 +284,13 @@ func TestUndirectAllocBudget(t *testing.T) {
 	for _, p := range []int{1, 2} {
 		var u *Undirected
 		alloc := totalAlloc(func() { u = UndirectThreads(g, p) })
-		slots := uint64(len(u.adj))
-		out := uint64(8*(n+1)) + 4*slots + 16*slots
+		out := uint64(8*(n+1)) + 4*uint64(len(u.adj))
 		if budget := out + uint64(64*n) + 64<<10; alloc > budget {
 			t.Fatalf("p=%d: Undirect allocated %d bytes for a %d-byte result, budget %d",
 				p, alloc, out, budget)
+		}
+		if u.EdgeIDsBuilt() {
+			t.Fatalf("p=%d: Undirect built the edge-id index eagerly", p)
 		}
 	}
 }

@@ -161,20 +161,20 @@ func BFSOrderDirected(g *Directed, threads int) *Permutation {
 // builder: edge {u,v} becomes {Perm[u],Perm[v]}. The result has identical
 // structure (same degree multiset, same components) with permuted ids and its
 // own dense edge-id space; use EdgeIDMap to translate edge-indexed results.
+// Every slot is relabeled at its own position, so the edge list is symmetric
+// already and g's edge-id index is not needed.
 func (p *Permutation) ApplyUndirected(g *Undirected, threads int) *Undirected {
-	edges := make([]Edge, g.m)
-	th := parallel.Threads(threads)
+	sym := make([]Edge, len(g.adj))
+	th := buildThreads(threads, len(sym))
 	parallel.ForBlocks(0, g.n, th, func(lo, hi, _ int) {
 		for u := lo; u < hi; u++ {
 			for s := g.off[u]; s < g.off[u+1]; s++ {
-				v := g.adj[s]
-				if V(u) < v {
-					edges[g.eid[s]] = Edge{p.Perm[u], p.Perm[v]}
-				}
+				sym[s] = Edge{p.Perm[u], p.Perm[g.adj[s]]}
 			}
 		}
 	})
-	return BuildUndirectedThreads(g.n, edges, threads)
+	off, adj := buildCSR(g.n, sym, false, th)
+	return &Undirected{n: g.n, off: off, adj: adj}
 }
 
 // ApplyDirected builds the relabeled copy of g under p using the parallel
@@ -197,13 +197,14 @@ func (p *Permutation) ApplyDirected(g *Directed, threads int) *Directed {
 // k, out[k] is rg's id of {Perm[u],Perm[v]}. Used to map edge-indexed results
 // (bridge flags, BiCC block assignments) computed on rg back to g's id space.
 func (p *Permutation) EdgeIDMap(g, rg *Undirected, threads int) []int64 {
-	out := make([]int64, g.m)
+	eid, reid := g.EdgeIDs(), rg.EdgeIDs()
+	out := make([]int64, g.NumEdges())
 	parallel.ForBlocks(0, g.n, parallel.Threads(threads), func(lo, hi, _ int) {
 		for u := lo; u < hi; u++ {
 			for s := g.off[u]; s < g.off[u+1]; s++ {
 				v := g.adj[s]
 				if V(u) < v {
-					out[g.eid[s]] = rg.EdgeIDOf(p.Perm[u], p.Perm[v])
+					out[eid[s]] = reid[searchSlot(rg.off, rg.adj, p.Perm[u], p.Perm[v])]
 				}
 			}
 		}

@@ -307,6 +307,7 @@ func Pendants(g *graph.Undirected) *PendantResult {
 	for i := range res.Parent {
 		res.Parent[i] = graph.NoVertex
 	}
+	eids := g.EdgeIDs()
 	deg := make([]int32, n)
 	queue := make([]graph.V, 0, 256)
 	for v := 0; v < n; v++ {
@@ -328,7 +329,7 @@ func Pendants(g *graph.Undirected) *PendantResult {
 			w := g.SlotTarget(s)
 			if !res.Removed[w] {
 				u = w
-				eid = g.EdgeID(s)
+				eid = eids[s]
 				break
 			}
 		}
