@@ -40,11 +40,12 @@ bench:
 # cut-vs-rebuild crossover, and the PR 10 binary-container ingestion
 # ladder (mmap vs streamed v2 vs legacy v1 vs text parse+build), the PR 12
 # merge-based Undirect throughput (arcs/s), and the PR 13 first-use edge-id
-# cursor pass (ids/s), into BENCH_PR13.json.
+# cursor pass (ids/s), plus the text boot path through cli.LoadDirected
+# (edges/s), into BENCH_PR14.json.
 bench-json:
 	( go test -bench='BFS|CC|Pool|Reach' -benchmem -benchtime=20x -run='^$$' \
 		. ./internal/bfs ./internal/parallel ; \
-	  go test -bench='Build|Parse|Reorder|Undirect|EdgeIDs' -benchmem -benchtime=5x -run='^$$' \
+	  go test -bench='Build|Parse|LoadEdgeList|Reorder|Undirect|EdgeIDs' -benchmem -benchtime=5x -run='^$$' \
 		./internal/bench ; \
 	  go test -bench='^BenchmarkContainer' -benchmem -benchtime=5x -run='^$$' \
 		./internal/bench ; \
@@ -60,7 +61,7 @@ bench-json:
 		. ; \
 	  go test -bench='HTTPThroughput' -benchmem -benchtime=2s -run='^$$' \
 		./internal/httpd ) \
-		| go run ./cmd/bench2json > BENCH_PR13.json
+		| go run ./cmd/bench2json > BENCH_PR14.json
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

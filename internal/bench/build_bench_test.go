@@ -8,11 +8,14 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"aquila/internal/bfs"
 	"aquila/internal/cc"
+	"aquila/internal/cli"
 	"aquila/internal/gen"
 	"aquila/internal/graph"
 )
@@ -155,6 +158,28 @@ func BenchmarkParseEdgeListParallel(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
 				if _, _, err := graph.ParseEdgeListBytes(data, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportEdgesPerSec(b, len(edges))
+		})
+	}
+}
+
+// BenchmarkLoadEdgeListFile is the whole text boot path the commands take:
+// cli.LoadDirected on the R-MAT edge list written to a file — read, parse,
+// build the out-CSR and transpose it — in edges/s.
+func BenchmarkLoadEdgeListFile(b *testing.B) {
+	edges, _ := buildBenchInput(b)
+	path := filepath.Join(b.TempDir(), "g.txt")
+	if err := os.WriteFile(path, buildBenchOnce.text, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			b.SetBytes(int64(len(buildBenchOnce.text)))
+			for i := 0; i < b.N; i++ {
+				if _, err := cli.LoadDirected(path, p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"aquila"
+	"aquila/internal/graph"
 )
 
 // LoadedGraph is a directed graph obtained from disk together with the
@@ -96,19 +97,20 @@ func LoadDirected(path string, threads int) (*LoadedGraph, error) {
 		return &LoadedGraph{Graph: g, ParseDur: time.Since(start)}, nil
 	}
 
-	parse := aquila.ParseEdgeList
-	base := strings.TrimSuffix(path, ".gz")
-	switch {
+	parseStart := time.Now()
+	var edges []aquila.Edge
+	var n int
+	switch base := strings.TrimSuffix(path, ".gz"); {
 	case strings.HasSuffix(base, ".mtx"):
-		parse = aquila.ParseMatrixMarket
+		edges, n, err = aquila.ParseMatrixMarket(br)
 	case strings.HasSuffix(base, ".metis"), strings.HasSuffix(base, ".graph"):
 		// METIS lists every undirected edge in both directions, which is
 		// exactly a symmetric directed graph — build it straight away so
 		// every query class is available.
-		parse = aquila.ParseMETIS
+		edges, n, err = aquila.ParseMETIS(br)
+	default:
+		edges, n, err = parseEdgeListFile(f, br, threads)
 	}
-	parseStart := time.Now()
-	edges, n, err := parse(br)
 	parseDur := time.Since(parseStart)
 	if err != nil {
 		return nil, err
@@ -116,6 +118,21 @@ func LoadDirected(path string, threads int) (*LoadedGraph, error) {
 	buildStart := time.Now()
 	g := aquila.NewDirectedThreads(n, edges, threads)
 	return &LoadedGraph{Graph: g, ParseDur: parseDur, BuildDur: time.Since(buildStart)}, nil
+}
+
+// parseEdgeListFile reads the rest of the edge list f into one buffer sized
+// from the file (a gzip stream may regrow it) and parses it on threads
+// workers.
+func parseEdgeListFile(f *os.File, r io.Reader, threads int) ([]aquila.Edge, int, error) {
+	var size int64
+	if fi, err := f.Stat(); err == nil {
+		size = fi.Size()
+	}
+	data, err := graph.ReadAllSized(r, size)
+	if err != nil {
+		return nil, 0, err
+	}
+	return graph.ParseEdgeListBytes(data, threads)
 }
 
 // sniffFile reads up to the first 8 bytes of path. Short files return what

@@ -30,7 +30,7 @@ func writeVia(t *testing.T, path string, g *aquila.Directed, write func(f *os.Fi
 // files unreadable by other commands" bug: the same graph persisted as a text
 // edge list, a legacy v1 binary, an .aqg v2 container, and a gzip-wrapped
 // container must load through LoadDirected and answer every query class
-// identically.
+// identically, at one and two loader threads.
 func TestLoadDirectedFormatParity(t *testing.T) {
 	// Anchor the highest vertex id with an edge: a plain edge list cannot
 	// represent trailing isolated vertices, and parity needs all four files
@@ -68,27 +68,29 @@ func TestLoadDirectedFormatParity(t *testing.T) {
 		}
 	}
 
-	for _, path := range []string{txt, v1, aqg, aqgz} {
-		lg, err := LoadDirected(path, 0)
-		if err != nil {
-			t.Fatalf("LoadDirected(%s): %v", path, err)
-		}
-		if lg.Graph.NumVertices() != g.NumVertices() || lg.Graph.NumArcs() != g.NumArcs() {
-			t.Fatalf("%s: loaded %d/%d, want %d/%d", path,
-				lg.Graph.NumVertices(), lg.Graph.NumArcs(), g.NumVertices(), g.NumArcs())
-		}
-		eng := aquila.NewDirectedEngine(lg.Graph, aquila.Options{})
-		for _, q := range queries {
-			out, err := Answer(eng, q)
+	for _, threads := range []int{1, 2} {
+		for _, path := range []string{txt, v1, aqg, aqgz} {
+			lg, err := LoadDirected(path, threads)
 			if err != nil {
-				t.Fatalf("%s from %s: %v", q, path, err)
+				t.Fatalf("LoadDirected(%s, %d): %v", path, threads, err)
 			}
-			if out != want[q] {
-				t.Errorf("%s from %s: got %q, want %q", q, path, out, want[q])
+			if lg.Graph.NumVertices() != g.NumVertices() || lg.Graph.NumArcs() != g.NumArcs() {
+				t.Fatalf("%s threads=%d: loaded %d/%d, want %d/%d", path, threads,
+					lg.Graph.NumVertices(), lg.Graph.NumArcs(), g.NumVertices(), g.NumArcs())
 			}
-		}
-		if err := lg.Release(); err != nil {
-			t.Fatalf("Release after %s: %v", path, err)
+			eng := aquila.NewDirectedEngine(lg.Graph, aquila.Options{})
+			for _, q := range queries {
+				out, err := Answer(eng, q)
+				if err != nil {
+					t.Fatalf("%s from %s threads=%d: %v", q, path, threads, err)
+				}
+				if out != want[q] {
+					t.Errorf("%s from %s threads=%d: got %q, want %q", q, path, threads, out, want[q])
+				}
+			}
+			if err := lg.Release(); err != nil {
+				t.Fatalf("Release after %s: %v", path, err)
+			}
 		}
 	}
 }

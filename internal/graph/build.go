@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"slices"
+	"sort"
 	"sync/atomic"
 
 	"aquila/internal/parallel"
@@ -41,12 +42,14 @@ func buildThreads(threads, m int) int {
 func BuildDirected(n int, edges []Edge) *Directed { return BuildDirectedThreads(n, edges, 0) }
 
 // BuildDirectedThreads is BuildDirected with an explicit worker count
-// (Threads semantics: values < 1 mean GOMAXPROCS). The result is identical to
+// (Threads semantics: values < 1 mean GOMAXPROCS). It builds the out-CSR from
+// the edge list and derives the in-CSR from it by transposeCSR, so the edge
+// list is scattered, sorted and deduplicated once. The result is identical to
 // BuildDirectedSerial for every worker count.
 func BuildDirectedThreads(n int, edges []Edge, threads int) *Directed {
 	p := buildThreads(threads, len(edges))
-	outOff, outAdj := buildCSR(n, edges, false, p)
-	inOff, inAdj := buildCSR(n, edges, true, p)
+	outOff, outAdj := buildCSR(n, edges, p)
+	inOff, inAdj := transposeCSR(outOff, outAdj, p)
 	return &Directed{n: n, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
 }
 
@@ -83,7 +86,7 @@ func BuildUndirectedThreads(n int, edges []Edge, threads int) *Undirected {
 			sym[2*i+1] = Edge{e.V, e.U}
 		}
 	})
-	off, adj := buildCSR(n, sym, false, p)
+	off, adj := buildCSR(n, sym, p)
 	return &Undirected{n: n, off: off, adj: adj}
 }
 
@@ -184,14 +187,13 @@ func unionInto(dst, a, b []V) {
 	copy(dst[k:], b[j:])
 }
 
-// buildCSR counts, sorts and dedups an edge list into CSR arrays with up to p
-// workers. If reverse is true the edges are interpreted as (V -> U),
-// producing the in-CSR. The output is byte-identical to buildCSRSerial: the
+// buildCSR counts, sorts and dedups an edge list into the (U -> V) CSR arrays
+// with up to p workers. The output is byte-identical to buildCSRSerial: the
 // scatter order differs under the atomic cursors, but the per-vertex sort and
 // dedup that follow erase it.
-func buildCSR(n int, edges []Edge, reverse bool, p int) ([]int64, []V) {
+func buildCSR(n int, edges []Edge, p int) ([]int64, []V) {
 	if p <= 1 {
-		return buildCSRSerial(n, edges, reverse)
+		return buildCSRSerial(n, edges, false)
 	}
 	off := make([]int64, n+1)
 	// A vertex's count in one worker's private histogram is bounded by that
@@ -201,9 +203,9 @@ func buildCSR(n int, edges []Edge, reverse bool, p int) ([]int64, []V) {
 	// we fall back to int64 counters — twice the histogram footprint, but
 	// correct — rather than build a corrupt CSR).
 	if histBlockMax(len(edges), p) >= histInt32Limit {
-		degreeHistogram[int64](n, edges, reverse, p, off)
+		degreeHistogram[int64](n, edges, p, off)
 	} else {
-		degreeHistogram[int32](n, edges, reverse, p, off)
+		degreeHistogram[int32](n, edges, p, off)
 	}
 	prefixInPlace(off, p)
 
@@ -214,15 +216,11 @@ func buildCSR(n int, edges []Edge, reverse bool, p int) ([]int64, []V) {
 	parallel.For(0, n, p, func(v int) { cursor[v] = off[v] })
 	parallel.ForBlocks(0, len(edges), p, func(lo, hi, _ int) {
 		for _, e := range edges[lo:hi] {
-			u, v := e.U, e.V
-			if u == v {
+			if e.U == e.V {
 				continue
 			}
-			if reverse {
-				u, v = v, u
-			}
-			slot := atomic.AddInt64(&cursor[u], 1) - 1
-			adj[slot] = v
+			slot := atomic.AddInt64(&cursor[e.U], 1) - 1
+			adj[slot] = e.V
 		}
 	})
 
@@ -230,10 +228,10 @@ func buildCSR(n int, edges []Edge, reverse bool, p int) ([]int64, []V) {
 	return dedupSegments(n, off, adj, p)
 }
 
-// histInt32Limit is the per-worker edge-block size at which the int32 degree
-// histograms could overflow (2³¹ incident arcs within one block wrap an
-// int32). It is a variable only so the int64 fallback path is unit-testable
-// without materializing 2³¹ edges; see TestDegreeHistogramOverflowGuard.
+// histInt32Limit is the counter value at which the int32 histograms of
+// buildCSR and transposeCSR could overflow (2³¹ counts wrap an int32). It is a
+// variable only so the int64 fallback paths are unit-testable without
+// materializing 2³¹ edges; see TestDegreeHistogramOverflowGuard.
 var histInt32Limit = int64(math.MaxInt32)
 
 // histBlockMax is the largest edge-block size any worker receives under the
@@ -242,26 +240,18 @@ func histBlockMax(m, p int) int64 {
 	return int64((m + p - 1) / p)
 }
 
-// degreeHistogram fills off[v+1] with v's degree: one private histogram per
-// worker over a contiguous block of the edge list (no atomics, no sharing),
-// merged vertex-parallel. The counter width is a type parameter so the
-// overflow-guarded int64 path shares this exact code.
-func degreeHistogram[C int32 | int64](n int, edges []Edge, reverse bool, p int, off []int64) {
+// degreeHistogram fills off[v+1] with v's out-degree: one private histogram
+// per worker over a contiguous block of the edge list (no atomics, no
+// sharing), merged vertex-parallel. The counter width is a type parameter so
+// the overflow-guarded int64 path shares this exact code.
+func degreeHistogram[C int32 | int64](n int, edges []Edge, p int, off []int64) {
 	hist := make([][]C, p)
 	parallel.Run(p, func(w int) {
 		lo, hi := blockRange(len(edges), p, w)
 		h := make([]C, n)
-		if reverse {
-			for _, e := range edges[lo:hi] {
-				if e.U != e.V {
-					h[e.V]++
-				}
-			}
-		} else {
-			for _, e := range edges[lo:hi] {
-				if e.U != e.V {
-					h[e.U]++
-				}
+		for _, e := range edges[lo:hi] {
+			if e.U != e.V {
+				h[e.U]++
 			}
 		}
 		hist[w] = h
@@ -273,6 +263,98 @@ func degreeHistogram[C int32 | int64](n int, edges []Edge, reverse bool, p int, 
 		}
 		off[v+1] = d
 	})
+}
+
+// transposeCSR derives the in-CSR from a canonical out-CSR (every segment
+// strictly increasing and loop-free) with up to p workers, in O(n·p + m) work
+// and no atomics, sort or dedup:
+//
+//  1. cut the sources into contiguous blocks of balanced arc count (plus one
+//     per vertex, so long runs of isolated vertices still split);
+//  2. each worker counts its block's arcs per target in a private histogram;
+//  3. per target v, an exclusive prefix over the workers turns the counts into
+//     each worker's start within v's in-segment, and their sum is v's
+//     in-degree, which prefix-sums into the offsets;
+//  4. each worker scatters its block in ascending source order.
+//
+// Worker w's sources all precede worker w+1's, and within a worker they are
+// written in ascending order, so every in-segment comes out sorted; it is
+// duplicate-free because each source lists a target at most once.
+//
+// Every worker past the first adds an n-counter histogram that is allocated
+// and swept in full, so the worker count is capped at 1 + m/2n: the extra
+// int32 histograms stay within half the in-adjacency's 4m bytes, and sparse
+// graphs, where those sweeps would outweigh the scatter, stay near serial.
+func transposeCSR(off []int64, adj []V, p int) ([]int64, []V) {
+	if n := len(off) - 1; n > 0 {
+		p = min(p, 1+len(adj)/(2*n))
+	}
+	return transpose(off, adj, max(p, 1))
+}
+
+// transpose is transposeCSR on exactly p workers, so the differential tests
+// can drive sparse graphs through the parallel schedule.
+func transpose(off []int64, adj []V, p int) ([]int64, []V) {
+	// A counter never exceeds its target's in-degree, which is at most
+	// min(m, n-1) in a canonical CSR.
+	if int64(min(len(adj), len(off)-1)) >= histInt32Limit {
+		return transposeWith[int64](off, adj, p)
+	}
+	return transposeWith[int32](off, adj, p)
+}
+
+// transposeWith is transposeCSR with the histogram counter width fixed.
+func transposeWith[C int32 | int64](off []int64, adj []V, p int) ([]int64, []V) {
+	n := len(off) - 1
+	src := arcBlocks(off, p)
+	hist := make([][]C, p)
+	parallel.Run(p, func(w int) {
+		h := make([]C, n)
+		for _, v := range adj[off[src[w]]:off[src[w+1]]] {
+			h[v]++
+		}
+		hist[w] = h
+	})
+	inOff := make([]int64, n+1)
+	parallel.ForBlocks(0, n, p, func(lo, hi, _ int) {
+		for v := lo; v < hi; v++ {
+			var d C
+			for _, h := range hist {
+				c := h[v]
+				h[v] = d
+				d += c
+			}
+			inOff[v+1] = int64(d)
+		}
+	})
+	prefixInPlace(inOff, p)
+	inAdj := make([]V, len(adj))
+	parallel.Run(p, func(w int) {
+		h := hist[w]
+		for u := src[w]; u < src[w+1]; u++ {
+			for _, v := range adj[off[u]:off[u+1]] {
+				inAdj[inOff[v]+int64(h[v])] = V(u)
+				h[v]++
+			}
+		}
+	})
+	return inOff, inAdj
+}
+
+// arcBlocks cuts the vertices [0, len(off)-1) into p contiguous blocks of
+// about equal weight, a vertex weighing its out-degree plus one, and returns
+// the p+1 block bounds. off[u]+u is the weight of the vertices before u and
+// strictly increasing, so each cut is a binary search.
+func arcBlocks(off []int64, p int) []int {
+	n := len(off) - 1
+	total := off[n] + int64(n)
+	src := make([]int, p+1)
+	for w := 1; w < p; w++ {
+		target := total * int64(w) / int64(p)
+		src[w] = sort.Search(n, func(u int) bool { return off[u]+int64(u) >= target })
+	}
+	src[p] = n
+	return src
 }
 
 // buildCSRSerial is the seed builder: count, prefix-sum, scatter, sort, dedup

@@ -50,6 +50,9 @@ func FuzzReadEdgeListParity(f *testing.F) {
 	f.Add("1 2\n-3 4\n")
 	f.Add("9999999999999999999999 1\n")
 	f.Add("0 1\r\n2 3\r\n")
+	for _, line := range fastPathFallbackLines {
+		f.Add("0 1\n" + line + "\n2 3\n")
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 1<<21 {
 			return
@@ -78,10 +81,11 @@ func FuzzReadEdgeListParity(f *testing.F) {
 	})
 }
 
-// FuzzParallelBuildParity fuzzes the parallel CSR builder against the serial
-// seed builder, and the merge-based Undirect against the expand-and-build
-// oracle, on small adversarial edge lists (the size clamp is bypassed by
-// driving buildCSR and undirect directly).
+// FuzzParallelBuildParity fuzzes the parallel CSR builder and its in-CSR
+// transpose against the serial seed builder, and the merge-based Undirect
+// against the expand-and-build oracle, on small adversarial edge lists (the
+// size clamp and the transpose's worker cap are bypassed by driving buildCSR,
+// transpose and undirect directly).
 func FuzzParallelBuildParity(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 2, 2, 2, 3, 0})
 	f.Add([]byte{1, 0, 0})
@@ -102,15 +106,15 @@ func FuzzParallelBuildParity(f *testing.F) {
 		wantU := BuildUndirectedSerial(n, edges)
 		wantUD := undirectSerial(wantD)
 		for _, p := range []int{2, 4} {
-			outOff, outAdj := buildCSR(n, edges, false, p)
-			inOff, inAdj := buildCSR(n, edges, true, p)
+			outOff, outAdj := buildCSR(n, edges, p)
+			inOff, inAdj := transpose(outOff, outAdj, p)
 			gotD := &Directed{n: n, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
 			sameDirected(t, wantD, gotD)
 			sym := make([]Edge, 0, 2*len(edges))
 			for _, e := range edges {
 				sym = append(sym, e, Edge{e.V, e.U})
 			}
-			off, adj := buildCSR(n, sym, false, p)
+			off, adj := buildCSR(n, sym, p)
 			sameUndirected(t, wantU, &Undirected{n: n, off: off, adj: adj})
 			sameUndirected(t, wantUD, UndirectThreads(wantD, p))
 			sameUndirected(t, wantUD, undirect(wantD, p))

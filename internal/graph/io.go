@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"io/fs"
 	"strconv"
 	"strings"
 
@@ -25,17 +26,40 @@ const minParseChunk = 1 << 16
 // '#'- or '%'-prefixed lines are comments, matching SNAP and KONECT dumps).
 // It returns the edge list and the implied vertex count (max id + 1).
 //
-// The input is slurped and parsed in parallel: the byte buffer is split at
-// newline boundaries into per-worker chunks whose edge slices concatenate in
-// input order. Accepted inputs, rejected inputs, error text and line numbers
-// are identical to the line-at-a-time seed parser (ReadEdgeListSerial), which
-// the differential and fuzz tests pin.
+// The input is slurped into one buffer (presized when r reports its length)
+// and parsed in parallel: the buffer is split at newline boundaries into
+// per-worker chunks that parse into disjoint ranges of one edge slice.
+// Accepted inputs, rejected inputs, error text and line numbers are identical
+// to the line-at-a-time seed parser (ReadEdgeListSerial), which the
+// differential and fuzz tests pin.
 func ReadEdgeList(r io.Reader) (edges []Edge, n int, err error) {
-	data, err := io.ReadAll(r)
+	var hint int64
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		hint = int64(s.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil {
+			hint = fi.Size()
+		}
+	}
+	data, err := ReadAllSized(r, hint)
 	if err != nil {
 		return nil, 0, err
 	}
 	return ParseEdgeListBytes(data, 0)
+}
+
+// ReadAllSized reads r to EOF into one buffer presized to hint bytes (a
+// file's size, a reader's remaining length), so a right hint costs a single
+// allocation where io.ReadAll regrows by doubling. A short or zero hint only
+// costs that regrowth.
+func ReadAllSized(r io.Reader, hint int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if hint > 0 {
+		buf.Grow(int(hint) + bytes.MinRead) // the final Read needs room to see EOF
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // ParseEdgeListBytes parses an in-memory edge list with up to threads workers
@@ -50,37 +74,42 @@ func ParseEdgeListBytes(data []byte, threads int) ([]Edge, int, error) {
 		p = 1
 	}
 	starts := splitAtLines(data, p)
-	chunks := make([]parseChunk, len(starts))
-	if len(starts) == 1 {
-		chunks[0] = parseEdgeChunk(data, 0)
-	} else {
-		// First pass: line counts per chunk (cheap newline scan) so every
-		// worker knows its absolute starting line for error messages.
-		lines := make([]int, len(starts)+1)
-		parallel.For(0, len(starts), p, func(i int) {
-			c := chunkBytes(data, starts, i)
-			nl := bytes.Count(c, []byte{'\n'})
-			if len(c) > 0 && c[len(c)-1] != '\n' {
-				nl++ // final line without trailing newline still counts
-			}
-			lines[i+1] = nl
-		})
-		for i := 0; i < len(starts); i++ {
-			lines[i+1] += lines[i]
-		}
-		parallel.For(0, len(starts), p, func(i int) {
-			chunks[i] = parseEdgeChunk(chunkBytes(data, starts, i), lines[i])
-		})
+	// Line counts per chunk (a cheap newline scan) give every worker its
+	// absolute starting line for error messages. They also bound each chunk's
+	// edges: a line holds at most one edge, and an edge line takes at least
+	// four bytes with its newline ("0 1\n"). So chunk i parses straight into
+	// buf[at[i]:at[i+1]] of one shared, presized slice, no append ever
+	// regrows, and blank lines cannot inflate the buffer past 2× the input.
+	lines := make([]int, len(starts)+1)
+	at := make([]int, len(starts)+1)
+	parallel.For(0, len(starts), p, func(i int) {
+		c := chunkBytes(data, starts, i)
+		lines[i+1] = countLines(c)
+		at[i+1] = min(lines[i+1], (len(c)+1)/4)
+	})
+	for i := 0; i < len(starts); i++ {
+		lines[i+1] += lines[i]
+		at[i+1] += at[i]
 	}
+	buf := make([]Edge, at[len(starts)])
+	chunks := make([]parseChunk, len(starts))
+	parallel.For(0, len(starts), p, func(i int) {
+		chunks[i] = parseEdgeChunk(chunkBytes(data, starts, i), lines[i], buf[at[i]:at[i]:at[i+1]])
+	})
 
 	// The earliest chunk with an error wins: chunk order is line order, and
 	// within a chunk parsing stopped at its first bad line — together that is
-	// the first error the serial scan would have hit.
+	// the first error the serial scan would have hit. Chunks with fewer edges
+	// than slots left gaps; each chunk's edges slide down to close them.
+	// total ≤ at[i], so a move never overwrites edges still to move.
 	total := 0
 	maxID := int64(-1)
 	for i := range chunks {
 		if chunks[i].err != nil {
 			return nil, 0, chunks[i].err
+		}
+		if total != at[i] {
+			copy(buf[total:], chunks[i].edges)
 		}
 		total += len(chunks[i].edges)
 		if chunks[i].maxID > maxID {
@@ -90,15 +119,17 @@ func ParseEdgeListBytes(data []byte, threads int) ([]Edge, int, error) {
 	if total == 0 {
 		return nil, int(maxID + 1), nil
 	}
-	edges := make([]Edge, total)
-	at := make([]int, len(chunks)+1)
-	for i := range chunks {
-		at[i+1] = at[i] + len(chunks[i].edges)
+	return buf[:total:total], int(maxID + 1), nil
+}
+
+// countLines is the number of lines bufio.Scanner would yield for c: one per
+// newline, plus a final line without one.
+func countLines(c []byte) int {
+	nl := bytes.Count(c, []byte{'\n'})
+	if len(c) > 0 && c[len(c)-1] != '\n' {
+		nl++
 	}
-	parallel.For(0, len(chunks), p, func(i int) {
-		copy(edges[at[i]:at[i+1]], chunks[i].edges)
-	})
-	return edges, int(maxID + 1), nil
+	return nl
 }
 
 // splitAtLines returns the start offsets of up to want chunks of data, each
@@ -138,11 +169,12 @@ type parseChunk struct {
 }
 
 // parseEdgeChunk parses one newline-aligned chunk, numbering lines from
-// startLine (lines before this chunk). The per-line rules replicate the seed
-// scanner parser byte for byte: trim, comment skip, >=2 whitespace fields,
-// ParseInt errors wrapped with the absolute line number.
-func parseEdgeChunk(data []byte, startLine int) parseChunk {
-	out := parseChunk{maxID: -1}
+// startLine (lines before this chunk) and appending to edges, which the caller
+// sizes to hold every edge the chunk can contain. Lines the byte-level fast path
+// (scanEdgeLine) decides cost no allocation; every other line goes through
+// parseEdgeLineSeed, the seed scanner's rules byte for byte.
+func parseEdgeChunk(data []byte, startLine int, edges []Edge) parseChunk {
+	out := parseChunk{edges: edges, maxID: -1}
 	line := startLine
 	for len(data) > 0 {
 		var raw []byte
@@ -156,28 +188,19 @@ func parseEdgeChunk(data []byte, startLine int) parseChunk {
 			out.err = bufio.ErrTooLong
 			return out
 		}
-		text := strings.TrimSpace(string(raw))
-		if text == "" || text[0] == '#' || text[0] == '%' {
+		u, v, kind := scanEdgeLine(raw)
+		switch kind {
+		case lineSkip:
 			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			out.err = fmt.Errorf("graph: line %d: want at least 2 fields, got %q", line, text)
-			return out
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			out.err = fmt.Errorf("graph: line %d: bad source id: %v", line, err)
-			return out
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			out.err = fmt.Errorf("graph: line %d: bad target id: %v", line, err)
-			return out
-		}
-		if u < 0 || v < 0 || u > int64(NoVertex)-1 || v > int64(NoVertex)-1 {
-			out.err = fmt.Errorf("graph: line %d: vertex id out of range", line)
-			return out
+		case lineSlow:
+			var err error
+			if u, v, kind, err = parseEdgeLineSeed(raw, line); err != nil {
+				out.err = err
+				return out
+			}
+			if kind == lineSkip {
+				continue
+			}
 		}
 		if u > out.maxID {
 			out.maxID = u
@@ -188,6 +211,98 @@ func parseEdgeChunk(data []byte, startLine int) parseChunk {
 		out.edges = append(out.edges, Edge{V(u), V(v)})
 	}
 	return out
+}
+
+// A lineKind is scanEdgeLine's verdict on one line.
+type lineKind uint8
+
+const (
+	lineSlow lineKind = iota // not provably common: apply the seed rules
+	lineSkip                 // blank or comment
+	lineEdge                 // two in-range ids
+)
+
+// asciiSpace marks the bytes below 0x80 that strings.TrimSpace and
+// strings.Fields treat as whitespace.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// maxFastDigits is the longest id the fast path reads: ten decimal digits
+// cover every id up to NoVertex-1 and cannot overflow.
+const maxFastDigits = 10
+
+// scanEdgeLine is the allocation-free fast path for the common line: ASCII
+// whitespace, then a '#'/'%' comment, nothing, or two unsigned decimal ids of
+// at most maxFastDigits digits and value at most NoVertex-1, each ending at
+// ASCII whitespace or the end of the line. Whatever follows the second id is
+// ignored, as the seed rules ignore extra fields. On such lines the result is
+// exactly the seed rules'; any other line reports lineSlow — signs, non-ASCII
+// bytes (U+0085 and U+00A0 are whitespace to the seed rules), over-long or
+// out-of-range ids, junk glued to a field, a single field.
+func scanEdgeLine(raw []byte) (u, v int64, kind lineKind) {
+	i := skipSpace(raw, 0)
+	if i == len(raw) || raw[i] == '#' || raw[i] == '%' {
+		return 0, 0, lineSkip
+	}
+	u, i, ok := scanID(raw, i)
+	if !ok || i == len(raw) {
+		return 0, 0, lineSlow
+	}
+	if v, _, ok = scanID(raw, skipSpace(raw, i)); !ok {
+		return 0, 0, lineSlow
+	}
+	return u, v, lineEdge
+}
+
+// skipSpace is the index of the first byte at or after i that is not ASCII
+// whitespace.
+func skipSpace(raw []byte, i int) int {
+	for i < len(raw) && asciiSpace[raw[i]] {
+		i++
+	}
+	return i
+}
+
+// scanID reads the fast path's id at raw[i:] and returns it with the index
+// just past it; ok is false unless the id qualifies (see scanEdgeLine).
+func scanID(raw []byte, i int) (id int64, end int, ok bool) {
+	end = i
+	for end < len(raw) && end-i <= maxFastDigits && raw[end]-'0' <= 9 {
+		id = id*10 + int64(raw[end]-'0')
+		end++
+	}
+	if end == i || end-i > maxFastDigits || id > int64(NoVertex)-1 {
+		return 0, 0, false
+	}
+	if end < len(raw) && !asciiSpace[raw[end]] {
+		return 0, 0, false
+	}
+	return id, end, true
+}
+
+// parseEdgeLineSeed applies the seed scanner's per-line rules to one line —
+// trim, comment skip, >=2 whitespace fields, ParseInt errors wrapped with the
+// absolute line number — and reports lineSkip or lineEdge.
+func parseEdgeLineSeed(raw []byte, line int) (u, v int64, kind lineKind, err error) {
+	text := strings.TrimSpace(string(raw))
+	if text == "" || text[0] == '#' || text[0] == '%' {
+		return 0, 0, lineSkip, nil
+	}
+	fields := strings.Fields(text)
+	if len(fields) < 2 {
+		return 0, 0, 0, fmt.Errorf("graph: line %d: want at least 2 fields, got %q", line, text)
+	}
+	u, err = strconv.ParseInt(fields[0], 10, 64)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("graph: line %d: bad source id: %v", line, err)
+	}
+	v, err = strconv.ParseInt(fields[1], 10, 64)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("graph: line %d: bad target id: %v", line, err)
+	}
+	if u < 0 || v < 0 || u > int64(NoVertex)-1 || v > int64(NoVertex)-1 {
+		return 0, 0, 0, fmt.Errorf("graph: line %d: vertex id out of range", line)
+	}
+	return u, v, lineEdge, nil
 }
 
 // ReadEdgeListSerial is the seed line-at-a-time parser, kept verbatim as the
@@ -272,9 +387,10 @@ func WriteBinary(w io.Writer, g *Directed) error {
 // ReadBinary deserializes a directed graph written by WriteBinary (the
 // legacy v1 format, which stores only the out-CSR). It constructs the graph
 // in place with ~1× the final footprint: the offsets and adjacency are read
-// into exactly-sized arrays and the in-CSR is computed by a direct O(n+m)
-// transpose — no intermediate []Edge expansion and no re-sort through the
-// builder, which the old reader paid (~3× peak memory) on every load.
+// into exactly-sized arrays and the in-CSR is derived by the builder's
+// transpose (transposeCSR) — no intermediate []Edge expansion and no re-sort
+// through the builder, which the old reader paid (~3× peak memory) on every
+// load.
 //
 // Files whose segments are not canonical (sorted, deduplicated, loop-free —
 // everything WriteBinary emits is) keep the old semantics: they are
@@ -339,32 +455,8 @@ func ReadBinary(r io.Reader) (*Directed, error) {
 		}
 		return BuildDirected(int(n), edges), nil
 	}
-	inOff, inAdj := invertCSR(int(n), off, adj)
+	inOff, inAdj := transposeCSR(off, adj, buildThreads(0, int(m)))
 	return &Directed{n: int(n), outOff: off, outAdj: adj, inOff: inOff, inAdj: inAdj}, nil
-}
-
-// invertCSR computes the in-CSR transpose of a canonical out-CSR in O(n+m)
-// without materializing an edge list: count in-degrees, prefix-sum, scatter
-// in ascending source order (which leaves every in-segment sorted, and
-// deduplicated because the out-segments were).
-func invertCSR(n int, off []int64, adj []V) ([]int64, []V) {
-	inOff := make([]int64, n+1)
-	for _, v := range adj {
-		inOff[v+1]++
-	}
-	for i := 0; i < n; i++ {
-		inOff[i+1] += inOff[i]
-	}
-	cursor := make([]int64, n)
-	copy(cursor, inOff[:n])
-	inAdj := make([]V, len(adj))
-	for u := 0; u < n; u++ {
-		for _, v := range adj[off[u]:off[u+1]] {
-			inAdj[cursor[v]] = V(u)
-			cursor[v]++
-		}
-	}
-	return inOff, inAdj
 }
 
 // Section readers shared by the v1 reader and the v2 streaming container

@@ -116,8 +116,8 @@ func seedEdgeIndex(n int, off []int64, adj []V) (mate, eid []int64) {
 // TestBuildDirectedParallelMatchesSerial pins the tentpole determinism claim:
 // every worker count yields byte-identical CSR to the serial seed builder.
 // Large cases go through the public API (past the minParallelBuild clamp);
-// small cases drive buildCSR directly so degenerate shapes still hit the
-// parallel code path.
+// small cases drive buildCSR and transpose directly so degenerate shapes
+// still hit the parallel code path.
 func TestBuildDirectedParallelMatchesSerial(t *testing.T) {
 	for _, tc := range []struct{ n, m int }{
 		{50, 400}, {1000, 5000}, {4000, minParallelBuild + 7}, {1 << 12, 1 << 16},
@@ -129,8 +129,8 @@ func TestBuildDirectedParallelMatchesSerial(t *testing.T) {
 				if tc.m >= minParallelBuild {
 					sameDirected(t, want, BuildDirectedThreads(tc.n, edges, p))
 				} else {
-					outOff, outAdj := buildCSR(tc.n, edges, false, p)
-					inOff, inAdj := buildCSR(tc.n, edges, true, p)
+					outOff, outAdj := buildCSR(tc.n, edges, p)
+					inOff, inAdj := transpose(outOff, outAdj, p)
 					got := &Directed{n: tc.n, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
 					sameDirected(t, want, got)
 				}
@@ -157,7 +157,7 @@ func TestBuildUndirectedParallelMatchesSerial(t *testing.T) {
 					for _, e := range edges {
 						sym = append(sym, e, Edge{e.V, e.U})
 					}
-					off, adj := buildCSR(tc.n, sym, false, p)
+					off, adj := buildCSR(tc.n, sym, p)
 					got = &Undirected{n: tc.n, off: off, adj: adj}
 				}
 				sameUndirected(t, want, got)
@@ -295,6 +295,31 @@ func TestUndirectAllocBudget(t *testing.T) {
 	}
 }
 
+// TestTransposeMatchesSerial pins the in-CSR transpose to the serial seed
+// builder's reverse build over the differential shapes, at every worker count:
+// with the worker cap bypassed (transpose) and applied (transposeCSR), and
+// with the int32 counters and, by lowering the overflow guard, the int64 ones.
+func TestTransposeMatchesSerial(t *testing.T) {
+	old := histInt32Limit
+	defer func() { histInt32Limit = old }()
+	for _, counters := range []struct {
+		name  string
+		limit int64
+	}{{"int32", old}, {"int64", 4}} {
+		histInt32Limit = counters.limit
+		for name, g := range undirectCases() {
+			for _, p := range []int{1, 2, 4, 8} {
+				t.Run(fmt.Sprintf("%s/%s/p=%d", counters.name, name, p), func(t *testing.T) {
+					for _, tr := range []func([]int64, []V, int) ([]int64, []V){transpose, transposeCSR} {
+						inOff, inAdj := tr(g.outOff, g.outAdj, p)
+						sameDirected(t, g, &Directed{n: g.n, outOff: g.outOff, outAdj: g.outAdj, inOff: inOff, inAdj: inAdj})
+					}
+				})
+			}
+		}
+	}
+}
+
 // edgeListText renders lines edges of mixed formatting (comments, blanks,
 // extra whitespace, trailing fields) deterministically.
 func edgeListText(lines int, seed uint64) []byte {
@@ -406,6 +431,63 @@ func TestParseEdgeListLongLineParity(t *testing.T) {
 					t.Fatalf("%s p=%d: want ErrTooLong, got %v", name, p, err)
 				}
 			}
+		}
+	}
+}
+
+// fastPathFallbackLines are lines on which the parser's byte-level fast path
+// must either defer to the seed rules or decide exactly as they do: signed
+// ids, Unicode whitespace, id-width and id-range boundaries, malformed fields,
+// odd bytes and indented comments.
+var fastPathFallbackLines = []string{
+	"+1 2", "-1 2", "1 +2", "1 -2",
+	"1\u00a02", "\u00851 2", "1 2\u0085", "1\u20002", "\u00a0# comment",
+	"12345678901 2", "1 12345678901", "00000000001 2", "9999999999 1",
+	"4294967294 4294967294", "4294967295 0", "0 4294967295",
+	"1 2x", "1x 2", "1,2", "1", "1 ", "1 #2",
+	"1\x002", "\x00", "1 2\x00", "\r", "1 2\r", "\r1\r2\r", "007 0008",
+	"  # indented comment", "\t% indented", "\v\f1 2", " \t ",
+}
+
+// TestParseEdgeListFastPathFallback checks every fastPathFallbackLines entry
+// against the serial seed parser — edges, vertex count and error text,
+// including the line number — inside a one-chunk input, as an unterminated
+// last line, and in the middle of an input large enough that every worker
+// count splits it into chunks.
+func TestParseEdgeListFastPathFallback(t *testing.T) {
+	filler := strings.Repeat("1 2\n3 4\n", 70_000) // 560 KB > 8×minParseChunk
+	half := len(filler) / 2                        // a line boundary
+	for _, line := range fastPathFallbackLines {
+		for shape, data := range map[string]string{
+			"one-chunk":   "0 1\n" + line + "\n5 6\n",
+			"last-line":   "0 1\n" + line,
+			"multi-chunk": filler[:half] + line + "\n" + filler[half:],
+		} {
+			wantEdges, wantN, wantErr := ReadEdgeListSerial(strings.NewReader(data))
+			for _, p := range []int{1, 2, 8} {
+				edges, n, err := ParseEdgeListBytes([]byte(data), p)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("%q %s p=%d: error: want %v, got %v", line, shape, p, wantErr, err)
+				}
+				if n != wantN || !reflect.DeepEqual(wantEdges, edges) {
+					t.Fatalf("%q %s p=%d: result differs from the serial parser", line, shape, p)
+				}
+			}
+		}
+	}
+}
+
+// TestParseEdgeListAllocs pins the allocation-free line parse: the parser's
+// allocation count must not grow with the line count, where a per-line string
+// conversion and field split would add two or more allocations a line.
+func TestParseEdgeListAllocs(t *testing.T) {
+	small, large := edgeListText(50_000, 5), edgeListText(200_000, 5)
+	for _, p := range []int{1, 2} {
+		ParseEdgeListBytes(large, p) // warm the worker pool
+		a := testing.AllocsPerRun(3, func() { ParseEdgeListBytes(small, p) })
+		b := testing.AllocsPerRun(3, func() { ParseEdgeListBytes(large, p) })
+		if b > a+16 {
+			t.Fatalf("p=%d: %.0f allocations for 50k lines, %.0f for 200k", p, a, b)
 		}
 	}
 }

@@ -173,7 +173,7 @@ func (p *Permutation) ApplyUndirected(g *Undirected, threads int) *Undirected {
 			}
 		}
 	})
-	off, adj := buildCSR(g.n, sym, false, th)
+	off, adj := buildCSR(g.n, sym, th)
 	return &Undirected{n: g.n, off: off, adj: adj}
 }
 
