@@ -41,7 +41,8 @@ bench:
 # ladder (mmap vs streamed v2 vs legacy v1 vs text parse+build), the PR 12
 # merge-based Undirect throughput (arcs/s), and the PR 13 first-use edge-id
 # cursor pass (ids/s), plus the text boot path through cli.LoadDirected
-# (edges/s), into BENCH_PR14.json.
+# (edges/s), and the PR 17 merging insert-only publish (ns/op and B/op at
+# 2^16 and 2^20 vertices), into BENCH_PR17.json.
 bench-json:
 	( go test -bench='BFS|CC|Pool|Reach' -benchmem -benchtime=20x -run='^$$' \
 		. ./internal/bfs ./internal/parallel ; \
@@ -55,13 +56,13 @@ bench-json:
 		./internal/bench ; \
 	  go test -bench='^BenchmarkBiCCMatrix$$' -benchmem -benchtime=10x -run='^$$' \
 		./internal/bench ; \
-	  go test -bench='ServerThroughput|ApplyUnderReadLoad' -benchmem -benchtime=5x -run='^$$' \
+	  go test -bench='ServerThroughput|ApplyUnderReadLoad|ServerApplyPublish' -benchmem -benchtime=5x -run='^$$' \
 		. ; \
 	  go test -bench='^BenchmarkDynamicApply$$' -benchmem -benchtime=3x -run='^$$' \
 		. ; \
 	  go test -bench='HTTPThroughput' -benchmem -benchtime=2s -run='^$$' \
 		./internal/httpd ) \
-		| go run ./cmd/bench2json > BENCH_PR14.json
+		| go run ./cmd/bench2json > BENCH_PR17.json
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:
@@ -79,6 +80,7 @@ fuzz:
 	go test -fuzz=FuzzContainerRoundTrip -fuzztime=30s -fuzzminimizetime=10x ./internal/graph
 	go test -fuzz=FuzzBiCCMatchesOracle -fuzztime=30s ./internal/bicc
 	go test -fuzz=FuzzBiCCPolicyMatchesOracle -fuzztime=30s ./internal/bicc
+	go test -fuzz=FuzzIncMatchesOracle -fuzztime=30s ./internal/inc
 	go test -fuzz=FuzzCCPolicyMatchesOracle -fuzztime=30s ./internal/cc
 	go test -fuzz=FuzzSCCPolicyMatchesOracle -fuzztime=30s ./internal/scc
 	go test -fuzz=FuzzServerSchedule -fuzztime=30s ./internal/serve/harness

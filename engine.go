@@ -110,7 +110,12 @@ type Engine struct {
 	// ccRaw is the compute-space CC decomposition; its labels are min-id
 	// canonical in compute space, which inc.FromLabels requires. ccRes is the
 	// caller-facing (original-id) version — the same object when perm == nil.
+	// cen is the compute-space census the point and census queries read.
+	// Once inc exists it is never nil: Apply advances it in O(batch +
+	// overlay), and ccRaw is materialized from it only on demand. Otherwise
+	// it wraps ccRaw and is dropped with it.
 	ccRaw        *cc.Result
+	cen          *census
 	ccRes        *cc.Result
 	sccRes       *scc.Result
 	biccRes      *bicc.Result
@@ -391,7 +396,7 @@ func (e *Engine) ccCompleteCtx(ctx context.Context) (*cc.Result, error) {
 }
 
 // ccRawLockedCtx fills the compute-space CC cache under e.mu. Once incremental
-// state exists the result is derived from the union-find in O(|V|) — the
+// state exists the result is materialized from the census in O(|V|) — the
 // paper's workload-reduction philosophy applied to updates: no traversal
 // reruns. Raw labels are min-id canonical in compute space; the incremental
 // layer is always seeded from these, never from the remapped caller view.
@@ -408,7 +413,7 @@ func (e *Engine) ccRawLockedCtx(ctx context.Context) (*cc.Result, error) {
 			}
 			e.ccRaw = ccResultFromLabels(e.dyn.Labels())
 		} else if e.inc != nil {
-			e.ccRaw = e.inc.CCResult(e.opt.Threads)
+			e.ccRaw = e.cen.result(e.opt.Threads)
 		} else {
 			res := e.ccSolve(e.und, ctx)
 			if err := ctxErr(ctx); err != nil {
@@ -424,6 +429,21 @@ func (e *Engine) ccRawLockedCtx(ctx context.Context) (*cc.Result, error) {
 func (e *Engine) ccRawLocked() *cc.Result {
 	res, _ := e.ccRawLockedCtx(nil)
 	return res
+}
+
+// censusLockedCtx returns the engine's census under e.mu. The insert-only
+// path keeps it current through every Apply; otherwise it wraps the cached
+// decomposition with an empty overlay, filling that first (ccRawLockedCtx
+// semantics, cancellation included).
+func (e *Engine) censusLockedCtx(ctx context.Context) (*census, error) {
+	if e.cen == nil {
+		raw, err := e.ccRawLockedCtx(ctx)
+		if err != nil {
+			return nil, err
+		}
+		e.cen = newCensus(raw)
+	}
+	return e.cen, nil
 }
 
 // ccCompleteLockedCtx fills the caller-facing CC cache under e.mu, remapping
@@ -556,9 +576,10 @@ type ApplyResult struct {
 // invalidates exactly the caches the batch can affect:
 //
 //   - a batch that adds no new edge or arc preserves every cache;
-//   - new undirected edges that merge components invalidate the CC-derived
-//     caches (CC labels are then re-derived from the union-find, not
-//     recomputed) — edges landing inside one component preserve them;
+//   - new undirected edges that merge components advance the census in
+//     O(batch + overlay) and invalidate the CC-derived caches (the complete
+//     CC labels are then materialized from the census, not recomputed) —
+//     edges landing inside one component preserve them;
 //   - any new undirected edge invalidates the 2-connectivity and
 //     degree-structure caches (BiCC, BgCC, APs, bridges, betweenness,
 //     coreness), which are recomputed lazily on next query;
@@ -594,8 +615,10 @@ func (e *Engine) applyLocked(batch []Edge) (*ApplyResult, error) {
 	}
 	if e.inc == nil {
 		// First update: the static pipeline seeds the incremental state from
-		// the raw compute-space labels (min-id canonical there).
-		res := e.ccRawLocked()
+		// the raw compute-space labels (min-id canonical there), and the
+		// census takes the same decomposition as its base.
+		cen, _ := e.censusLockedCtx(nil)
+		res := cen.base.res
 		e.inc = inc.FromLabels(res.Label, res.NumComponents)
 		e.undSet = make(map[[2]V]struct{})
 		e.dirSet = make(map[[2]V]struct{})
@@ -645,6 +668,7 @@ func (e *Engine) applyLocked(batch []Edge) (*ApplyResult, error) {
 	e.cacheGen++
 	if len(newUnd) > 0 {
 		if res.Merged > 0 {
+			e.cen = e.cen.advance(e.inc, newUnd, res.Merged, e.opt.Threads)
 			e.ccRaw, e.ccRes, e.largestCC = nil, nil, nil
 		}
 		e.biccRes, e.bgccRes, e.apOnly, e.brOnly = nil, nil, nil, nil
@@ -750,15 +774,16 @@ func (e *Engine) putReach(s *bfs.ReachScratch) {
 }
 
 // rebuildLocked is the fall-back-to-static path: materialize the delta, run
-// the full cc pipeline, and reseed the incremental state from the fresh
-// decomposition. In dynamic mode the forest stays authoritative for future
-// updates; the rebuild re-canonicalizes the cached decomposition through the
-// static pipeline (re-resolving the CC policy chooser against the reshaped
-// graph) and resets the rebuild budget.
+// the full cc pipeline, and reseed the incremental state and the census from
+// the fresh decomposition. In dynamic mode the forest stays authoritative for
+// future updates; the rebuild re-canonicalizes the cached decomposition
+// through the static pipeline (re-resolving the CC policy chooser against the
+// reshaped graph) and resets the rebuild budget.
 func (e *Engine) rebuildLocked() {
 	e.materializeLocked()
 	e.cacheGen++
 	e.ccRaw = e.ccSolve(e.und, nil)
+	e.cen = newCensus(e.ccRaw)
 	e.ccRes, e.largestCC = nil, nil
 	if e.dyn == nil {
 		e.inc = inc.FromLabels(e.ccRaw.Label, e.ccRaw.NumComponents)

@@ -113,7 +113,10 @@ func (s *State) Labels() []uint32 { return s.uf.Labels() }
 
 // CCResult materializes the incremental state as a complete cc.Result — the
 // same shape the static pipeline returns, derived in O(|V|) from the
-// union-find instead of by traversal. Stats are zero: no traversal ran.
+// union-find instead of by traversal. Stats are zero: no traversal ran. It
+// flattens and counts every vertex, so per-batch callers should keep their
+// own O(batch) census and call it only to re-base that (Find gives the new
+// root of each merged endpoint).
 func (s *State) CCResult(threads int) *cc.Result {
 	p := parallel.Threads(threads)
 	label := s.uf.Labels()

@@ -49,7 +49,7 @@ type Cell[T any] struct {
 
 // SetStats attaches st as the cell's telemetry collector (nil detaches).
 // Call it once after construction, before the cell is queried; Peek and Seed
-// are never counted, only Get's hit-or-miss outcome.
+// are never counted, only Get's hit-or-miss outcome and Cached's hits.
 func (c *Cell[T]) SetStats(st *CellStats) {
 	c.mu.Lock()
 	c.stats = st
@@ -123,6 +123,19 @@ func (c *Cell[T]) Get(ctx context.Context, compute func(context.Context) (T, err
 		var zero T
 		return zero, ctxErr(ctx)
 	}
+}
+
+// Cached is Get's cached branch alone: it returns the cached value and counts
+// the lookup as a hit, as Get would. On a miss it counts nothing, so the Get
+// that follows counts the lookup once. It lets a hot caller skip building a
+// compute function for a warm cell.
+func (c *Cell[T]) Cached() (T, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.has && c.stats != nil {
+		c.stats.hits.Add(1)
+	}
+	return c.val, c.has
 }
 
 // Peek returns the cached value without triggering a compute.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"maps"
 	"testing"
 	"time"
 
@@ -17,14 +18,29 @@ import (
 // incrementally maintained edge-set mirror. Unlike TestServerInterleavings
 // (which explores thread interleavings), this explores the *schedule* space:
 // weird Apply/pin/cancel orders that the random schedules are unlikely to hit.
+//
+// The schedule addresses only the first span vertices. The rest are a
+// 100-vertex path starting at the last addressed vertex, then isolated
+// vertices: the census overlay bound (|V|/512) admits 3 merges before an
+// insert-only Apply re-bases, the rebuild threshold a few batches, and a
+// merge with the path lets a smaller-id component absorb the largest one.
 func FuzzServerSchedule(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x13, 0x24, 0x35, 0x46, 0x57})
 	f.Add([]byte{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99})
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0x07, 0x70, 0x07, 0x70})
+	// Insert-only: merges that grow the census overlay, a pin, a merge that
+	// re-resolves an overlay entry, one that crosses the bound while a
+	// singleton absorbs the path, then one more absorption from the overlay.
+	f.Add([]byte{0x00, 0x01, 0x00, 0x05, 0x04, 0x09, 0x06, 0x00, 0x00, 0x01, 0x04,
+		0x01, 0x09, 0x00, 0x02, 0x07, 0x00, 0x05, 0x00, 0x00, 0x11, 0x17, 0x02,
+		0x00, 0x00, 0x01, 0x0b, 0x00, 0x00, 0x05, 0x11, 0x01, 0x17, 0x00, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const n = 24
+		const n, span = 1536, 24
 		mirror := newMirror(n)
 		base := []aquila.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 5, V: 6}}
+		for v := aquila.V(span - 1); v < span+98; v++ {
+			base = append(base, aquila.Edge{U: v, V: v + 1})
+		}
 		mirror.add(base)
 		srv := aquila.NewServer(
 			aquila.NewEngine(aquila.NewUndirected(n, base), aquila.Options{Threads: 2}),
@@ -63,7 +79,7 @@ func FuzzServerSchedule(f *testing.F) {
 					if !ok1 || !ok2 {
 						break
 					}
-					u, v := aquila.V(int(ub)%n), aquila.V(int(vb)%n)
+					u, v := aquila.V(int(ub)%span), aquila.V(int(vb)%span)
 					switch {
 					case ub%4 == 3 && len(mirror.edges) > 0:
 						// Delete a live edge, addressed deterministically
@@ -86,7 +102,7 @@ func FuzzServerSchedule(f *testing.F) {
 			case 1: // Connected on the live epoch
 				ub, _ := next()
 				vb, _ := next()
-				u, v := aquila.V(int(ub)%n), aquila.V(int(vb)%n)
+				u, v := aquila.V(int(ub)%span), aquila.V(int(vb)%span)
 				got, err := srv.Connected(ctx, u, v)
 				if err != nil {
 					t.Fatalf("Connected: %v", err)
@@ -95,7 +111,8 @@ func FuzzServerSchedule(f *testing.F) {
 				if want := truth[u] == truth[v]; got != want {
 					t.Fatalf("Connected(%d,%d) = %v, oracle %v (edges %v)", u, v, got, want, mirror.edges)
 				}
-			case 2: // full CC decomposition on the live epoch
+			case 2: // census queries, then the full CC decomposition, on the live epoch
+				checkCensusQueries(t, "live", srv.Acquire(), mirror.graph(), span)
 				res, err := srv.CC(ctx)
 				if err != nil {
 					t.Fatalf("CC: %v", err)
@@ -133,7 +150,7 @@ func FuzzServerSchedule(f *testing.F) {
 			case 7: // query the pinned snapshot against its frozen edge set
 				ub, _ := next()
 				vb, _ := next()
-				u, v := aquila.V(int(ub)%n), aquila.V(int(vb)%n)
+				u, v := aquila.V(int(ub)%span), aquila.V(int(vb)%span)
 				got, err := pinned.Connected(ctx, u, v)
 				if err != nil {
 					t.Fatalf("pinned Connected: %v", err)
@@ -143,9 +160,13 @@ func FuzzServerSchedule(f *testing.F) {
 					t.Fatalf("pinned(epoch %d) Connected(%d,%d) = %v, oracle %v",
 						pinned.Epoch(), u, v, got, want)
 				}
+				checkCensusQueries(t, "pinned", pinned, aquila.NewUndirected(n, pinnedEdges), span)
 			}
 		}
-		// Whatever the schedule did, the live epoch must equal the mirror.
+		// Whatever the schedule did, the live epoch must equal the mirror, and
+		// the pinned one its frozen edge set.
+		checkCensusQueries(t, "final live", srv.Acquire(), mirror.graph(), span)
+		checkCensusQueries(t, "final pinned", pinned, aquila.NewUndirected(n, pinnedEdges), span)
 		res, err := srv.CC(ctx)
 		if err != nil {
 			t.Fatalf("final CC: %v", err)
@@ -154,6 +175,42 @@ func FuzzServerSchedule(f *testing.F) {
 			t.Fatalf("final CC: %v", err)
 		}
 	})
+}
+
+// checkCensusQueries checks a snapshot's census answers — the size
+// histogram, and the largest component's size, pivot and membership of the
+// first span vertices — against the serial-DFS oracle on g.
+func checkCensusQueries(t *testing.T, which string, sn *aquila.Snapshot, g *aquila.Undirected, span int) {
+	t.Helper()
+	ctx := context.Background()
+	truth := serialdfs.CC(g)
+	sizes := componentSizes(truth)
+	want := make(map[int]int)
+	largest := 0
+	for _, s := range sizes {
+		want[s]++
+		largest = max(largest, s)
+	}
+	hist, err := sn.CCSizeHistogram(ctx)
+	if err != nil {
+		t.Fatalf("%s CCSizeHistogram: %v", which, err)
+	}
+	if !maps.Equal(hist, want) {
+		t.Fatalf("%s(epoch %d) CCSizeHistogram = %v, oracle %v", which, sn.Epoch(), hist, want)
+	}
+	res, err := sn.LargestCC(ctx)
+	if err != nil {
+		t.Fatalf("%s LargestCC: %v", which, err)
+	}
+	if res.Size != largest || sizes[truth[res.Pivot]] != largest {
+		t.Fatalf("%s(epoch %d) LargestCC = size %d pivot %d, oracle largest %d",
+			which, sn.Epoch(), res.Size, res.Pivot, largest)
+	}
+	for v := aquila.V(0); v < aquila.V(span); v++ {
+		if want := truth[v] == truth[res.Pivot]; res.Contains(v) != want {
+			t.Fatalf("%s(epoch %d) LargestCC.Contains(%d) = %v, oracle %v", which, sn.Epoch(), v, !want, want)
+		}
+	}
 }
 
 // mirror incrementally maintains the deduped simple edge set the engine

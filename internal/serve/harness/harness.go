@@ -20,6 +20,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -73,12 +74,13 @@ const (
 	opSCC
 	opAPs
 	opBridges
+	opHistogram
 	numOpKinds
 )
 
 func (k opKind) String() string {
 	return [...]string{"Connected", "CountCC", "IsConnected", "LargestCC",
-		"CC", "SCC", "APs", "Bridges"}[k]
+		"CC", "SCC", "APs", "Bridges", "Histogram"}[k]
 }
 
 // record is one completed query as observed by a reader.
@@ -93,6 +95,7 @@ type record struct {
 	pairs      [][2]aquila.V // opBridges
 	aps        []aquila.V    // opAPs
 	largePivot aquila.V      // opLargest
+	hist       map[int]int   // opHistogram
 }
 
 // RunClass executes cfg.Schedules randomized schedules over the class and
@@ -173,14 +176,20 @@ func runSchedule(cls Class, cfg Config, seed uint64) error {
 }
 
 // runReader issues ops against pinned snapshots, recording each answer with
-// the snapshot's epoch. A slice of the ops run with cancelled or
-// near-expired contexts: those may fail (with a context error) — what they
-// must never do is return a wrong answer or wedge the server.
+// the snapshot's epoch. Most ops pin the live epoch; one in four goes back to
+// the reader's first snapshot, by then usually several epochs old. A slice
+// of the ops run with cancelled or near-expired contexts: those may fail
+// (with a context error) — what they must never do is return a wrong answer
+// or wedge the server.
 func runReader(srv *aquila.Server, cls Class, n, ops int, seed uint64) ([]record, error) {
 	rng := gen.NewRNG(seed)
 	out := make([]record, 0, ops)
+	first := srv.Acquire()
 	for i := 0; i < ops; i++ {
 		sn := srv.Acquire()
+		if rng.Intn(4) == 0 {
+			sn = first
+		}
 		rec := record{epoch: sn.Epoch(), kind: opKind(rng.Intn(int(numOpKinds)))}
 		if rec.kind == opSCC && !cls.Directed {
 			rec.kind = opCC
@@ -232,6 +241,8 @@ func runReader(srv *aquila.Server, cls Class, n, ops int, seed uint64) ([]record
 			rec.aps, err = sn.ArticulationPoints(ctx)
 		case opBridges:
 			rec.pairs, err = sn.Bridges(ctx)
+		case opHistogram:
+			rec.hist, err = sn.CCSizeHistogram(ctx)
 		}
 		if err != nil {
 			if context.Cause(ctx) == nil {
@@ -254,6 +265,7 @@ type oracle struct {
 	dir []*graph.Directed   // per-epoch directed graph (directed classes)
 
 	cc      [][]uint32
+	sizes   []map[uint32]int // per-epoch component sizes, keyed by cc label
 	scc     [][]uint32
 	aps     [][]bool
 	bridges [][]bool
@@ -269,6 +281,7 @@ func newOracle(cls Class, n int, base []aquila.Edge, batches [][]aquila.Update) 
 	o := &oracle{
 		und:     make([]*graph.Undirected, epochs),
 		cc:      make([][]uint32, epochs),
+		sizes:   make([]map[uint32]int, epochs),
 		aps:     make([][]bool, epochs),
 		bridges: make([][]bool, epochs),
 	}
@@ -345,6 +358,13 @@ func (o *oracle) ccAt(ep uint64) []uint32 {
 	return o.cc[ep]
 }
 
+func (o *oracle) sizesAt(ep uint64) map[uint32]int {
+	if o.sizes[ep] == nil {
+		o.sizes[ep] = componentSizes(o.ccAt(ep))
+	}
+	return o.sizes[ep]
+}
+
 func (o *oracle) sccAt(ep uint64) []uint32 {
 	if o.scc[ep] == nil {
 		o.scc[ep] = serialdfs.SCC(o.dir[ep])
@@ -383,7 +403,7 @@ func countDistinct(labels []uint32) int {
 }
 
 func componentSizes(labels []uint32) map[uint32]int {
-	sizes := make(map[uint32]int, 16)
+	sizes := make(map[uint32]int, len(labels))
 	for _, l := range labels {
 		sizes[l]++
 	}
@@ -399,16 +419,16 @@ func (o *oracle) check(r *record) error {
 			return fmt.Errorf("epoch %d: Connected(%d,%d) = %v, oracle %v", r.epoch, r.u, r.v, r.boolRes, want)
 		}
 	case opCountCC:
-		if want := countDistinct(o.ccAt(r.epoch)); r.intRes != want {
+		if want := len(o.sizesAt(r.epoch)); r.intRes != want {
 			return fmt.Errorf("epoch %d: CountCC = %d, oracle %d", r.epoch, r.intRes, want)
 		}
 	case opIsConnected:
-		if want := countDistinct(o.ccAt(r.epoch)) == 1; r.boolRes != want {
+		if want := len(o.sizesAt(r.epoch)) == 1; r.boolRes != want {
 			return fmt.Errorf("epoch %d: IsConnected = %v, oracle %v", r.epoch, r.boolRes, want)
 		}
 	case opLargest:
 		truth := o.ccAt(r.epoch)
-		sizes := componentSizes(truth)
+		sizes := o.sizesAt(r.epoch)
 		maxSize := 0
 		for _, s := range sizes {
 			if s > maxSize {
@@ -428,6 +448,14 @@ func (o *oracle) check(r *record) error {
 		}
 		if want := truth[r.u] == truth[r.largePivot]; r.boolRes != want {
 			return fmt.Errorf("epoch %d: LargestCC.Contains(%d) = %v, oracle %v", r.epoch, r.u, r.boolRes, want)
+		}
+	case opHistogram:
+		want := make(map[int]int)
+		for _, s := range o.sizesAt(r.epoch) {
+			want[s]++
+		}
+		if !maps.Equal(r.hist, want) {
+			return fmt.Errorf("epoch %d: CCSizeHistogram = %v, oracle %v", r.epoch, r.hist, want)
 		}
 	case opCC:
 		if err := verify.SamePartition(r.labels, o.ccAt(r.epoch)); err != nil {
@@ -481,8 +509,9 @@ func normPair(p [2]aquila.V) [2]aquila.V {
 // Classes returns the harness's standard graph families: a sparse random
 // undirected graph (several mid-size components), a social-like undirected
 // graph (one giant component plus a long tail), a directed graph with cyclic
-// structure for SCC coverage, and a delete-adversarial bridge-churn family
-// whose batches repeatedly cut and re-add the only inter-half edge. All are
+// structure for SCC coverage, a delete-adversarial bridge-churn family whose
+// batches repeatedly cut and re-add the only inter-half edge, and an
+// insert-only stream that keeps the engine on the union-find census. All are
 // small enough that thousands of schedules run in seconds.
 func Classes() []Class {
 	return []Class{
@@ -578,6 +607,59 @@ func Classes() []Class {
 						b = append(b, aquila.Delete(u, v), aquila.Insert(u, v))
 					}
 					batches[i] = b
+				}
+				return n, base, batches
+			},
+		},
+		{
+			// Insert-only batches over one giant and many small components.
+			// Every other class deletes, which retires the union-find; here
+			// each epoch publishes an advanced census overlay. With 1–1.5k
+			// vertices, most of them isolated, the overlay bound (|V|/512)
+			// is 2 labels and most batches merge once, so the overlay fills
+			// and re-bases every few batches. One batch lets a component
+			// below the giant, whose minimum id is smaller, absorb it: every
+			// giant vertex, and any overlay entry pointing at the giant,
+			// moves to the small one's label.
+			Name: "insert-stream",
+			Build: func(seed uint64) (int, []aquila.Edge, [][]aquila.Update) {
+				rng := gen.NewRNG(seed)
+				n := 1024 + rng.Intn(512)
+				lo, hi := n/4, n/4+n/8
+				pick := func(from, to int) aquila.V { return aquila.V(from + rng.Intn(to-from)) }
+				// Pairs in a band at the bottom and one just above the giant,
+				// which is a path with random chords.
+				var base []aquila.Edge
+				for _, band := range [2]int{0, hi} {
+					for v := band; v+1 < band+n/16; v += 2 + rng.Intn(2) {
+						base = append(base, aquila.Edge{U: aquila.V(v), V: aquila.V(v + 1)})
+					}
+				}
+				for v := lo; v+1 < hi; v++ {
+					base = append(base, aquila.Edge{U: aquila.V(v), V: aquila.V(v + 1)})
+				}
+				for i := 0; i < n/64; i++ {
+					if u, v := pick(lo, hi), pick(lo, hi); u != v {
+						base = append(base, aquila.Edge{U: u, V: v})
+					}
+				}
+				base = dedup(base)
+				count := 5 + rng.Intn(3)
+				absorb := 1 + rng.Intn(count-1)
+				batches := make([][]aquila.Update, count)
+				for i := range batches {
+					var b []aquila.Update
+					switch {
+					case i == absorb:
+						b = append(b, aquila.Insert(pick(0, n/16), pick(lo, hi)))
+					case rng.Intn(4) == 0:
+						b = append(b, aquila.Insert(pick(0, n), pick(0, n)))
+					default:
+						// From above: the giant keeps its label.
+						b = append(b, aquila.Insert(pick(hi, n), pick(lo, hi)))
+					}
+					b = append(b, aquila.Insert(pick(lo, hi), pick(lo, hi))) // inside the giant
+					batches[i] = append(b, b[0])                             // and a duplicate
 				}
 				return n, base, batches
 			},

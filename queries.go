@@ -31,8 +31,8 @@ var ErrNotDirected = errors.New("aquila: SCC queries need a directed graph (use 
 
 // CC returns the complete connected-components decomposition (computed once,
 // then cached). For directed engines this is the WCC decomposition. After
-// Apply batches, the decomposition is re-derived from the incremental
-// union-find in O(|V|) instead of recomputed by traversal.
+// Apply batches, the decomposition is materialized from the engine's census
+// in O(|V|) instead of recomputed by traversal.
 func (e *Engine) CC() *CCResult { return e.ccComplete() }
 
 // WCC is CC under its directed-graph name: the weakly connected components.
@@ -127,13 +127,14 @@ func (e *Engine) Connected(u, v V) bool {
 }
 
 // CCSizeHistogram maps component size to the number of components of that
-// size (the paper's Fig. 8 shape).
+// size (the paper's Fig. 8 shape). It reads the census: under incremental
+// updates that is the base's histogram adjusted by the merges since, with no
+// complete decomposition built.
 func (e *Engine) CCSizeHistogram() map[int]int {
-	hist := make(map[int]int)
-	for _, s := range e.ccComplete().Sizes {
-		hist[s]++
-	}
-	return hist
+	e.mu.Lock()
+	c, _ := e.censusLockedCtx(nil)
+	e.mu.Unlock()
+	return c.histogram()
 }
 
 // IsConnected answers the small-XCC query "is this graph connected?" (§3).
@@ -266,7 +267,7 @@ func (l *LargestResult) Contains(v V) bool { return l.contains(v) }
 // everything else combined, stops there — no other component can beat it.
 // Only when the heuristic pivot lands in a minority component does it fall
 // back to the complete computation. Under incremental updates the answer
-// comes from the union-find census instead of any traversal.
+// comes from the census instead of any traversal.
 func (e *Engine) LargestCC() *LargestResult {
 	res, _ := e.largestCCCtx(nil)
 	return res
@@ -283,16 +284,12 @@ func (e *Engine) LargestCCContext(ctx context.Context) (*LargestResult, error) {
 func (e *Engine) largestCCCtx(ctx context.Context) (*LargestResult, error) {
 	e.mu.Lock()
 	if e.inc != nil || e.dyn != nil {
-		res, err := e.ccCompleteLockedCtx(ctx)
+		c, err := e.censusLockedCtx(ctx)
 		e.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}
-		lbl := res.LargestLabel
-		return &LargestResult{
-			Size: res.LargestSize, Pivot: V(lbl),
-			contains: func(v V) bool { return int(v) < len(res.Label) && res.Label[v] == lbl },
-		}, nil
+		return e.largestFromCensus(c), nil
 	}
 	g := e.und
 	e.mu.Unlock()
@@ -327,18 +324,13 @@ func (e *Engine) largestCCCtx(ctx context.Context) (*LargestResult, error) {
 		}
 		e.putReach(rs)
 	}
-	res, err := e.ccCompleteCtx(ctx)
+	e.mu.Lock()
+	c, err := e.censusLockedCtx(ctx)
+	e.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	lbl := res.LargestLabel
-	return &LargestResult{
-		Size:  res.LargestSize,
-		Pivot: V(lbl),
-		contains: func(v V) bool {
-			return int(v) < len(res.Label) && res.Label[v] == lbl
-		},
-	}, nil
+	return e.largestFromCensus(c), nil
 }
 
 // InLargestCC reports whether v is in the largest connected component.

@@ -22,48 +22,57 @@ import (
 
 // snapState is what a serving Snapshot captures from the engine at publish
 // time: immutable graph pointers, a private clone of the pending delta, and
-// the compute-space connectivity labels when they are available cheaply.
+// the compute-space connectivity census when it is available cheaply.
 type snapState struct {
 	gs       graphSet
 	deltaUnd []graph.Edge
 	deltaDir []graph.Edge
-	// ccRaw is the compute-space CC decomposition as of the capture, or nil
-	// when deriving it would cost a traversal (cold static engine). The
-	// object is immutable: Apply invalidates the engine's pointer but never
-	// mutates a published result.
-	ccRaw *cc.Result
+	// cen is the epoch's census, or nil when deriving it would cost a
+	// traversal (cold static engine). The object is immutable: Apply advances
+	// the engine to a new census but never mutates a published one.
+	cen *census
+	// gen is the engine's cacheGen at capture. A cold epoch hands its solve
+	// back to the engine only while the engine is still at this generation.
+	gen uint64
 }
 
 // snapshotState captures, under e.mu, everything a serving Snapshot needs.
-// Once incremental state exists the connectivity labels come from an O(|V|)
-// union-find flatten (no traversal), so publishing after an Apply is cheap.
+// Once incremental state exists the engine's census is current after every
+// Apply, so publishing costs O(1) for connectivity: no flatten, no traversal.
 func (e *Engine) snapshotState() snapState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	st := snapState{gen: e.cacheGen}
 	if e.dyn != nil {
 		// Dynamic mode: deletions cannot ride along as a delta (the fold is
 		// append-only), so the CSRs are rebuilt here, under e.mu, and the
 		// snapshot publishes fully materialized graphs with an empty delta.
-		// The labels come from the forest census — still no traversal.
+		// The census wraps the forest's labels — still no traversal.
 		e.materializeLocked()
-		if e.ccRaw == nil {
-			e.ccRaw = ccResultFromLabels(e.dyn.Labels())
+		st.cen, _ = e.censusLockedCtx(nil)
+	} else {
+		st.deltaUnd = slices.Clone(e.deltaUnd)
+		st.deltaDir = slices.Clone(e.deltaDir)
+		if e.cen == nil && e.ccRaw != nil {
+			e.cen = newCensus(e.ccRaw)
 		}
-		return snapState{
-			gs:    graphSet{dir: e.dir, und: e.und, origDir: e.origDir, origUnd: e.origUnd, eidMap: e.eidMap},
-			ccRaw: e.ccRaw,
-		}
+		st.cen = e.cen
 	}
-	if e.ccRaw == nil && e.inc != nil {
-		// Fills the engine's own cache as a side effect; a later query would
-		// derive the identical result anyway.
-		e.ccRaw = e.inc.CCResult(e.opt.Threads)
-	}
-	return snapState{
-		gs:       graphSet{dir: e.dir, und: e.und, origDir: e.origDir, origUnd: e.origUnd, eidMap: e.eidMap},
-		deltaUnd: slices.Clone(e.deltaUnd),
-		deltaDir: slices.Clone(e.deltaDir),
-		ccRaw:    e.ccRaw,
+	st.gs = graphSet{dir: e.dir, und: e.und, origDir: e.origDir, origUnd: e.origUnd, eidMap: e.eidMap}
+	return st
+}
+
+// adoptColdCensus hands a cold epoch's solve back to the engine, so the
+// first Apply seeds its incremental state from it instead of solving CC a
+// second time. Like the partial fast paths' fills it re-validates first: the
+// engine must still hold the captured graph, with no pending delta, no
+// incremental or dynamic state, and an unchanged cacheGen.
+func (e *Engine) adoptColdCensus(st snapState, c *census) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.ccRaw == nil && e.und == st.gs.und && len(e.deltaUnd) == 0 && len(e.deltaDir) == 0 &&
+		e.inc == nil && e.dyn == nil && e.cacheGen == st.gen {
+		e.ccRaw, e.cen = c.base.res, c
 	}
 }
 
@@ -149,13 +158,13 @@ func (s *Server) capture(epoch uint64) *Snapshot {
 	st := s.eng.snapshotState()
 	sn := &Snapshot{srv: s, eng: s.eng, epoch: epoch, st: st}
 	for _, c := range []interface{ SetStats(*serve.CellStats) }{
-		&sn.mat, &sn.ccRaw, &sn.ccRes, &sn.isConn, &sn.largest,
+		&sn.mat, &sn.cen, &sn.ccRes, &sn.isConn, &sn.largest,
 		&sn.sccRes, &sn.biccRes, &sn.bgccRes, &sn.hist,
 	} {
 		c.SetStats(&s.sfStats)
 	}
-	if st.ccRaw != nil {
-		sn.ccRaw.Seed(st.ccRaw)
+	if st.cen != nil {
+		sn.cen.Seed(st.cen)
 	}
 	if len(st.deltaUnd) == 0 && len(st.deltaDir) == 0 {
 		// Nothing pending: the captured graphs are already materialized.
@@ -318,7 +327,7 @@ type Snapshot struct {
 	st    snapState
 
 	mat     serve.Cell[graphSet]
-	ccRaw   serve.Cell[*cc.Result]
+	cen     serve.Cell[*census]
 	ccRes   serve.Cell[*cc.Result]
 	isConn  serve.Cell[bool]
 	largest serve.Cell[*LargestResult]
@@ -355,6 +364,16 @@ func getCell[T any](sn *Snapshot, ctx context.Context, c *serve.Cell[T], compute
 	return c.Get(ctx, compute)
 }
 
+// cachedCell is getCell's warm branch alone: it counts a hit exactly when
+// getCell would, and needs no compute closure, so a warm lookup allocates
+// nothing.
+func cachedCell[T any](sn *Snapshot, c *serve.Cell[T]) (T, bool) {
+	if sn.srv.cfg.DisableSingleflight {
+		return c.Peek()
+	}
+	return c.Cached()
+}
+
 // withSlot runs f inside one admission-gate kernel slot. Slots are only ever
 // taken at the leaves (actual kernel executions), never nested, so a slot
 // holder cannot deadlock waiting for another slot.
@@ -376,58 +395,72 @@ func (sn *Snapshot) materialized(ctx context.Context) (graphSet, error) {
 	})
 }
 
-// ccRawGet returns the compute-space CC decomposition for this epoch,
-// computing it at most once. Point queries (Connected, CountCC) against the
-// same epoch all coalesce here — this is the batching that turns a query
-// storm into one kernel pass.
-func (sn *Snapshot) ccRawGet(ctx context.Context) (*cc.Result, error) {
-	return getCell(sn, ctx, &sn.ccRaw, func(cctx context.Context) (*cc.Result, error) {
-		var res *cc.Result
-		err := sn.withSlot(cctx, func() error {
-			gs, err := sn.materialized(cctx)
-			if err != nil {
-				return err
-			}
-			r := sn.eng.ccSolve(gs.und, cctx)
-			if err := ctxErr(cctx); err != nil {
-				return err
-			}
-			res = r
-			return nil
-		})
-		return res, err
+// censusGet returns the epoch's connectivity census. Insert-only and
+// dynamic epochs publish theirs at capture. A cold epoch solves CC once,
+// coalesced across concurrent callers — this is the batching that turns a
+// query storm into one kernel pass — and hands the result to the engine.
+func (sn *Snapshot) censusGet(ctx context.Context) (*census, error) {
+	if c, ok := cachedCell(sn, &sn.cen); ok {
+		return c, nil
+	}
+	return getCell(sn, ctx, &sn.cen, sn.solveCensus)
+}
+
+// solveCensus is a cold epoch's census compute: one CC kernel pass over the
+// epoch's graph.
+func (sn *Snapshot) solveCensus(cctx context.Context) (*census, error) {
+	var res *cc.Result
+	err := sn.withSlot(cctx, func() error {
+		gs, err := sn.materialized(cctx)
+		if err != nil {
+			return err
+		}
+		r := sn.eng.ccSolve(gs.und, cctx)
+		if err := ctxErr(cctx); err != nil {
+			return err
+		}
+		res = r
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	c := newCensus(res)
+	sn.eng.adoptColdCensus(sn.st, c)
+	return c, nil
 }
 
 // Connected reports whether u and v lie in the same connected component as
-// of this epoch. O(1) once the epoch's labels exist (always, after the first
-// Apply); a cold pre-update snapshot computes them once, coalesced across
-// concurrent callers. Both endpoints must be existing vertices.
+// of this epoch. O(1) and allocation-free once the epoch's census exists
+// (always, after the first Apply): one base label read and one overlay probe
+// per endpoint. A cold pre-update snapshot solves the census once, coalesced
+// across concurrent callers. Both endpoints must be existing vertices.
 func (sn *Snapshot) Connected(ctx context.Context, u, v V) (bool, error) {
-	raw, err := sn.ccRawGet(ctx)
+	c, err := sn.censusGet(ctx)
 	if err != nil {
 		return false, err
 	}
-	return raw.Label[sn.eng.mapV(u)] == raw.Label[sn.eng.mapV(v)], nil
+	return c.connected(sn.eng.mapV(u), sn.eng.mapV(v)), nil
 }
 
 // CountCC returns the number of connected components as of this epoch.
 func (sn *Snapshot) CountCC(ctx context.Context) (int, error) {
-	raw, err := sn.ccRawGet(ctx)
+	c, err := sn.censusGet(ctx)
 	if err != nil {
 		return 0, err
 	}
-	return raw.NumComponents, nil
+	return c.num, nil
 }
 
 // CC returns the complete CC decomposition (original vertex ids) for this
-// epoch.
+// epoch, materialized from the census once per epoch.
 func (sn *Snapshot) CC(ctx context.Context) (*CCResult, error) {
 	return getCell(sn, ctx, &sn.ccRes, func(cctx context.Context) (*cc.Result, error) {
-		raw, err := sn.ccRawGet(cctx)
+		c, err := sn.censusGet(cctx)
 		if err != nil {
 			return nil, err
 		}
+		raw := c.result(sn.eng.opt.Threads)
 		if sn.eng.perm != nil {
 			return remapCC(raw, sn.eng.perm, sn.eng.opt.Threads), nil
 		}
@@ -437,20 +470,17 @@ func (sn *Snapshot) CC(ctx context.Context) (*CCResult, error) {
 
 // CCSizeHistogram maps component size to the number of components of that
 // size, as of this epoch. The histogram is computed once per snapshot in its
-// own singleflight cell (a storm of histogram queries shares one census
-// walk); every caller gets a private copy, so mutating the returned map can
-// never corrupt the cached one or another caller's answer.
+// own singleflight cell, from the census: the base's histogram (built once
+// per base) adjusted by the epoch's overlay. Every caller gets a private
+// copy, so mutating the returned map can never corrupt the cached one or
+// another caller's answer.
 func (sn *Snapshot) CCSizeHistogram(ctx context.Context) (map[int]int, error) {
 	h, err := getCell(sn, ctx, &sn.hist, func(cctx context.Context) (map[int]int, error) {
-		res, err := sn.CC(cctx)
+		c, err := sn.censusGet(cctx)
 		if err != nil {
 			return nil, err
 		}
-		hist := make(map[int]int, len(res.Sizes))
-		for _, sz := range res.Sizes {
-			hist[sz]++
-		}
-		return hist, nil
+		return c.histogram(), nil
 	})
 	if err != nil {
 		return nil, err
@@ -459,15 +489,15 @@ func (sn *Snapshot) CCSizeHistogram(ctx context.Context) (map[int]int, error) {
 }
 
 // IsConnected reports whether the graph is connected as of this epoch. With
-// labels already cached it is O(1); otherwise it runs one partial traversal
+// the census present it is O(1); otherwise it runs one partial traversal
 // (§3), coalesced across concurrent callers.
 func (sn *Snapshot) IsConnected(ctx context.Context) (bool, error) {
 	n := sn.NumVertices()
 	if n <= 1 {
 		return true, nil
 	}
-	if raw, ok := sn.ccRaw.Peek(); ok {
-		return raw.NumComponents == 1, nil
+	if c, ok := sn.cen.Peek(); ok {
+		return c.num == 1, nil
 	}
 	return getCell(sn, ctx, &sn.isConn, func(cctx context.Context) (bool, error) {
 		var connected bool
@@ -490,14 +520,15 @@ func (sn *Snapshot) IsConnected(ctx context.Context) (bool, error) {
 	})
 }
 
-// LargestCC answers the largest-component query for this epoch with the §3
-// partial computation: one traversal from the max-degree pivot, falling back
-// to the complete decomposition only when the pivot's component is a
-// minority. Concurrent callers coalesce into one execution.
+// LargestCC answers the largest-component query for this epoch from the
+// census when it is present. Otherwise it runs the §3 partial computation:
+// one traversal from the max-degree pivot, falling back to the census solve
+// only when the pivot's component is a minority. Concurrent callers coalesce
+// into one execution.
 func (sn *Snapshot) LargestCC(ctx context.Context) (*LargestResult, error) {
 	return getCell(sn, ctx, &sn.largest, func(cctx context.Context) (*LargestResult, error) {
-		if raw, ok := sn.ccRaw.Peek(); ok {
-			return sn.largestFromRaw(raw), nil
+		if c, ok := sn.cen.Peek(); ok {
+			return sn.eng.largestFromCensus(c), nil
 		}
 		n := sn.NumVertices()
 		if !sn.eng.opt.DisablePartial && n > 0 {
@@ -543,27 +574,12 @@ func (sn *Snapshot) LargestCC(ctx context.Context) (*LargestResult, error) {
 				return partial, nil
 			}
 		}
-		raw, err := sn.ccRawGet(cctx)
+		c, err := sn.censusGet(cctx)
 		if err != nil {
 			return nil, err
 		}
-		return sn.largestFromRaw(raw), nil
+		return sn.eng.largestFromCensus(c), nil
 	})
-}
-
-// largestFromRaw derives the largest-component answer from the compute-space
-// census. The contains closure translates caller ids in (identity when the
-// engine is not reordered) and treats out-of-range vertices as members of no
-// component.
-func (sn *Snapshot) largestFromRaw(raw *cc.Result) *LargestResult {
-	lbl := raw.LargestLabel
-	return &LargestResult{
-		Size:  raw.LargestSize,
-		Pivot: sn.eng.unmapV(V(lbl)),
-		contains: func(v V) bool {
-			return int(v) < len(raw.Label) && raw.Label[sn.eng.mapV(v)] == lbl
-		},
-	}
 }
 
 // SCC returns the complete strongly-connected-components decomposition for

@@ -107,3 +107,40 @@ func BenchmarkApplyUnderReadLoad(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkServerApplyPublish measures one insert-only Server.Apply, publish
+// included, whose 64 random edges merge components of a many-component graph,
+// at two graph sizes. A fresh server takes over every 32 batches, outside the
+// timer, so every batch keeps merging. The census makes the publish
+// O(batch + overlay): ns/op and B/op stay flat in |V| apart from the
+// amortized re-bases.
+func BenchmarkServerApplyPublish(b *testing.B) {
+	const comps, perServer = 1 << 13, 32
+	for _, n := range []int{1 << 16, 1 << 20} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g := manyComponents(n, comps)
+			rng := gen.NewRNG(uint64(n))
+			batch := make([]Edge, 64)
+			var s *Server
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%perServer == 0 {
+					b.StopTimer()
+					s = NewServer(NewEngine(g, Options{Threads: 2}), ServerConfig{})
+					// An empty batch seeds the incremental layer.
+					if _, err := s.Apply(nil); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				for j := range batch {
+					batch[j] = Edge{U: V(rng.Intn(n)), V: V(rng.Intn(n))}
+				}
+				if _, err := s.Apply(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

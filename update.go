@@ -223,7 +223,7 @@ func (e *Engine) applyUpdatesDynLocked(batch []Update) (*ApplyResult, error) {
 		e.sinceRebuild += int64(res.NewEdges + res.DeletedEdges)
 		if changedUnd {
 			if res.Merged > 0 || res.Split > 0 {
-				e.ccRaw, e.ccRes, e.largestCC = nil, nil, nil
+				e.ccRaw, e.ccRes, e.largestCC, e.cen = nil, nil, nil, nil
 			}
 			e.biccRes, e.bgccRes, e.apOnly, e.brOnly = nil, nil, nil, nil
 			e.betweenness, e.coreness = nil, nil
@@ -282,7 +282,8 @@ func (e *Engine) materializeDynLocked() {
 
 // ccResultFromLabels materializes a cc.Result from a canonical min-id
 // labeling — the dynamic-mode analog of inc.CCResult: the forest census
-// replaces any traversal.
+// replaces any traversal. Dynamic epochs publish it as a census with an
+// empty overlay.
 func ccResultFromLabels(label []uint32, num int) *cc.Result {
 	res := &cc.Result{Label: label, NumComponents: num, Sizes: make(map[uint32]int, num)}
 	for _, l := range label {
