@@ -42,7 +42,10 @@ bench:
 # merge-based Undirect throughput (arcs/s), and the PR 13 first-use edge-id
 # cursor pass (ids/s), plus the text boot path through cli.LoadDirected
 # (edges/s), and the PR 17 merging insert-only publish (ns/op and B/op at
-# 2^16 and 2^20 vertices), into BENCH_PR17.json.
+# 2^16 and 2^20 vertices); plus the dynamic publish through a Server (B/op)
+# and the forest's bytes per live edge after promotion and churn (B/edge).
+# The snapshot goes to BENCH_PR21.json, stamped by bench2json with the host
+# (goos, goarch, cpu, GOMAXPROCS) and the Go version.
 bench-json:
 	( go test -bench='BFS|CC|Pool|Reach' -benchmem -benchtime=20x -run='^$$' \
 		. ./internal/bfs ./internal/parallel ; \
@@ -62,7 +65,7 @@ bench-json:
 		. ; \
 	  go test -bench='HTTPThroughput' -benchmem -benchtime=2s -run='^$$' \
 		./internal/httpd ) \
-		| go run ./cmd/bench2json > BENCH_PR17.json
+		| go run ./cmd/bench2json > BENCH_PR21.json
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -19,7 +19,7 @@ func (e *Engine) Condensation() (*Condensation, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	if e.condensation == nil {
 		// The DAG's vertex-keyed queries (component-of, reachability) must
 		// answer in caller ids, so condensation always runs on the
@@ -42,7 +42,7 @@ func (e *Engine) Condensation() (*Condensation, error) {
 func (e *Engine) BetweennessCentrality() []float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	if e.betweenness == nil {
 		var raw []float64
 		if e.opt.DisablePartial || e.opt.DisableTrim {
@@ -64,7 +64,7 @@ func (e *Engine) BetweennessCentrality() []float64 {
 func (e *Engine) Coreness() []int32 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	if e.coreness == nil {
 		raw := kcore.Decompose(e.und).Coreness
 		if e.perm != nil {

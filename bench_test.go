@@ -2,6 +2,7 @@ package aquila
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"aquila/internal/apps/betweenness"
@@ -20,6 +21,7 @@ import (
 	"aquila/internal/bgcc"
 	"aquila/internal/bicc"
 	"aquila/internal/cc"
+	"aquila/internal/dyn"
 	"aquila/internal/gen"
 	"aquila/internal/graph"
 	"aquila/internal/scc"
@@ -382,6 +384,41 @@ func BenchmarkDynamicApply(b *testing.B) {
 		}
 		return batches
 	}
+	// Promote builds the forest from the base graph as promotion does
+	// (presized, one Link per edge), churns it with the batch100 schedule's
+	// cuts and links, and reports the live heap the forest then holds per
+	// live edge.
+	b.Run("Promote", func(b *testing.B) {
+		off, adj := base.CSR()
+		perm := gen.NewRNG(0xD15C).Perm(len(baseEdges))
+		var perEdge float64
+		for i := 0; i < b.N; i++ {
+			rng := gen.NewRNG(0xD15C)
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f := dyn.NewForestSized(n, int(base.NumEdges()))
+			for u := 0; u < n; u++ {
+				for _, v := range adj[off[u]:off[u+1]] {
+					if graph.V(u) < v {
+						f.Link(graph.V(u), v)
+					}
+				}
+			}
+			for k := 0; k < 20*50; k++ {
+				e := baseEdges[perm[k]]
+				f.Cut(e.U, e.V)
+				f.Link(graph.V(rng.Intn(n)), graph.V(rng.Intn(n)))
+			}
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			perEdge = float64(after.HeapAlloc-before.HeapAlloc) / float64(f.NumEdges())
+			runtime.KeepAlive(f)
+			b.StartTimer()
+		}
+		b.ReportMetric(perEdge, "B/edge")
+	})
 	for _, size := range []struct {
 		name       string
 		batchSize  int
@@ -405,6 +442,25 @@ func BenchmarkDynamicApply(b *testing.B) {
 						b.Fatal(err)
 					}
 					e.CountCC()
+				}
+			}
+		})
+		b.Run("ServerUpdates/"+size.name, func(b *testing.B) {
+			// The same batches through a Server, so every batch also
+			// publishes an epoch: the O(batch) dynamic publish, B/op
+			// included.
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := NewServer(NewEngine(base, Options{Threads: 4, RebuildThreshold: -1}), ServerConfig{})
+				if _, err := s.ApplyUpdates([]Update{Delete(baseEdges[0].U, baseEdges[0].V), Insert(baseEdges[0].U, baseEdges[0].V)}); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for _, batch := range batches {
+					if _, err := s.ApplyUpdates(batch); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"aquila/internal/cc"
 	"aquila/internal/gen"
@@ -254,30 +255,73 @@ func TestPublishAllocIndependentOfV(t *testing.T) {
 	}
 }
 
-// TestSnapshotConnectedZeroAlloc pins the read path: on an epoch whose
-// census has a non-empty overlay, Connected is a base label read and an
-// overlay probe per endpoint, and allocates nothing.
+// TestSnapshotConnectedZeroAlloc pins the read path: on an insert-only
+// epoch whose census has a non-empty overlay, and on dynamic epochs of
+// undirected, directed and reordered engines, Connected is a census lookup
+// per endpoint. It allocates nothing, and it answers while another
+// goroutine holds the engine lock: the census is published at capture.
 func TestSnapshotConnectedZeroAlloc(t *testing.T) {
 	const n = 4096
 	ctx := context.Background()
-	for _, mode := range []Reorder{ReorderNone, ReorderDegree} {
-		s := NewServer(NewEngine(NewUndirected(n, censusLayout(n)), Options{Threads: 2, Reorder: mode}), ServerConfig{})
+	for _, c := range []struct {
+		name     string
+		directed bool
+		mode     Reorder
+	}{
+		{"undirected", false, ReorderNone},
+		{"undirected-degree", false, ReorderDegree},
+		{"directed", true, ReorderNone},
+		{"directed-degree", true, ReorderDegree},
+	} {
+		opt := Options{Threads: 2, Reorder: c.mode}
+		e := NewEngine(NewUndirected(n, censusLayout(n)), opt)
+		if c.directed {
+			e = NewDirectedEngine(NewDirected(n, censusLayout(n)), opt)
+		}
+		s := NewServer(e, ServerConfig{})
 		if _, err := s.Apply([]Edge{{U: 1, V: 2000}, {U: 3000, V: 3500}}); err != nil {
 			t.Fatal(err)
 		}
-		sn := s.Acquire()
-		if c, ok := sn.cen.Peek(); !ok || len(c.redirect) == 0 {
-			t.Fatalf("reorder=%v: epoch 1 has no census overlay", mode)
+		check := func(epoch string, want bool) {
+			t.Helper()
+			sn := s.Acquire()
+			var ok bool
+			allocs := testing.AllocsPerRun(200, func() {
+				ok, _ = sn.Connected(ctx, 0, 2500)
+			})
+			if ok != want {
+				t.Fatalf("%s %s epoch: Connected(0, 2500) = %v, want %v", c.name, epoch, ok, want)
+			}
+			if allocs != 0 {
+				t.Fatalf("%s %s epoch: Snapshot.Connected allocates %.1f times per call, want 0", c.name, epoch, allocs)
+			}
+			e.mu.Lock()
+			done := make(chan struct{})
+			go func() {
+				sn.Connected(ctx, 0, 2500)
+				sn.CountCC(ctx)
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s %s epoch: Connected blocked on the engine lock", c.name, epoch)
+			}
+			e.mu.Unlock()
 		}
-		var ok bool
-		allocs := testing.AllocsPerRun(200, func() {
-			ok, _ = sn.Connected(ctx, 0, 2500)
-		})
-		if !ok {
-			t.Fatalf("reorder=%v: Connected(0, 2500) = false after the merge", mode)
+		if cn, ok := s.Acquire().cen.Peek(); !ok || len(cn.redirect) == 0 {
+			t.Fatalf("%s: epoch 1 has no census overlay", c.name)
 		}
-		if allocs != 0 {
-			t.Fatalf("reorder=%v: Snapshot.Connected allocates %.1f times per call, want 0", mode, allocs)
+		check("insert-only", true)
+		// Deleting the merging edge promotes the engine and splits 0 from
+		// 2500 again; the dynamic epoch publishes the forest's census.
+		if _, err := s.ApplyUpdates([]Update{Delete(1, 2000)}); err != nil {
+			t.Fatal(err)
 		}
+		check("dynamic", false)
+		if _, err := s.ApplyUpdates([]Update{Insert(0, 2500), Delete(3000, 3500)}); err != nil {
+			t.Fatal(err)
+		}
+		check("dynamic", true)
 	}
 }

@@ -1,19 +1,25 @@
 // Command bench2json converts `go test -bench` output on stdin into a JSON
-// array on stdout, one object per benchmark result line:
+// snapshot on stdout:
 //
 //	go test -bench 'BFS|Pool' -benchmem -run '^$' ./... | bench2json > bench.json
 //
-// Each object carries the benchmark name (with the -N GOMAXPROCS suffix
-// stripped), iteration count, ns/op, and — when -benchmem was set — B/op and
-// allocs/op. Non-benchmark lines are ignored, so the full `go test` output can
-// be piped straight through.
+// The snapshot is an object with two fields. "host" stamps where the
+// numbers were taken: the goos, goarch and cpu lines `go test` prints, the
+// GOMAXPROCS suffix of the benchmark names, and the Go version, so a later
+// snapshot can tell a host change from a code change. "results" holds one
+// object per benchmark result line: the benchmark name (with the -N
+// GOMAXPROCS suffix stripped), iteration count, ns/op, and — when -benchmem
+// was set — B/op and allocs/op. Other lines are ignored, so the full `go
+// test` output can be piped straight through.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -30,55 +36,94 @@ type result struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
+// host is the snapshot's stamp: the first goos, goarch and cpu header
+// lines of the input, the GOMAXPROCS the benchmark names carry, and the Go
+// version bench2json runs under (go run uses the toolchain that ran the
+// benchmarks).
+type host struct {
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	Go         string `json:"go"`
+}
+
+// snapshot is the whole JSON document.
+type snapshot struct {
+	Host    host     `json:"host"`
+	Results []result `json:"results"`
+}
+
 func main() {
-	results := []result{} // encode as [] (not null) when no benchmarks matched
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		if r, ok := parseLine(sc.Text()); ok {
-			results = append(results, r)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	snap, err := convert(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench2json:", err)
 		os.Exit(1)
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
+	if err := enc.Encode(snap); err != nil {
 		fmt.Fprintln(os.Stderr, "bench2json:", err)
 		os.Exit(1)
 	}
+}
+
+// convert reads `go test -bench` output and returns its snapshot.
+func convert(r io.Reader) (snapshot, error) {
+	snap := snapshot{Host: host{Go: runtime.Version()}, Results: []result{}} // [] (not null) when no benchmarks matched
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		if k, v, ok := strings.Cut(line, ": "); ok {
+			for _, h := range []struct {
+				key string
+				dst *string
+			}{{"goos", &snap.Host.GOOS}, {"goarch", &snap.Host.GOARCH}, {"cpu", &snap.Host.CPU}} {
+				if k == h.key && *h.dst == "" {
+					*h.dst = strings.TrimSpace(v)
+				}
+			}
+		}
+		if r, procs, ok := parseLine(line); ok {
+			snap.Results = append(snap.Results, r)
+			if snap.Host.GOMAXPROCS == 0 {
+				snap.Host.GOMAXPROCS = procs
+			}
+		}
+	}
+	return snap, sc.Err()
 }
 
 // parseLine decodes a line of the form
 //
 //	BenchmarkName-8   	     100	  12345 ns/op	  64 B/op	   2 allocs/op
 //
+// returning the GOMAXPROCS suffix it strips (0 when there is none) and
 // reporting ok=false for anything else.
-func parseLine(line string) (result, bool) {
+func parseLine(line string) (r result, procs int, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return result{}, false
+		return result{}, 0, false
 	}
 	name := fields[0]
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i] // strip the GOMAXPROCS suffix
+		if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], p // strip the GOMAXPROCS suffix
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return result{}, false
+		return result{}, 0, false
 	}
-	r := result{Name: name, Iterations: iters}
+	r = result{Name: name, Iterations: iters}
 	seenNs := false
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, unit := fields[i], fields[i+1]
 		switch unit {
 		case "ns/op":
 			if r.NsPerOp, err = strconv.ParseFloat(val, 64); err != nil {
-				return result{}, false
+				return result{}, 0, false
 			}
 			seenNs = true
 		case "B/op":
@@ -104,5 +149,5 @@ func parseLine(line string) (result, bool) {
 			}
 		}
 	}
-	return r, seenNs
+	return r, procs, seenNs
 }

@@ -26,12 +26,13 @@ import (
 // incremental union-find layer (internal/inc), so connectivity queries
 // (Connected, CountCC, CC, IsConnected, LargestCC) never pay for a
 // recomputation; queries that walk adjacency (SCC, BiCC, BgCC, coreness,
-// betweenness, the partial-traversal fast paths) lazily fold the pending
-// edges into fresh CSR graphs first. The first delete operation promotes the
-// engine to a fully dynamic spanning forest (internal/dyn) that answers
-// connectivity across deletions by replacement-edge search. When the
-// accumulated delta crosses Options.RebuildThreshold, the engine falls back
-// to the static cc.Run pipeline and reseeds from the fresh decomposition.
+// betweenness, the partial-traversal fast paths) lazily merge the signed
+// delta of pending changes into fresh CSR graphs first. The first delete
+// operation promotes the engine to a fully dynamic spanning forest
+// (internal/dyn) that answers connectivity across deletions by
+// replacement-edge search. When the accumulated delta crosses
+// Options.RebuildThreshold, the engine falls back to the static cc.Run
+// pipeline and reseeds from the fresh decomposition.
 //
 // # Concurrency contract
 //
@@ -47,9 +48,11 @@ import (
 //     query storm against a cold cache serializes behind one compute — the
 //     Server layer (snapshot isolation + singleflight) is the scalable path
 //     for that workload.
-//   - Published graph pointers are immutable: Apply/materialize build fresh
-//     CSRs and swap pointers, so a query that snapshotted e.und under the
-//     lock can traverse it lock-free afterwards.
+//   - Published graph pointers are immutable: a re-base builds fresh CSRs
+//     and swaps pointers, so a query that snapshotted e.und under the lock
+//     can traverse it lock-free afterwards. The delta logs are append-only
+//     between re-bases, so a prefix handed to a serving snapshot never
+//     changes under it.
 //   - Traversal scratches come from a shared race-clean ScratchPool (its own
 //     mutex, never held together with e.mu), so partial fast paths running
 //     outside the lock never contend with writers.
@@ -74,25 +77,28 @@ type Engine struct {
 	origUnd *Undirected
 	eidMap  []int64
 
-	// Incremental state (nil until the first Apply). deltaUnd/deltaDir hold
-	// inserted edges already unioned into inc but not yet materialized into
-	// the CSR graphs; undSet/dirSet index them for duplicate detection.
+	// The signed delta. The graphs above are the base: the CSRs as of the
+	// last re-base. arcLog (directed engines) and edgeLog record, in compute
+	// ids and in order, every arc and undirected edge (normalized U < V)
+	// inserted or deleted since then; only effective changes are logged, so
+	// each key's entries alternate. live indexes the logged keys of the
+	// primary relation (arcs on directed engines, edges otherwise) with
+	// their current presence. Both update modes keep this one
+	// representation; rebaseLocked merges both logs into the base.
+	arcLog  []graph.Change
+	edgeLog []graph.Change
+	live    map[uint64]bool
+
+	// Incremental state (nil until the first Apply).
 	inc          *inc.State
-	deltaUnd     []graph.Edge
-	deltaDir     []graph.Edge
-	undSet       map[[2]V]struct{}
-	dirSet       map[[2]V]struct{}
 	baseEdges    int64 // undirected edge count at the last (re)build
 	sinceRebuild int64 // undirected edges inserted/deleted since then
 
 	// Fully dynamic state (nil until the first delete op; see ApplyUpdates).
-	// Once dyn is non-nil the incremental layer is retired: the forest is
-	// the authoritative undirected edge set (self-loops are dropped, as
-	// everywhere), and on directed engines dirSet holds the complete arc set
-	// rather than a pending delta. dynDirty marks the CSR graphs stale
-	// relative to the forest; materializeLocked rebuilds them lazily.
-	dyn      *dyn.Forest
-	dynDirty bool
+	// Once dyn is non-nil the incremental layer is retired and the forest
+	// answers connectivity; the base plus the delta stay the edge set of
+	// record (self-loops are dropped, as everywhere).
+	dyn *dyn.Forest
 
 	// reach pools traversal scratches for the partial fast paths
 	// (IsConnected, LargestCC, ...), so query storms reuse warm buffers
@@ -190,7 +196,7 @@ func (e *Engine) unmapV(v V) V {
 func (e *Engine) Undirected() *Undirected {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	if e.perm != nil {
 		return e.origUnd
 	}
@@ -205,7 +211,7 @@ func (e *Engine) Directed() *Directed {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	if e.perm != nil {
 		return e.origDir
 	}
@@ -218,7 +224,7 @@ func (e *Engine) Directed() *Directed {
 func (e *Engine) undView() *Undirected {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	return e.und
 }
 
@@ -226,7 +232,7 @@ func (e *Engine) undView() *Undirected {
 func (e *Engine) dirView() *Directed {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	return e.dir
 }
 
@@ -268,7 +274,7 @@ func (e *Engine) ccSolve(g *Undirected, ctx context.Context) *cc.Result {
 func (e *Engine) CCPolicy() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	return e.resolveCCPolicy(e.und).String()
 }
 
@@ -305,7 +311,7 @@ func (e *Engine) SCCPolicy() (string, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	return e.resolveSCCPolicy(e.dir).String(), nil
 }
 
@@ -359,7 +365,7 @@ func (e *Engine) biccSolve(g *Undirected, ctx context.Context, apOnly bool) *bic
 func (e *Engine) BiCCPolicy() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	return e.resolveBiCCPolicy(e.und).String()
 }
 
@@ -477,7 +483,7 @@ func (e *Engine) sccComplete() *scc.Result {
 func (e *Engine) sccCompleteCtx(ctx context.Context) (*scc.Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	if e.sccRes == nil {
 		raw := e.sccSolve(e.dir, ctx)
 		if err := ctxErr(ctx); err != nil {
@@ -499,7 +505,7 @@ func (e *Engine) biccComplete() *bicc.Result {
 func (e *Engine) biccCompleteCtx(ctx context.Context) (*bicc.Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	if e.biccRes == nil {
 		raw := e.biccSolve(e.und, ctx, false)
 		if err := ctxErr(ctx); err != nil {
@@ -521,7 +527,7 @@ func (e *Engine) bgccComplete() *bgcc.Result {
 func (e *Engine) bgccCompleteCtx(ctx context.Context) (*bgcc.Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	if e.bgccRes == nil {
 		opt := e.bgccOptions(false)
 		opt.Ctx = ctx
@@ -588,7 +594,7 @@ type ApplyResult struct {
 //
 // When the edges inserted since the last full decomposition exceed
 // Options.RebuildThreshold times the graph size at that point, Apply
-// materializes the graph and reruns the static CC pipeline, reseeding the
+// re-bases the graph and reruns the static CC pipeline, reseeding the
 // incremental state (a freshly flattened union-find).
 func (e *Engine) Apply(batch []Edge) (*ApplyResult, error) {
 	e.mu.Lock()
@@ -620,49 +626,45 @@ func (e *Engine) applyLocked(batch []Edge) (*ApplyResult, error) {
 		cen, _ := e.censusLockedCtx(nil)
 		res := cen.base.res
 		e.inc = inc.FromLabels(res.Label, res.NumComponents)
-		e.undSet = make(map[[2]V]struct{})
-		e.dirSet = make(map[[2]V]struct{})
 		e.baseEdges = e.und.NumEdges()
 		e.sinceRebuild = 0
 	}
 
-	// Split the batch into genuinely new undirected edges and directed arcs,
-	// checking both the materialized graphs and the pending delta. Under a
-	// reorder the delta (like everything the kernels see) lives in compute
-	// ids, so endpoints are translated up front.
-	var newUnd, newDir []graph.Edge
+	// Log the batch's genuinely new arcs and undirected edges, checking the
+	// delta's index first and the base graphs after it. Under a reorder the
+	// delta (like everything the kernels see) lives in compute ids, so
+	// endpoints are translated up front.
+	var newUnd []graph.Edge
+	newArcs := 0
 	for _, ed := range batch {
 		if ed.U == ed.V {
 			continue
 		}
-		eu, ev := e.mapV(ed.U), e.mapV(ed.V)
+		u, v := e.mapV(ed.U), e.mapV(ed.V)
 		if e.directed {
-			key := [2]V{eu, ev}
-			if _, dup := e.dirSet[key]; !dup && !e.dir.HasArc(eu, ev) {
-				newDir = append(newDir, graph.Edge{U: eu, V: ev})
-				e.dirSet[key] = struct{}{}
+			if e.hasArc(u, v) {
+				continue // the arc exists, so its undirected edge does too
 			}
+			fresh := !e.hasArc(v, u)
+			e.logArc(u, v, false)
+			newArcs++
+			if !fresh {
+				continue
+			}
+		} else if e.hasEdge(u, v) {
+			continue
 		}
-		u, v := eu, ev
-		if u > v {
-			u, v = v, u
-		}
-		key := [2]V{u, v}
-		if _, dup := e.undSet[key]; !dup && !e.und.HasEdge(u, v) {
-			newUnd = append(newUnd, graph.Edge{U: u, V: v})
-			e.undSet[key] = struct{}{}
-		}
+		e.logEdge(u, v, false)
+		newUnd = append(newUnd, graph.Edge{U: min(u, v), V: max(u, v)})
 	}
 
-	res := &ApplyResult{NewEdges: len(newUnd), NewArcs: len(newDir)}
-	if len(newUnd) == 0 && len(newDir) == 0 {
+	res := &ApplyResult{NewEdges: len(newUnd), NewArcs: newArcs}
+	if len(newUnd) == 0 && newArcs == 0 {
 		res.Components = e.inc.ComponentCount()
 		return res, nil // fully duplicate batch: every cache stays valid
 	}
 
 	res.Merged = e.inc.Apply(newUnd, e.opt.Threads)
-	e.deltaUnd = append(e.deltaUnd, newUnd...)
-	e.deltaDir = append(e.deltaDir, newDir...)
 	e.sinceRebuild += int64(len(newUnd))
 
 	e.cacheGen++
@@ -674,7 +676,7 @@ func (e *Engine) applyLocked(batch []Edge) (*ApplyResult, error) {
 		e.biccRes, e.bgccRes, e.apOnly, e.brOnly = nil, nil, nil, nil
 		e.betweenness, e.coreness = nil, nil
 	}
-	if len(newDir) > 0 {
+	if newArcs > 0 {
 		e.sccRes, e.condensation = nil, nil
 	}
 
@@ -682,83 +684,153 @@ func (e *Engine) applyLocked(batch []Edge) (*ApplyResult, error) {
 		e.rebuildLocked()
 		res.Rebuilt = true
 	}
+	e.foldLargeDeltaLocked()
 	res.Components = e.inc.ComponentCount()
 	return res, nil
 }
 
-// graphSet bundles the graph pointers one materialization step transforms:
-// the compute CSRs, the caller-id CSRs (reordered engines only) and the
-// edge-id translation. Both the engine (under e.mu) and serving snapshots
-// (outside any lock) materialize through the same function.
+// liveKey packs an arc, or a normalized undirected edge, into a key of the
+// delta's membership index.
+func liveKey(u, v V) uint64 { return uint64(u)<<32 | uint64(v) }
+
+// hasArc reports whether the arc u→v (compute ids) is live: the delta's
+// index decides for every arc it has logged, the base for the rest.
+func (e *Engine) hasArc(u, v V) bool {
+	if p, ok := e.live[liveKey(u, v)]; ok {
+		return p
+	}
+	return e.dir.HasArc(u, v)
+}
+
+// hasEdge reports whether the undirected edge {u,v} is live. On a directed
+// engine that is an arc in either direction.
+func (e *Engine) hasEdge(u, v V) bool {
+	if e.directed {
+		return e.hasArc(u, v) || e.hasArc(v, u)
+	}
+	if p, ok := e.live[liveKey(min(u, v), max(u, v))]; ok {
+		return p
+	}
+	return e.und.HasEdge(u, v)
+}
+
+// setLive records the presence of key k in the membership index.
+func (e *Engine) setLive(k uint64, present bool) {
+	if e.live == nil {
+		e.live = make(map[uint64]bool)
+	}
+	e.live[k] = present
+}
+
+// logArc appends an arc change (an insert of an absent arc, or a delete of
+// a present one) to the delta.
+func (e *Engine) logArc(u, v V, del bool) {
+	e.arcLog = append(e.arcLog, graph.Change{U: u, V: v, Del: del})
+	e.setLive(liveKey(u, v), !del)
+}
+
+// logEdge appends an undirected-edge change to the delta. On a directed
+// engine the index tracks arcs only; hasEdge derives edges from them.
+func (e *Engine) logEdge(u, v V, del bool) {
+	u, v = min(u, v), max(u, v)
+	e.edgeLog = append(e.edgeLog, graph.Change{U: u, V: v, Del: del})
+	if !e.directed {
+		e.setLive(liveKey(u, v), !del)
+	}
+}
+
+// directedView is the directed side of an epoch's graph: the compute CSR
+// and, under a reorder, the caller-id CSR.
+type directedView struct {
+	dir, origDir *Directed
+}
+
+// undirectedView is the undirected side of an epoch's graph: the compute
+// CSR and, under a reorder, the caller-id CSR with the edge-id translation.
+type undirectedView struct {
+	und, origUnd *Undirected
+	eidMap       []int64
+}
+
+// graphSet is both views of one graph: the engine's base, as a serving
+// epoch captures it.
 type graphSet struct {
-	dir     *Directed
-	und     *Undirected
-	origDir *Directed
-	origUnd *Undirected
-	eidMap  []int64
+	directedView
+	undirectedView
 }
 
-// materializeGraphs folds delta edges into fresh CSR graphs and returns the
-// updated set. It reads the input graphs but never mutates them, so a caller
-// holding only immutable snapshots (a serving Snapshot) can materialize
-// without any lock.
-func materializeGraphs(directed bool, perm *graph.Permutation, gs graphSet, deltaUnd, deltaDir []graph.Edge, th int) graphSet {
-	if len(deltaUnd) == 0 && len(deltaDir) == 0 {
-		return gs
-	}
-	if directed {
-		edges := make([]graph.Edge, 0, int(gs.dir.NumArcs())+len(deltaDir))
-		for u := 0; u < gs.dir.NumVertices(); u++ {
-			for _, v := range gs.dir.Out(V(u)) {
-				edges = append(edges, graph.Edge{U: V(u), V: v})
-			}
-		}
-		edges = append(edges, deltaDir...)
-		gs.dir = graph.BuildDirectedThreads(gs.dir.NumVertices(), edges, th)
-		gs.und = graph.UndirectThreads(gs.dir, th)
-	} else {
-		eps := gs.und.EdgeEndpoints()
-		edges := make([]graph.Edge, 0, len(eps)+len(deltaUnd))
-		for _, ep := range eps {
-			edges = append(edges, graph.Edge{U: ep[0], V: ep[1]})
-		}
-		edges = append(edges, deltaUnd...)
-		gs.und = graph.BuildUndirectedThreads(gs.und.NumVertices(), edges, th)
-	}
-	if perm != nil {
-		// The compute graphs absorbed the delta in compute ids; re-derive the
-		// caller-id graphs by applying the inverse relabeling, and refresh the
-		// edge-id translation (dense ids shift when edges are inserted).
-		inv := &graph.Permutation{Perm: perm.Inv, Inv: perm.Perm}
-		if directed {
-			gs.origDir = inv.ApplyDirected(gs.dir, th)
-			gs.origUnd = graph.UndirectThreads(gs.origDir, th)
-		} else {
-			gs.origUnd = inv.ApplyUndirected(gs.und, th)
-		}
-		gs.eidMap = perm.EdgeIDMap(gs.origUnd, gs.und, th)
-	}
-	return gs
+// base returns the engine's base graph pointers.
+func (e *Engine) base() graphSet {
+	return graphSet{directedView{e.dir, e.origDir}, undirectedView{e.und, e.origUnd, e.eidMap}}
 }
 
-// materializeLocked folds the pending delta edges into fresh CSR graphs.
-// Queries that walk adjacency call this lazily; pure union-find queries
-// never pay for it. Published graph pointers are never mutated in place, so
-// snapshots held by concurrent readers stay valid.
-func (e *Engine) materializeLocked() {
-	if e.dyn != nil {
-		e.materializeDynLocked()
+// toOrig translates a compute-id change log into caller ids.
+func toOrig(perm *graph.Permutation, log []graph.Change) []graph.Change {
+	out := make([]graph.Change, len(log))
+	for i, c := range log {
+		out[i] = graph.Change{U: perm.Inv[c.U], V: perm.Inv[c.V], Del: c.Del}
+	}
+	return out
+}
+
+// patchDirected merges an arc log into the base's directed CSRs: one
+// linear merge per CSR direction, no edge list and no global sort. It reads
+// its inputs but never mutates them, so the engine (under e.mu) and serving
+// snapshots (outside any lock) build views through the same function.
+func (e *Engine) patchDirected(b directedView, arcs []graph.Change) directedView {
+	if len(arcs) == 0 {
+		return b
+	}
+	v := directedView{dir: b.dir.Patch(arcs, e.opt.Threads)}
+	if e.perm != nil {
+		v.origDir = b.origDir.Patch(toOrig(e.perm, arcs), e.opt.Threads)
+	}
+	return v
+}
+
+// patchUndirected merges an undirected-edge log into the base's undirected
+// CSR. Under a reorder the caller-id CSR takes the same log in caller ids,
+// and the edge-id translation is re-derived: dense ids shift when edges
+// come and go.
+func (e *Engine) patchUndirected(b undirectedView, edges []graph.Change) undirectedView {
+	if len(edges) == 0 {
+		return b
+	}
+	v := undirectedView{und: b.und.Patch(edges, e.opt.Threads)}
+	if e.perm != nil {
+		v.origUnd = b.origUnd.Patch(toOrig(e.perm, edges), e.opt.Threads)
+		v.eidMap = e.perm.EdgeIDMap(v.origUnd, v.und, e.opt.Threads)
+	}
+	return v
+}
+
+// rebaseLocked merges both logs into fresh base CSRs and starts empty
+// ones. Queries that walk adjacency re-base lazily; pure connectivity
+// queries never pay for it. Published graph pointers are never mutated in
+// place, and old logs are dropped rather than reused, so snapshots holding
+// the old base and a prefix of the old delta stay valid.
+func (e *Engine) rebaseLocked() {
+	if len(e.arcLog) == 0 && len(e.edgeLog) == 0 {
 		return
 	}
-	if len(e.deltaUnd) == 0 && len(e.deltaDir) == 0 {
-		return
+	b := e.base()
+	d := e.patchDirected(b.directedView, e.arcLog)
+	u := e.patchUndirected(b.undirectedView, e.edgeLog)
+	e.dir, e.origDir = d.dir, d.origDir
+	e.und, e.origUnd, e.eidMap = u.und, u.origUnd, u.eidMap
+	e.arcLog, e.edgeLog, e.live = nil, nil, nil
+}
+
+// foldLargeDeltaLocked re-bases once a log has grown to the size of its
+// base. The rebuild threshold normally re-bases long before; with it off
+// (negative) this fixed rule keeps the delta, and the cost of merging it
+// into every view, bounded by the graph itself.
+func (e *Engine) foldLargeDeltaLocked() {
+	if n := int64(len(e.edgeLog)); n > 0 && n >= e.und.NumEdges() {
+		e.rebaseLocked()
+	} else if n := int64(len(e.arcLog)); n > 0 && n >= e.dir.NumArcs() {
+		e.rebaseLocked()
 	}
-	gs := materializeGraphs(e.directed, e.perm, graphSet{
-		dir: e.dir, und: e.und, origDir: e.origDir, origUnd: e.origUnd, eidMap: e.eidMap,
-	}, e.deltaUnd, e.deltaDir, e.opt.Threads)
-	e.dir, e.und, e.origDir, e.origUnd, e.eidMap = gs.dir, gs.und, gs.origDir, gs.origUnd, gs.eidMap
-	e.deltaUnd, e.deltaDir = nil, nil
-	e.undSet, e.dirSet = make(map[[2]V]struct{}), make(map[[2]V]struct{})
 }
 
 // getReach pops a traversal scratch off the shared pool (or makes one sized
@@ -773,14 +845,13 @@ func (e *Engine) putReach(s *bfs.ReachScratch) {
 	e.reach.Put(s)
 }
 
-// rebuildLocked is the fall-back-to-static path: materialize the delta, run
-// the full cc pipeline, and reseed the incremental state and the census from
-// the fresh decomposition. In dynamic mode the forest stays authoritative for
-// future updates; the rebuild re-canonicalizes the cached decomposition
-// through the static pipeline (re-resolving the CC policy chooser against the
-// reshaped graph) and resets the rebuild budget.
+// rebuildLocked is the fall-back-to-static path: re-base the graph, run the full cc pipeline, and reseed the incremental state and the
+// census from the fresh decomposition. In dynamic mode the forest stays
+// authoritative for future updates; the rebuild re-canonicalizes the cached
+// decomposition through the static pipeline (re-resolving the CC policy
+// chooser against the reshaped graph) and resets the rebuild budget.
 func (e *Engine) rebuildLocked() {
-	e.materializeLocked()
+	e.rebaseLocked()
 	e.cacheGen++
 	e.ccRaw = e.ccSolve(e.und, nil)
 	e.cen = newCensus(e.ccRaw)

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"aquila/internal/baseline/serialdfs"
+	"aquila/internal/dyn"
 	"aquila/internal/gen"
 	"aquila/internal/verify"
 )
@@ -120,6 +121,17 @@ func TestApplyUpdatesValidation(t *testing.T) {
 	}
 	if !e.Connected(0, 1) || e.CountCC() != 2 {
 		t.Errorf("rejected batch mutated state")
+	}
+	// So is a batch that could take the forest past its int32 limits,
+	// counting every insert as new.
+	if err := dynFits(3, dyn.MaxEdges-1, []Update{Insert(0, 2), Delete(0, 1)}); err != nil {
+		t.Errorf("batch within the forest's limits refused: %v", err)
+	}
+	if err := dynFits(3, dyn.MaxEdges-1, []Update{Insert(0, 2), Insert(1, 2)}); err == nil {
+		t.Errorf("batch past the forest's edge limit accepted")
+	}
+	if err := dynFits(dyn.MaxVertices+1, 0, nil); err == nil {
+		t.Errorf("vertex count past the forest's limit accepted")
 	}
 }
 

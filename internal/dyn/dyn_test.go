@@ -1,7 +1,9 @@
 package dyn
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"aquila/internal/graph"
@@ -342,5 +344,94 @@ func TestForestLabelsCanonical(t *testing.T) {
 	}
 	if label[2] != 2 || label[5] != 2 || label[9] != 2 {
 		t.Fatalf("component {2,5,9} labels = %d,%d,%d, want all 2", label[2], label[5], label[9])
+	}
+}
+
+// edgeStates returns the level and tree flag of every live edge of f,
+// keyed by normalized endpoints.
+func edgeStates(f *Forest) map[[2]graph.V][2]int {
+	out := make(map[[2]graph.V][2]int, f.NumEdges())
+	for e, ed := range f.edges {
+		if got, ok := f.index.get(key64(ed.u, ed.v)); !ok || got != int32(e) {
+			continue // a freed record
+		}
+		tree := 0
+		if ed.tree {
+			tree = 1
+		}
+		out[[2]graph.V{ed.u, ed.v}] = [2]int{int(ed.level), tree}
+	}
+	return out
+}
+
+// TestForestDeterministic pins reproducibility: two forests fed one
+// Link/Cut schedule end with the same level and tree flag on every live
+// edge. Replacement search and promotion walk tours and lists in a fixed
+// order, so nothing may depend on map iteration.
+func TestForestDeterministic(t *testing.T) {
+	const n, ops = 300, 20000
+	run := func() map[[2]graph.V][2]int {
+		f := NewForest(n)
+		rnd := rand.New(rand.NewSource(7))
+		var live [][2]graph.V
+		for i := 0; i < ops; i++ {
+			if len(live) > 0 && rnd.Intn(5) < 2 {
+				j := rnd.Intn(len(live))
+				f.Cut(live[j][0], live[j][1])
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+				continue
+			}
+			u, v := graph.V(rnd.Intn(n)), graph.V(rnd.Intn(n))
+			if u != v && !f.HasEdge(u, v) {
+				f.Link(u, v)
+				live = append(live, [2]graph.V{u, v})
+			}
+		}
+		if f.NumEdges() != len(live) {
+			t.Fatalf("forest holds %d edges, schedule left %d", f.NumEdges(), len(live))
+		}
+		return edgeStates(f)
+	}
+	a, b := run(), run()
+	promoted := 0
+	for k, sa := range a {
+		if sb := b[k]; sa != sb {
+			t.Fatalf("edge %v: (level, tree) = %v in one run, %v in the other", k, sa, sb)
+		}
+		if sa[0] > 0 {
+			promoted++
+		}
+	}
+	if promoted == 0 {
+		t.Fatal("no edge left level 0: the schedule does not exercise promotion")
+	}
+	t.Logf("%d live edges, %d above level 0, identical in both runs", len(a), promoted)
+}
+
+// TestForestRejectsOversize: sizes past the int32 links' limits are
+// refused with a panic before anything is allocated.
+func TestForestRejectsOversize(t *testing.T) {
+	for _, c := range []struct{ n, m int }{
+		{10, MaxEdges + 1}, {MaxVertices + 1, 0}, {-1, 0}, {10, -1},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewForestSized(%d, %d) did not panic", c.n, c.m)
+				}
+			}()
+			NewForestSized(c.n, c.m)
+		}()
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<16 {
+			t.Errorf("NewForestSized(%d, %d) allocated %d bytes before refusing", c.n, c.m, d)
+		}
+	}
+	// The largest sizes the limits admit still fit the int32 links.
+	if 3*MaxVertices-1 > math.MaxInt32 || 2*MaxEdges > math.MaxInt32 || (MaxEdges-1)<<1 >= arcFlag {
+		t.Fatal("MaxVertices or MaxEdges admits a size whose slab index or edge handle overflows int32")
 	}
 }

@@ -3,6 +3,7 @@ package dyn
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"aquila/internal/graph"
 )
@@ -28,31 +29,42 @@ type Forest struct {
 	maxLevel int
 	rnd      rng
 	levels   []*ett // levels[i]: Euler-tour forest of tree edges with level >= i; lazy
-	// edges holds every live edge keyed by normalized (min,max) endpoints.
-	edges map[[2]graph.V]edgeInfo
-	// nonTree[i][v] is the set of level-i non-tree neighbors of v; both the
-	// per-level slice entries and the per-vertex maps are allocated lazily.
-	nonTree [][]map[graph.V]struct{}
-	// treeAdj[i][v] is the set of neighbors joined to v by a tree edge whose
-	// level is exactly i (tree edges live in ETTs 0..i but are indexed once).
-	treeAdj [][]map[graph.V]struct{}
-	comps   int
-	numE    int
+	// index maps a live edge's normalized endpoints to its record in edges;
+	// freed records are reused from freeE.
+	index table
+	edges []edge
+	freeE []int32
+	comps int
+	numE  int
 
-	// scratch reused across Cut calls.
-	verts []graph.V
-	pairs [][2]graph.V
+	// scratch reused across Cut and Labels calls.
+	tour    []int32
+	verts   []graph.V
+	promote []int32
 }
 
-type edgeInfo struct {
-	level int
-	tree  bool
+// edge is one live edge's record. Its non-tree half-edges (2*id at u, 2*id+1
+// at v) thread the per-level non-tree lists through next and prev, stored
+// plus one so that 0 ends a list.
+type edge struct {
+	u, v       graph.V // u < v
+	next, prev [2]int32
+	level      uint8
+	tree       bool
 }
 
 // NewForest returns an empty forest over vertices [0, n).
-func NewForest(n int) *Forest {
-	if n < 0 {
-		panic(fmt.Sprintf("dyn: negative vertex count %d", n))
+func NewForest(n int) *Forest { return NewForestSized(n, 0) }
+
+// NewForestSized returns an empty forest over vertices [0, n) with room for
+// m edges: the edge table, the endpoint index and level 0's tour slab are
+// sized up front, so linking m edges never grows them.
+func NewForestSized(n, m int) *Forest {
+	if n < 0 || n > MaxVertices {
+		panic(fmt.Sprintf("dyn: vertex count %d out of range [0,%d]", n, MaxVertices))
+	}
+	if m < 0 || m > MaxEdges {
+		panic(fmt.Sprintf("dyn: edge count %d out of range [0,%d]", m, MaxEdges))
 	}
 	ml := bits.Len(uint(n)) // floor(log2 n)+1 levels is the HDT bound
 	f := &Forest{
@@ -60,11 +72,11 @@ func NewForest(n int) *Forest {
 		maxLevel: ml,
 		rnd:      rng{s: 0x9e3779b97f4a7c15 ^ uint64(n)},
 		levels:   make([]*ett, ml+1),
-		edges:    make(map[[2]graph.V]edgeInfo),
-		nonTree:  make([][]map[graph.V]struct{}, ml+1),
-		treeAdj:  make([][]map[graph.V]struct{}, ml+1),
+		index:    newTable(m),
+		edges:    make([]edge, 0, m),
 		comps:    n,
 	}
+	f.levels[0] = newETT(n, min(m, max(n-1, 0)), &f.rnd)
 	return f
 }
 
@@ -85,28 +97,32 @@ func key(u, v graph.V) [2]graph.V {
 	return [2]graph.V{u, v}
 }
 
+// key64 packs the normalized endpoints of {u,v}, u != v, into a non-zero
+// table key.
+func key64(u, v graph.V) uint64 {
+	k := key(u, v)
+	return uint64(k[0])<<32 | uint64(k[1])
+}
+
 // HasEdge reports whether the edge {u,v} is live. Self-loops are never
 // stored.
 func (f *Forest) HasEdge(u, v graph.V) bool {
 	if u == v {
 		return false
 	}
-	_, ok := f.edges[key(u, v)]
+	_, ok := f.index.get(key64(u, v))
 	return ok
 }
 
 // Connected reports whether u and v are in the same component.
 func (f *Forest) Connected(u, v graph.V) bool {
-	if u == v {
-		return true
-	}
-	return f.level(0).connected(u, v)
+	return f.levels[0].connected(u, v)
 }
 
 func (f *Forest) level(i int) *ett {
 	t := f.levels[i]
 	if t == nil {
-		t = newETT(f.n, &f.rnd)
+		t = newETT(f.n, 0, &f.rnd)
 		f.levels[i] = t
 	}
 	return t
@@ -118,31 +134,40 @@ func (f *Forest) checkVertex(v graph.V) {
 	}
 }
 
-func addAdj(adj []map[graph.V]struct{}, u, v graph.V) {
-	if adj[u] == nil {
-		adj[u] = make(map[graph.V]struct{})
+// addNonTree puts e on the level-i non-tree lists of both its endpoints.
+func (f *Forest) addNonTree(i int, e int32) {
+	t := f.level(i)
+	if t.ntHead == nil {
+		t.ntHead = make([]int32, f.n)
 	}
-	adj[u][v] = struct{}{}
+	ed := &f.edges[e]
+	ed.level = uint8(i)
+	for side, w := range [2]graph.V{ed.u, ed.v} {
+		h := 2*e + int32(side) + 1
+		old := t.ntHead[w]
+		ed.prev[side], ed.next[side] = 0, old
+		if old != 0 {
+			f.edges[(old-1)>>1].prev[(old-1)&1] = h
+		}
+		t.ntHead[w] = h
+	}
 }
 
-func delAdj(adj []map[graph.V]struct{}, u, v graph.V) {
-	if m := adj[u]; m != nil {
-		delete(m, v)
+// delNonTree takes e off the non-tree lists of its level.
+func (f *Forest) delNonTree(e int32) {
+	ed := &f.edges[e]
+	t := f.levels[ed.level]
+	for side, w := range [2]graph.V{ed.u, ed.v} {
+		p, nx := ed.prev[side], ed.next[side]
+		if p == 0 {
+			t.ntHead[w] = nx
+		} else {
+			f.edges[(p-1)>>1].next[(p-1)&1] = nx
+		}
+		if nx != 0 {
+			f.edges[(nx-1)>>1].prev[(nx-1)&1] = p
+		}
 	}
-}
-
-func (f *Forest) nonTreeAt(i int) []map[graph.V]struct{} {
-	if f.nonTree[i] == nil {
-		f.nonTree[i] = make([]map[graph.V]struct{}, f.n)
-	}
-	return f.nonTree[i]
-}
-
-func (f *Forest) treeAdjAt(i int) []map[graph.V]struct{} {
-	if f.treeAdj[i] == nil {
-		f.treeAdj[i] = make([]map[graph.V]struct{}, f.n)
-	}
-	return f.treeAdj[i]
 }
 
 // Link inserts the edge {u,v}. It reports whether the insertion merged two
@@ -153,24 +178,32 @@ func (f *Forest) Link(u, v graph.V) (merged bool) {
 	if u == v {
 		return false
 	}
-	k := key(u, v)
-	if _, ok := f.edges[k]; ok {
+	k := key64(u, v)
+	if _, ok := f.index.get(k); ok {
 		return false
 	}
+	var e int32
+	if n := len(f.freeE); n > 0 {
+		e = f.freeE[n-1]
+		f.freeE = f.freeE[:n-1]
+	} else {
+		if len(f.edges) >= MaxEdges {
+			panic(fmt.Sprintf("dyn: more than %d live edges", MaxEdges))
+		}
+		e = int32(len(f.edges))
+		f.edges = append(f.edges, edge{})
+	}
+	f.edges[e] = edge{u: graph.V(k >> 32), v: graph.V(k)}
+	f.index.put(k, e)
 	f.numE++
-	if !f.level(0).connected(u, v) {
-		f.edges[k] = edgeInfo{level: 0, tree: true}
-		f.level(0).link(u, v)
-		ta := f.treeAdjAt(0)
-		addAdj(ta, u, v)
-		addAdj(ta, v, u)
+	t := f.levels[0]
+	if !t.connected(u, v) {
+		f.edges[e].tree = true
+		t.link(f.edges[e].u, f.edges[e].v, e)
 		f.comps--
 		return true
 	}
-	f.edges[k] = edgeInfo{level: 0, tree: false}
-	nt := f.nonTreeAt(0)
-	addAdj(nt, u, v)
-	addAdj(nt, v, u)
+	f.addNonTree(0, e)
 	return false
 }
 
@@ -183,29 +216,26 @@ func (f *Forest) Cut(u, v graph.V) (split, existed bool) {
 	if u == v {
 		return false, false
 	}
-	k := key(u, v)
-	info, ok := f.edges[k]
+	k := key64(u, v)
+	e, ok := f.index.get(k)
 	if !ok {
 		return false, false
 	}
-	delete(f.edges, k)
+	f.index.del(k)
 	f.numE--
-	if !info.tree {
-		nt := f.nonTreeAt(info.level)
-		delAdj(nt, u, v)
-		delAdj(nt, v, u)
+	f.freeE = append(f.freeE, e)
+	ed := f.edges[e]
+	if !ed.tree {
+		f.delNonTree(e)
 		return false, true
 	}
 	// Tree edge: drop it from every forest it participates in, then search
 	// for a replacement from its level downward.
-	for i := info.level; i >= 0; i-- {
-		f.level(i).cut(u, v)
+	for i := int(ed.level); i >= 0; i-- {
+		f.levels[i].cut(e)
 	}
-	ta := f.treeAdjAt(info.level)
-	delAdj(ta, u, v)
-	delAdj(ta, v, u)
-	for i := info.level; i >= 0; i-- {
-		if f.replaceAt(i, u, v) {
+	for i := int(ed.level); i >= 0; i-- {
+		if f.replaceAt(i, ed.u, ed.v) {
 			return false, true
 		}
 	}
@@ -219,79 +249,66 @@ func (f *Forest) Cut(u, v graph.V) (split, existed bool) {
 // smaller tree's level-i tree edges, and any level-i non-tree edges internal
 // to it, are promoted to level i+1 (unless already at the top level).
 func (f *Forest) replaceAt(i int, u, v graph.V) bool {
-	t := f.level(i)
+	t := f.levels[i]
 	small := u
 	if t.treeSize(v) < t.treeSize(u) {
 		small = v
 	}
-	smallRoot := root(t.ensure(small))
+	smallRoot := t.root(t.ensure(small))
 
-	f.verts = t.vertices(small, f.verts[:0])
-
-	// Promote the smaller tree's level-i tree edges to level i+1. Collect
-	// first: promotion mutates treeAdj[i].
-	if i+1 <= f.maxLevel {
-		ta := f.treeAdjAt(i)
-		f.pairs = f.pairs[:0]
-		for _, w := range f.verts {
-			for z := range ta[w] {
-				if w < z { // each tree edge has both endpoints inside the tree
-					f.pairs = append(f.pairs, [2]graph.V{w, z})
-				}
+	// One walk of the smaller tour yields its vertices and, from the dir-0
+	// arcs, its tree edges whose level is exactly i.
+	f.tour = t.appendTour(small, f.tour[:0], false)
+	f.verts, f.promote = f.verts[:0], f.promote[:0]
+	for _, x := range f.tour {
+		id := t.nodes[x].id
+		switch {
+		case id&arcFlag == 0:
+			f.verts = append(f.verts, graph.V(id))
+		case id&1 == 0:
+			if e := int32(id&^arcFlag) >> 1; int(f.edges[e].level) == i {
+				f.promote = append(f.promote, e)
 			}
 		}
-		tan := f.treeAdjAt(i + 1)
+	}
+	if i+1 <= f.maxLevel {
 		up := f.level(i + 1)
-		for _, p := range f.pairs {
-			w, z := p[0], p[1]
-			delAdj(ta, w, z)
-			delAdj(ta, z, w)
-			addAdj(tan, w, z)
-			addAdj(tan, z, w)
-			f.edges[p] = edgeInfo{level: i + 1, tree: true}
-			up.link(w, z)
+		for _, e := range f.promote {
+			ed := &f.edges[e]
+			ed.level = uint8(i + 1)
+			up.link(ed.u, ed.v, e)
 		}
 	}
 
-	// Scan the level-i non-tree edges incident to the smaller tree.
-	nt := f.nonTreeAt(i)
-	var ntUp []map[graph.V]struct{}
+	// Scan the level-i non-tree edges incident to the smaller tree. Taking
+	// an edge off the lists leaves the saved successor valid.
+	if t.ntHead == nil {
+		return false
+	}
 	for _, w := range f.verts {
-		m := nt[w]
-		if len(m) == 0 {
-			continue
-		}
-		// Snapshot: promotion/removal mutates m.
-		f.pairs = f.pairs[:0]
-		for z := range m {
-			f.pairs = append(f.pairs, [2]graph.V{w, z})
-		}
-		for _, p := range f.pairs {
-			w, z := p[0], p[1]
-			if root(t.ensure(z)) == smallRoot {
+		for h := t.ntHead[w]; h != 0; {
+			e, side := (h-1)>>1, (h-1)&1
+			ed := &f.edges[e]
+			h = ed.next[side]
+			z := ed.v
+			if side == 1 {
+				z = ed.u
+			}
+			if x := t.loop[z]; x != 0 && t.root(x) == smallRoot {
 				// Internal to the smaller tree: promote to level i+1.
 				if i+1 <= f.maxLevel {
-					if ntUp == nil {
-						ntUp = f.nonTreeAt(i + 1)
-					}
-					delAdj(nt, w, z)
-					delAdj(nt, z, w)
-					addAdj(ntUp, w, z)
-					addAdj(ntUp, z, w)
-					f.edges[key(w, z)] = edgeInfo{level: i + 1, tree: false}
+					f.delNonTree(e)
+					f.addNonTree(i+1, e)
 				}
 				continue
 			}
 			// Crosses to the other side: replacement found. It becomes a
 			// tree edge at level i, joining forests 0..i.
-			delAdj(nt, w, z)
-			delAdj(nt, z, w)
-			f.edges[key(w, z)] = edgeInfo{level: i, tree: true}
-			ta := f.treeAdjAt(i)
-			addAdj(ta, w, z)
-			addAdj(ta, z, w)
+			f.delNonTree(e)
+			ed = &f.edges[e]
+			ed.tree = true
 			for j := i; j >= 0; j-- {
-				f.level(j).link(w, z)
+				f.levels[j].link(ed.u, ed.v, e)
 			}
 			return true
 		}
@@ -302,28 +319,41 @@ func (f *Forest) replaceAt(i int, u, v graph.V) bool {
 // Labels returns the canonical component census: label[v] is the smallest
 // vertex id in v's component (so label[l] == l and l <= v for every v),
 // exactly the form inc.FromLabels and cc.Result consumers expect, plus the
-// component count.
+// component count. It finds each vertex's treap root on a copy of level
+// 0's parent links, pointing every node it climbs through straight at its
+// root, so each link is followed once: O(n) in all. The copy is a
+// sequential scan, and the climbs then hit a dense int32 array instead of
+// the node slab. Visiting vertices in increasing order, the first vertex
+// to reach a root is its tree's minimum; the root keeps that label,
+// stored as -(label+1) so it cannot be mistaken for a link.
 func (f *Forest) Labels() ([]uint32, int) {
+	t := f.levels[0]
+	up := slices.Grow(f.tour[:0], len(t.nodes))[:len(t.nodes)]
+	for x := range t.nodes {
+		up[x] = t.nodes[x].parent
+	}
 	label := make([]uint32, f.n)
-	reps := make(map[*node]uint32, f.comps)
-	t := f.level(0)
-	for v := 0; v < f.n; v++ {
-		r := root(t.ensure(graph.V(v)))
-		rep, ok := reps[r]
-		if !ok {
-			rep = uint32(v) // first visit in increasing order = component min
-			reps[r] = rep
+	comps := 0
+	for v := range label {
+		x := t.loop[v]
+		if x == 0 {
+			label[v] = uint32(v)
+			comps++
+			continue
 		}
-		label[v] = rep
+		r := x
+		for up[r] > 0 {
+			r = up[r]
+		}
+		for up[x] > 0 {
+			up[x], x = r, up[x]
+		}
+		if up[r] == 0 {
+			up[r] = -int32(v) - 1
+			comps++
+		}
+		label[v] = uint32(-up[r] - 1)
 	}
-	return label, len(reps)
-}
-
-// EdgeList appends every live edge (normalized u < v) to out and returns it.
-// The order is unspecified. Used when rebuilding static CSRs.
-func (f *Forest) EdgeList(out [][2]graph.V) [][2]graph.V {
-	for k := range f.edges {
-		out = append(out, k)
-	}
-	return out
+	f.tour = up
+	return label, comps
 }

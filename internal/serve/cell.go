@@ -40,11 +40,12 @@ type call[T any] struct {
 //
 // The zero value is ready to use. A Cell is safe for concurrent use.
 type Cell[T any] struct {
-	mu    sync.Mutex
-	has   bool
-	val   T
-	cur   *call[T]
-	stats *CellStats
+	mu      sync.Mutex
+	has     bool
+	dropped bool // set by Drop: values are shared with waiters, never cached
+	val     T
+	cur     *call[T]
+	stats   *CellStats
 }
 
 // SetStats attaches st as the cell's telemetry collector (nil detaches).
@@ -87,7 +88,7 @@ func (c *Cell[T]) Get(ctx context.Context, compute func(context.Context) (T, err
 			v, err := compute(cctx)
 			c.mu.Lock()
 			cl.val, cl.err = v, err
-			if err == nil && !c.has {
+			if err == nil && !c.has && !c.dropped {
 				c.has, c.val = true, v
 			}
 			if c.cur == cl {
@@ -151,8 +152,20 @@ func (c *Cell[T]) Peek() (T, bool) {
 // compute's value, whichever landed first).
 func (c *Cell[T]) Seed(v T) {
 	c.mu.Lock()
-	if !c.has {
+	if !c.has && !c.dropped {
 		c.has, c.val = true, v
 	}
+	c.mu.Unlock()
+}
+
+// Drop discards the cached value and stops the cell from caching for good.
+// Later Gets still coalesce concurrent callers into one compute, but its
+// result reaches only those waiters; a compute in flight at the Drop lands
+// the same way, and Seed becomes a no-op. It is for values too large to
+// keep once their askers are expected to have moved on.
+func (c *Cell[T]) Drop() {
+	c.mu.Lock()
+	var zero T
+	c.has, c.val, c.dropped = false, zero, true
 	c.mu.Unlock()
 }

@@ -147,6 +147,48 @@ func TestCellSeed(t *testing.T) {
 	}
 }
 
+// TestCellDrop pins Drop: the cached value goes, a compute in flight at the
+// Drop still answers its waiters without caching, and later Gets compute
+// afresh every time while Seed is ignored.
+func TestCellDrop(t *testing.T) {
+	var cell Cell[int]
+	cell.Seed(1)
+	release := make(chan struct{})
+	started := make(chan struct{})
+	got := make(chan int)
+	go func() {
+		cell.Drop()
+		v, _ := cell.Get(nil, func(context.Context) (int, error) {
+			close(started)
+			<-release
+			return 2, nil
+		})
+		got <- v
+	}()
+	<-started
+	if _, ok := cell.Peek(); ok {
+		t.Fatal("Drop left the seeded value cached")
+	}
+	close(release)
+	if v := <-got; v != 2 {
+		t.Fatalf("in-flight Get = %d, want 2", v)
+	}
+	cell.Seed(3)
+	if _, ok := cell.Peek(); ok {
+		t.Fatal("a dropped cell cached a compute or a Seed")
+	}
+	calls := 0
+	for i := 0; i < 2; i++ {
+		v, err := cell.Get(nil, func(context.Context) (int, error) { calls++; return 4, nil })
+		if err != nil || v != 4 {
+			t.Fatalf("Get = (%d, %v), want 4", v, err)
+		}
+	}
+	if calls != 2 {
+		t.Fatalf("%d computes for two sequential Gets on a dropped cell, want 2", calls)
+	}
+}
+
 func TestGateBoundsConcurrency(t *testing.T) {
 	g := NewGate(2, 64)
 	var inFlight, maxSeen atomic.Int32

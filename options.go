@@ -108,7 +108,8 @@ type Options struct {
 	// plus deletes, and the rebuild re-canonicalizes the cached labels
 	// through the static pipeline while the spanning forest stays
 	// authoritative. 0 means the default (0.25); negative values disable
-	// automatic rebuilds, growing the pending delta without bound.
+	// automatic rebuilds. The pending signed delta is then still folded
+	// into the base CSRs whenever it grows to the base's size.
 	RebuildThreshold float64
 	// DisableDynamic pins the engine to the monotone insert-only incremental
 	// layer: batches containing delete operations are rejected with

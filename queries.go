@@ -421,7 +421,7 @@ func (e *Engine) ArticulationPoints() []V {
 		isAP = e.biccComplete().IsAP
 	} else {
 		e.mu.Lock()
-		e.materializeLocked()
+		e.rebaseLocked()
 		if e.apOnly == nil {
 			raw := e.biccSolve(e.und, nil, true)
 			if e.perm != nil {
@@ -432,6 +432,11 @@ func (e *Engine) ArticulationPoints() []V {
 		isAP = e.apOnly.IsAP
 		e.mu.Unlock()
 	}
+	return apList(isAP)
+}
+
+// apList lists the flagged vertices in ascending order (nil when none is).
+func apList(isAP []bool) []V {
 	var out []V
 	for v, ap := range isAP {
 		if ap {
@@ -455,7 +460,7 @@ func (e *Engine) IsArticulationPoint(v V) bool {
 // ordered endpoint pair.
 func (e *Engine) Bridges() [][2]V {
 	e.mu.Lock()
-	e.materializeLocked()
+	e.rebaseLocked()
 	// The kernel runs on the compute graph; the cached flags and the reported
 	// endpoints are both in original ids (flags remapped through eidMap).
 	g := e.und
@@ -483,11 +488,24 @@ func (e *Engine) Bridges() [][2]V {
 		isBridge = e.brOnly.IsBridge
 	}
 	e.mu.Unlock()
-	eps := g.EdgeEndpoints()
+	return bridgeList(g, isBridge)
+}
+
+// bridgeList returns the endpoints of the flagged edges of g, in dense
+// edge-id order, with the lower endpoint first. Ids are dense in (lower
+// endpoint, slot) order, so one walk over the upper slots resolves them
+// without the edge-id index or an endpoint table.
+func bridgeList(g *Undirected, isBridge []bool) [][2]V {
 	var out [][2]V
-	for id, b := range isBridge {
-		if b {
-			out = append(out, eps[id])
+	id := 0
+	for u := 0; u < g.NumVertices(); u++ {
+		for _, v := range g.Neighbors(V(u)) {
+			if V(u) < v {
+				if isBridge[id] {
+					out = append(out, [2]V{V(u), v})
+				}
+				id++
+			}
 		}
 	}
 	return out

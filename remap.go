@@ -26,8 +26,8 @@ import (
 // id space. Updates are endpoint-addressed, not edge-id-addressed, so both
 // inserts and deletes translate the same way — a delete of original edge
 // {U,V} cuts compute edge {Perm[U],Perm[V]} regardless of how dense edge ids
-// shifted since the reorder (the forest and the dedup sets are keyed by
-// endpoints, never by eidMap positions).
+// shifted since the reorder (the forest and the delta's membership index are
+// keyed by endpoints, never by eidMap positions).
 func (e *Engine) mapPair(u, v V) (V, V) {
 	if e.perm == nil {
 		return u, v

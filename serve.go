@@ -21,12 +21,14 @@ import (
 )
 
 // snapState is what a serving Snapshot captures from the engine at publish
-// time: immutable graph pointers, a private clone of the pending delta, and
-// the compute-space connectivity census when it is available cheaply.
+// time: the immutable base graph pointers, the epoch's prefix of the signed
+// delta, and the compute-space connectivity census when it is available
+// cheaply.
 type snapState struct {
-	gs       graphSet
-	deltaUnd []graph.Edge
-	deltaDir []graph.Edge
+	base graphSet
+	// arcs and edges are the engine's delta logs as of the epoch, capped
+	// (d[:n:n]) so that the engine's later appends can never reach them.
+	arcs, edges []graph.Change
 	// cen is the epoch's census, or nil when deriving it would cost a
 	// traversal (cold static engine). The object is immutable: Apply advances
 	// the engine to a new census but never mutates a published one.
@@ -36,29 +38,28 @@ type snapState struct {
 	gen uint64
 }
 
-// snapshotState captures, under e.mu, everything a serving Snapshot needs.
-// Once incremental state exists the engine's census is current after every
-// Apply, so publishing costs O(1) for connectivity: no flatten, no traversal.
+// snapshotState captures, under e.mu, everything a serving Snapshot needs,
+// in O(1) beyond the census: no graph is built and no delta is copied.
+// Insert-only epochs read the census Apply keeps current; dynamic epochs
+// wrap the forest's labels, an O(|V|) walk only after a batch that merged
+// or split components.
 func (e *Engine) snapshotState() snapState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := snapState{gen: e.cacheGen}
+	st := snapState{
+		base:  e.base(),
+		arcs:  e.arcLog[:len(e.arcLog):len(e.arcLog)],
+		edges: e.edgeLog[:len(e.edgeLog):len(e.edgeLog)],
+		gen:   e.cacheGen,
+	}
 	if e.dyn != nil {
-		// Dynamic mode: deletions cannot ride along as a delta (the fold is
-		// append-only), so the CSRs are rebuilt here, under e.mu, and the
-		// snapshot publishes fully materialized graphs with an empty delta.
-		// The census wraps the forest's labels — still no traversal.
-		e.materializeLocked()
 		st.cen, _ = e.censusLockedCtx(nil)
 	} else {
-		st.deltaUnd = slices.Clone(e.deltaUnd)
-		st.deltaDir = slices.Clone(e.deltaDir)
 		if e.cen == nil && e.ccRaw != nil {
 			e.cen = newCensus(e.ccRaw)
 		}
 		st.cen = e.cen
 	}
-	st.gs = graphSet{dir: e.dir, und: e.und, origDir: e.origDir, origUnd: e.origUnd, eidMap: e.eidMap}
 	return st
 }
 
@@ -70,7 +71,7 @@ func (e *Engine) snapshotState() snapState {
 func (e *Engine) adoptColdCensus(st snapState, c *census) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ccRaw == nil && e.und == st.gs.und && len(e.deltaUnd) == 0 && len(e.deltaDir) == 0 &&
+	if e.ccRaw == nil && e.und == st.base.und && len(e.edgeLog) == 0 && len(e.arcLog) == 0 &&
 		e.inc == nil && e.dyn == nil && e.cacheGen == st.gen {
 		e.ccRaw, e.cen = c.base.res, c
 	}
@@ -158,19 +159,30 @@ func (s *Server) capture(epoch uint64) *Snapshot {
 	st := s.eng.snapshotState()
 	sn := &Snapshot{srv: s, eng: s.eng, epoch: epoch, st: st}
 	for _, c := range []interface{ SetStats(*serve.CellStats) }{
-		&sn.mat, &sn.cen, &sn.ccRes, &sn.isConn, &sn.largest,
-		&sn.sccRes, &sn.biccRes, &sn.bgccRes, &sn.hist,
+		&sn.dirView, &sn.undView, &sn.cen, &sn.ccRes, &sn.isConn, &sn.largest,
+		&sn.sccRes, &sn.biccRes, &sn.bgccRes, &sn.aps, &sn.bridges, &sn.hist,
 	} {
 		c.SetStats(&s.sfStats)
 	}
 	if st.cen != nil {
 		sn.cen.Seed(st.cen)
 	}
-	if len(st.deltaUnd) == 0 && len(st.deltaDir) == 0 {
-		// Nothing pending: the captured graphs are already materialized.
-		sn.mat.Seed(st.gs)
+	// A view with nothing to merge is the base itself.
+	if len(st.arcs) == 0 {
+		sn.dirView.Seed(st.base.directedView)
+	}
+	if len(st.edges) == 0 {
+		sn.undView.Seed(st.base.undirectedView)
 	}
 	return sn
+}
+
+// publish makes next the current epoch and releases the views of the epoch
+// it supersedes. Called under applyMu.
+func (s *Server) publish(next *Snapshot) {
+	prev := s.cur.Swap(next)
+	prev.dirView.Drop()
+	prev.undView.Drop()
 }
 
 // Apply inserts a batch of edges (Engine.Apply semantics) and publishes the
@@ -183,7 +195,7 @@ func (s *Server) Apply(batch []Edge) (*ApplyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.cur.Store(s.capture(s.cur.Load().epoch + 1))
+	s.publish(s.capture(s.cur.Load().epoch + 1))
 	return res, nil
 }
 
@@ -199,7 +211,7 @@ func (s *Server) ApplyUpdates(batch []Update) (*ApplyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.cur.Store(s.capture(s.cur.Load().epoch + 1))
+	s.publish(s.capture(s.cur.Load().epoch + 1))
 	return res, nil
 }
 
@@ -318,6 +330,13 @@ func (s *Server) Bridges(ctx context.Context) ([][2]V, error) {
 // across concurrent askers), so a pinned snapshot amortizes kernel work over
 // a query storm exactly like the Engine's caches do over sequential queries.
 //
+// An epoch holds its graph as the engine's base CSRs plus its prefix of the
+// signed delta. The two views kernels walk — the directed CSRs for SCC, the
+// undirected CSR for everything else — are merged from those on first use,
+// each on its own, and cached only while the epoch is current: publishing
+// the next epoch drops them, while cached results stay. A kernel on a
+// superseded epoch merges its view again and lets it go afterwards.
+//
 // A Snapshot is safe for concurrent use. It holds no locks between calls and
 // never blocks a writer.
 type Snapshot struct {
@@ -326,7 +345,8 @@ type Snapshot struct {
 	epoch uint64
 	st    snapState
 
-	mat     serve.Cell[graphSet]
+	dirView serve.Cell[directedView]
+	undView serve.Cell[undirectedView]
 	cen     serve.Cell[*census]
 	ccRes   serve.Cell[*cc.Result]
 	isConn  serve.Cell[bool]
@@ -334,6 +354,8 @@ type Snapshot struct {
 	sccRes  serve.Cell[*scc.Result]
 	biccRes serve.Cell[*bicc.Result]
 	bgccRes serve.Cell[*bgcc.Result]
+	aps     serve.Cell[[]V]
+	bridges serve.Cell[[][2]V]
 	hist    serve.Cell[map[int]int]
 }
 
@@ -343,7 +365,7 @@ func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
 
 // NumVertices returns the vertex count (fixed across epochs: Apply never
 // grows the vertex set).
-func (sn *Snapshot) NumVertices() int { return sn.st.gs.und.NumVertices() }
+func (sn *Snapshot) NumVertices() int { return sn.st.base.und.NumVertices() }
 
 // getCell is the dedup point for every lazily computed snapshot value: warm
 // values return immediately; cold ones compute through the cell's
@@ -385,13 +407,21 @@ func (sn *Snapshot) withSlot(ctx context.Context, f func() error) error {
 	return f()
 }
 
-// materialized folds the snapshot's pending delta into fresh CSR graphs,
-// once, shared by every kernel on this snapshot. Not gated: it is a graph
-// build, not a kernel, and it runs inside callers that already hold a slot.
-func (sn *Snapshot) materialized(ctx context.Context) (graphSet, error) {
-	return getCell(sn, ctx, &sn.mat, func(context.Context) (graphSet, error) {
-		return materializeGraphs(sn.eng.directed, sn.eng.perm, sn.st.gs,
-			sn.st.deltaUnd, sn.st.deltaDir, sn.eng.opt.Threads), nil
+// directed returns the epoch's directed view: the base CSRs with the
+// epoch's arc delta merged in, once per current epoch. Not gated: it is a
+// graph build, not a kernel, and it runs inside callers that already hold a
+// slot.
+func (sn *Snapshot) directed(ctx context.Context) (directedView, error) {
+	return getCell(sn, ctx, &sn.dirView, func(context.Context) (directedView, error) {
+		return sn.eng.patchDirected(sn.st.base.directedView, sn.st.arcs), nil
+	})
+}
+
+// undirected returns the epoch's undirected view, merged from the base
+// undirected CSR and the epoch's edge delta; see directed.
+func (sn *Snapshot) undirected(ctx context.Context) (undirectedView, error) {
+	return getCell(sn, ctx, &sn.undView, func(context.Context) (undirectedView, error) {
+		return sn.eng.patchUndirected(sn.st.base.undirectedView, sn.st.edges), nil
 	})
 }
 
@@ -411,7 +441,7 @@ func (sn *Snapshot) censusGet(ctx context.Context) (*census, error) {
 func (sn *Snapshot) solveCensus(cctx context.Context) (*census, error) {
 	var res *cc.Result
 	err := sn.withSlot(cctx, func() error {
-		gs, err := sn.materialized(cctx)
+		gs, err := sn.undirected(cctx)
 		if err != nil {
 			return err
 		}
@@ -502,7 +532,7 @@ func (sn *Snapshot) IsConnected(ctx context.Context) (bool, error) {
 	return getCell(sn, ctx, &sn.isConn, func(cctx context.Context) (bool, error) {
 		var connected bool
 		err := sn.withSlot(cctx, func() error {
-			gs, err := sn.materialized(cctx)
+			gs, err := sn.undirected(cctx)
 			if err != nil {
 				return err
 			}
@@ -534,7 +564,7 @@ func (sn *Snapshot) LargestCC(ctx context.Context) (*LargestResult, error) {
 		if !sn.eng.opt.DisablePartial && n > 0 {
 			var partial *LargestResult
 			err := sn.withSlot(cctx, func() error {
-				gs, err := sn.materialized(cctx)
+				gs, err := sn.undirected(cctx)
 				if err != nil {
 					return err
 				}
@@ -591,7 +621,7 @@ func (sn *Snapshot) SCC(ctx context.Context) (*SCCResult, error) {
 	return getCell(sn, ctx, &sn.sccRes, func(cctx context.Context) (*scc.Result, error) {
 		var res *scc.Result
 		err := sn.withSlot(cctx, func() error {
-			gs, err := sn.materialized(cctx)
+			gs, err := sn.directed(cctx)
 			if err != nil {
 				return err
 			}
@@ -617,7 +647,7 @@ func (sn *Snapshot) BiCC(ctx context.Context) (*BiCCResult, error) {
 	return getCell(sn, ctx, &sn.biccRes, func(cctx context.Context) (*bicc.Result, error) {
 		var res *bicc.Result
 		err := sn.withSlot(cctx, func() error {
-			gs, err := sn.materialized(cctx)
+			gs, err := sn.undirected(cctx)
 			if err != nil {
 				return err
 			}
@@ -643,7 +673,7 @@ func (sn *Snapshot) BgCC(ctx context.Context) (*BgCCResult, error) {
 	return getCell(sn, ctx, &sn.bgccRes, func(cctx context.Context) (*bgcc.Result, error) {
 		var res *bgcc.Result
 		err := sn.withSlot(cctx, func() error {
-			gs, err := sn.materialized(cctx)
+			gs, err := sn.undirected(cctx)
 			if err != nil {
 				return err
 			}
@@ -664,42 +694,89 @@ func (sn *Snapshot) BgCC(ctx context.Context) (*BgCCResult, error) {
 }
 
 // ArticulationPoints lists the articulation points as of this epoch
-// (original vertex ids, ascending).
+// (original vertex ids, ascending). Like the engine it runs the §3 AP-only
+// plan — the complete BiCC under Options.DisablePartial — in its own cell,
+// once per epoch, and keeps only the list; every caller gets a private copy.
 func (sn *Snapshot) ArticulationPoints(ctx context.Context) ([]V, error) {
-	res, err := sn.BiCC(ctx)
+	a, err := getCell(sn, ctx, &sn.aps, func(cctx context.Context) ([]V, error) {
+		var res *bicc.Result
+		if sn.eng.opt.DisablePartial {
+			r, err := sn.BiCC(cctx)
+			if err != nil {
+				return nil, err
+			}
+			res = r
+		} else if err := sn.withSlot(cctx, func() error {
+			gs, err := sn.undirected(cctx)
+			if err != nil {
+				return err
+			}
+			raw := sn.eng.biccSolve(gs.und, cctx, true)
+			if err := ctxErr(cctx); err != nil {
+				return err
+			}
+			if sn.eng.perm != nil {
+				raw = remapBiCC(raw, sn.eng.perm, gs.eidMap, sn.eng.opt.Threads)
+			}
+			res = raw
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		return apList(res.IsAP), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	var out []V
-	for v, ap := range res.IsAP {
-		if ap {
-			out = append(out, V(v))
-		}
-	}
-	return out, nil
+	return slices.Clone(a), nil
 }
 
 // Bridges lists the bridges as of this epoch as ordered endpoint pairs in
-// original vertex ids.
+// original vertex ids. Like the engine it runs the §3 bridge-only plan — the
+// complete BgCC under Options.DisablePartial — in its own cell, resolves
+// the endpoints inside it and keeps only the list, so a superseded epoch
+// answers from the cell without its graph. Every caller gets a private copy
+// of the list.
 func (sn *Snapshot) Bridges(ctx context.Context) ([][2]V, error) {
-	res, err := sn.BgCC(ctx)
-	if err != nil {
-		return nil, err
-	}
-	gs, err := sn.materialized(ctx)
-	if err != nil {
-		return nil, err
-	}
-	g := gs.und
-	if sn.eng.perm != nil {
-		g = gs.origUnd
-	}
-	eps := g.EdgeEndpoints()
-	var out [][2]V
-	for id, b := range res.IsBridge {
-		if b {
-			out = append(out, eps[id])
+	b, err := getCell(sn, ctx, &sn.bridges, func(cctx context.Context) ([][2]V, error) {
+		var res *bgcc.Result
+		var gs undirectedView
+		if sn.eng.opt.DisablePartial {
+			r, err := sn.BgCC(cctx)
+			if err != nil {
+				return nil, err
+			}
+			if gs, err = sn.undirected(cctx); err != nil {
+				return nil, err
+			}
+			res = r
+		} else if err := sn.withSlot(cctx, func() error {
+			var err error
+			if gs, err = sn.undirected(cctx); err != nil {
+				return err
+			}
+			opt := sn.eng.bgccOptions(true)
+			opt.Ctx = cctx
+			raw := bgcc.Run(gs.und, opt)
+			if err := ctxErr(cctx); err != nil {
+				return err
+			}
+			if sn.eng.perm != nil {
+				raw = remapBgCC(raw, sn.eng.perm, gs.eidMap, sn.eng.opt.Threads)
+			}
+			res = raw
+			return nil
+		}); err != nil {
+			return nil, err
 		}
+		g := gs.und
+		if sn.eng.perm != nil {
+			g = gs.origUnd
+		}
+		return bridgeList(g, res.IsBridge), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return slices.Clone(b), nil
 }

@@ -22,8 +22,8 @@ import (
 )
 
 // dynCancelEngine builds an engine, then promotes it to the dynamic layer by
-// deleting a slice of its edges, so every kernel under test reads
-// forest-backed state through materializeDynLocked.
+// deleting a slice of its edges, so every kernel under test reads a graph
+// merged from the base CSRs and the signed delta.
 func dynCancelEngine(t *testing.T, directed bool, threads int) (*Engine, *Undirected, *Directed) {
 	t.Helper()
 	var e *Engine

@@ -6,7 +6,6 @@ import (
 
 	"aquila/internal/cc"
 	"aquila/internal/dyn"
-	"aquila/internal/graph"
 )
 
 // UpdateOp discriminates the two batch update operations.
@@ -113,113 +112,101 @@ func (e *Engine) ApplyUpdates(batch []Update) (*ApplyResult, error) {
 		if e.opt.DisableDynamic {
 			return nil, ErrDeletesDisabled
 		}
+		if err := dynFits(n, e.und.NumEdges()+int64(len(e.edgeLog)), batch); err != nil {
+			return nil, err
+		}
 		e.promoteDynLocked()
 	}
 	return e.applyUpdatesDynLocked(batch)
 }
 
 // promoteDynLocked retires the insert-only incremental layer and builds the
-// fully dynamic spanning forest from the materialized graph. Called (under
-// e.mu) on the first batch containing a delete.
+// fully dynamic spanning forest from the re-based undirected CSR, presized
+// from its edge count. Called (under e.mu) on the first batch containing a
+// delete.
 func (e *Engine) promoteDynLocked() {
-	e.materializeLocked() // fold any pending insert delta first
-	f := dyn.NewForest(e.und.NumVertices())
-	for _, ep := range e.und.EdgeEndpoints() {
-		f.Link(ep[0], ep[1])
-	}
-	if e.directed {
-		// The arc set becomes authoritative for the directed graph (and for
-		// when an undirected edge may be cut).
-		e.dirSet = make(map[[2]V]struct{}, e.dir.NumArcs())
-		for u := 0; u < e.dir.NumVertices(); u++ {
-			for _, v := range e.dir.Out(V(u)) {
-				e.dirSet[[2]V{V(u), v}] = struct{}{}
+	e.rebaseLocked() // fold any pending delta first
+	g := e.und
+	n := g.NumVertices()
+	f := dyn.NewForestSized(n, int(g.NumEdges()))
+	off, adj := g.CSR()
+	for u := 0; u < n; u++ {
+		for _, v := range adj[off[u]:off[u+1]] {
+			if V(u) < v {
+				f.Link(V(u), v)
 			}
 		}
-	} else {
-		e.dirSet = nil
 	}
 	e.dyn = f
 	e.inc = nil
-	e.undSet = nil
-	e.baseEdges = e.und.NumEdges()
+	e.baseEdges = g.NumEdges()
 	e.sinceRebuild = 0
 }
 
+// dynFits refuses, before any of it applies, a batch that could take a
+// forest over n vertices and live edges past the limits of its int32
+// links: every insert counts as new.
+func dynFits(n int, live int64, batch []Update) error {
+	for _, up := range batch {
+		if up.Op == OpInsert {
+			live++
+		}
+	}
+	if n > dyn.MaxVertices || live > dyn.MaxEdges {
+		return fmt.Errorf("aquila: %d vertices and up to %d edges exceed the dynamic forest's limits (%d and %d)", n, live, dyn.MaxVertices, dyn.MaxEdges)
+	}
+	return nil
+}
+
 // applyUpdatesDynLocked processes one mixed batch against the dynamic
-// forest. All graph mutation happens here, in compute ids; CSRs go stale
-// (dynDirty) and are rebuilt lazily by materializeLocked.
+// forest. Every effective change, in compute ids, goes to the forest and to
+// the signed delta; the CSRs are re-based lazily.
 func (e *Engine) applyUpdatesDynLocked(batch []Update) (*ApplyResult, error) {
+	if err := dynFits(e.dyn.NumVertices(), int64(e.dyn.NumEdges()), batch); err != nil {
+		return nil, err
+	}
 	res := &ApplyResult{Dynamic: true}
-	changedUnd, changedDir := false, false
 	for _, up := range batch {
 		u, v := e.mapPair(up.U, up.V)
-		switch {
-		case e.directed && up.Op == OpInsert:
-			if u == v {
-				continue // self-loops never enter the CSRs; mirror Apply
-			}
-			key := [2]V{u, v}
-			if _, dup := e.dirSet[key]; dup {
+		if u == v {
+			continue // self-loops never enter the CSRs; mirror Apply
+		}
+		del := up.Op == OpDelete
+		if e.directed {
+			// The arc set is authoritative: the undirected edge changes only
+			// when the reverse arc is absent.
+			if e.hasArc(u, v) != del {
 				continue
 			}
-			e.dirSet[key] = struct{}{}
-			res.NewArcs++
-			changedDir = true
-			if !e.dyn.HasEdge(u, v) {
-				res.NewEdges++
-				changedUnd = true
-				if e.dyn.Link(u, v) {
-					res.Merged++
-				}
+			e.logArc(u, v, del)
+			if del {
+				res.DeletedArcs++
+			} else {
+				res.NewArcs++
 			}
-		case e.directed && up.Op == OpDelete:
-			if u == v {
+			if e.hasArc(v, u) {
 				continue
 			}
-			key := [2]V{u, v}
-			if _, ok := e.dirSet[key]; !ok {
-				continue
+		} else if e.hasEdge(u, v) != del {
+			continue
+		}
+		e.logEdge(u, v, del)
+		if del {
+			res.DeletedEdges++
+			if split, _ := e.dyn.Cut(u, v); split {
+				res.Split++
 			}
-			delete(e.dirSet, key)
-			res.DeletedArcs++
-			changedDir = true
-			if _, rev := e.dirSet[[2]V{v, u}]; !rev {
-				res.DeletedEdges++
-				changedUnd = true
-				if split, _ := e.dyn.Cut(u, v); split {
-					res.Split++
-				}
-			}
-		case up.Op == OpInsert:
-			if u == v {
-				continue // self-loops never enter the CSRs; mirror Apply
-			}
-			if !e.dyn.HasEdge(u, v) {
-				res.NewEdges++
-				changedUnd = true
-				if e.dyn.Link(u, v) {
-					res.Merged++
-				}
-			}
-		default: // undirected delete
-			if u == v {
-				continue
-			}
-			split, existed := e.dyn.Cut(u, v)
-			if existed {
-				res.DeletedEdges++
-				changedUnd = true
-				if split {
-					res.Split++
-				}
+		} else {
+			res.NewEdges++
+			if e.dyn.Link(u, v) {
+				res.Merged++
 			}
 		}
 	}
 
-	if changedUnd || changedDir {
+	changedUnd := res.NewEdges+res.DeletedEdges > 0
+	if changedUnd || res.NewArcs+res.DeletedArcs > 0 {
 		e.cacheGen++
-		e.dynDirty = true
 		e.sinceRebuild += int64(res.NewEdges + res.DeletedEdges)
 		if changedUnd {
 			if res.Merged > 0 || res.Split > 0 {
@@ -228,71 +215,38 @@ func (e *Engine) applyUpdatesDynLocked(batch []Update) (*ApplyResult, error) {
 			e.biccRes, e.bgccRes, e.apOnly, e.brOnly = nil, nil, nil, nil
 			e.betweenness, e.coreness = nil, nil
 		}
-		if changedDir {
+		if res.NewArcs+res.DeletedArcs > 0 {
 			e.sccRes, e.condensation = nil, nil
 		}
 		if th := e.opt.rebuildThreshold(); th > 0 && float64(e.sinceRebuild) >= th*float64(e.baseEdges+1) {
 			e.rebuildLocked()
 			res.Rebuilt = true
 		}
+		e.foldLargeDeltaLocked()
 	}
 	res.Components = e.dyn.ComponentCount()
 	return res, nil
 }
 
-// materializeDynLocked rebuilds the CSR graphs from the dynamic edge sets.
-// Unlike the insert-only delta fold, deletions mean the new CSR cannot be
-// derived by appending — it is rebuilt from the forest's live edge list (or,
-// directed, the authoritative arc set).
-func (e *Engine) materializeDynLocked() {
-	if !e.dynDirty {
-		return
-	}
-	th := e.opt.Threads
-	if e.directed {
-		edges := make([]graph.Edge, 0, len(e.dirSet))
-		for k := range e.dirSet {
-			edges = append(edges, graph.Edge{U: k[0], V: k[1]})
-		}
-		e.dir = graph.BuildDirectedThreads(e.dir.NumVertices(), edges, th)
-		e.und = graph.UndirectThreads(e.dir, th)
-	} else {
-		pairs := e.dyn.EdgeList(nil)
-		edges := make([]graph.Edge, 0, len(pairs))
-		for _, p := range pairs {
-			edges = append(edges, graph.Edge{U: p[0], V: p[1]})
-		}
-		e.und = graph.BuildUndirectedThreads(e.und.NumVertices(), edges, th)
-	}
-	if e.perm != nil {
-		// Same inverse-relabeling dance as the insert-only fold: the compute
-		// CSRs absorbed the updates in compute ids, the caller-id graphs and
-		// the edge-id translation are re-derived from them.
-		inv := &graph.Permutation{Perm: e.perm.Inv, Inv: e.perm.Perm}
-		if e.directed {
-			e.origDir = inv.ApplyDirected(e.dir, th)
-			e.origUnd = graph.UndirectThreads(e.origDir, th)
-		} else {
-			e.origUnd = inv.ApplyUndirected(e.und, th)
-		}
-		e.eidMap = e.perm.EdgeIDMap(e.origUnd, e.und, th)
-	}
-	e.dynDirty = false
-}
-
 // ccResultFromLabels materializes a cc.Result from a canonical min-id
 // labeling — the dynamic-mode analog of inc.CCResult: the forest census
 // replaces any traversal. Dynamic epochs publish it as a census with an
-// empty overlay.
+// empty overlay. Sizes are counted in a dense array first, so the map sees
+// one insert per component rather than one update per vertex.
 func ccResultFromLabels(label []uint32, num int) *cc.Result {
 	res := &cc.Result{Label: label, NumComponents: num, Sizes: make(map[uint32]int, num)}
+	counts := make([]int32, len(label))
 	for _, l := range label {
-		res.Sizes[l]++
+		counts[l]++
 	}
-	for l, c := range res.Sizes {
-		if c > res.LargestSize || (c == res.LargestSize && l < res.LargestLabel) {
-			res.LargestSize = c
-			res.LargestLabel = l
+	// Ascending labels: a tie keeps the smaller label, as in every cc.Result.
+	for l, c := range counts {
+		if c == 0 {
+			continue
+		}
+		res.Sizes[uint32(l)] = int(c)
+		if int(c) > res.LargestSize {
+			res.LargestSize, res.LargestLabel = int(c), uint32(l)
 		}
 	}
 	return res
