@@ -43,8 +43,9 @@ bench:
 # cursor pass (ids/s), plus the text boot path through cli.LoadDirected
 # (edges/s), and the PR 17 merging insert-only publish (ns/op and B/op at
 # 2^16 and 2^20 vertices); plus the dynamic publish through a Server (B/op)
-# and the forest's bytes per live edge after promotion and churn (B/edge).
-# The snapshot goes to BENCH_PR21.json, stamped by bench2json with the host
+# and the forest's bytes per live edge after promotion and churn (B/edge);
+# plus the directed WCC entry against Undirect + Solve (ns/op and B/op).
+# The snapshot goes to BENCH_PR22.json, stamped by bench2json with the host
 # (goos, goarch, cpu, GOMAXPROCS) and the Go version.
 bench-json:
 	( go test -bench='BFS|CC|Pool|Reach' -benchmem -benchtime=20x -run='^$$' \
@@ -53,7 +54,7 @@ bench-json:
 		./internal/bench ; \
 	  go test -bench='^BenchmarkContainer' -benchmem -benchtime=5x -run='^$$' \
 		./internal/bench ; \
-	  go test -bench='^BenchmarkCCMatrix$$' -benchmem -benchtime=3x -run='^$$' \
+	  go test -bench='^Benchmark(CCMatrix|WCC)$$' -benchmem -benchtime=3x -run='^$$' \
 		./internal/bench ; \
 	  go test -bench='^BenchmarkSCCMatrix$$' -benchmem -benchtime=3x -run='^$$' \
 		./internal/bench ; \
@@ -65,7 +66,7 @@ bench-json:
 		. ; \
 	  go test -bench='HTTPThroughput' -benchmem -benchtime=2s -run='^$$' \
 		./internal/httpd ) \
-		| go run ./cmd/bench2json > BENCH_PR21.json
+		| go run ./cmd/bench2json > BENCH_PR22.json
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -44,11 +44,12 @@ func (e *Engine) BetweennessCentrality() []float64 {
 	defer e.mu.Unlock()
 	e.rebaseLocked()
 	if e.betweenness == nil {
+		g := e.undirectedOf(e.base()).und
 		var raw []float64
 		if e.opt.DisablePartial || e.opt.DisableTrim {
-			raw = betweenness.Brandes(e.und, e.opt.Threads)
+			raw = betweenness.Brandes(g, e.opt.Threads)
 		} else {
-			raw = betweenness.Decomposed(e.und, e.opt.Threads)
+			raw = betweenness.Decomposed(g, e.opt.Threads)
 		}
 		if e.perm != nil {
 			raw = remapFloats(raw, e.perm, e.opt.Threads)
@@ -66,7 +67,7 @@ func (e *Engine) Coreness() []int32 {
 	defer e.mu.Unlock()
 	e.rebaseLocked()
 	if e.coreness == nil {
-		raw := kcore.Decompose(e.und).Coreness
+		raw := kcore.Decompose(e.undirectedOf(e.base()).und).Coreness
 		if e.perm != nil {
 			raw = remapInt32s(raw, e.perm, e.opt.Threads)
 		}

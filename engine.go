@@ -49,8 +49,8 @@ import (
 //     Server layer (snapshot isolation + singleflight) is the scalable path
 //     for that workload.
 //   - Published graph pointers are immutable: a re-base builds fresh CSRs
-//     and swaps pointers, so a query that snapshotted e.und under the lock
-//     can traverse it lock-free afterwards. The delta logs are append-only
+//     and swaps pointers, so a query that snapshotted a base graph under the
+//     lock can traverse it lock-free afterwards. The delta logs are append-only
 //     between re-bases, so a prefix handed to a serving snapshot never
 //     changes under it.
 //   - Traversal scratches come from a shared race-clean ScratchPool (its own
@@ -62,20 +62,31 @@ import (
 type Engine struct {
 	opt      Options
 	directed bool // fixed at construction; e.dir is non-nil iff directed
+	n        int  // the vertex count: Apply never grows the vertex set
 
-	// dir/und are the compute graphs every kernel runs on. Under
-	// Options.Reorder they hold the cache-aware relabeled CSR; perm is then
-	// non-nil, origDir/origUnd keep the caller-id graphs, and eidMap
-	// translates original dense edge ids to compute edge ids. Results are
-	// mapped back to original ids at cache-fill time (see remap.go), so the
-	// relabeling never leaks out of the engine.
+	// dir (directed engines) or und (undirected ones) is the base graph
+	// every kernel runs on. A directed engine holds no undirected CSR: its
+	// undirected view is derived from dir, built by the first query that
+	// walks undirected adjacency (see undirectedOf), while connectivity
+	// censuses read dir's out- and in-CSRs directly. Under Options.Reorder
+	// the base is the cache-aware relabeled CSR; perm is then non-nil and
+	// origDir/origUnd keep the caller-id graph. Results are mapped back to
+	// original ids at cache-fill time (see remap.go), so the relabeling
+	// never leaks out of the engine. memo holds what is derived from the
+	// base on first use and is replaced with it.
 	mu      sync.Mutex
-	dir     *Directed // nil for engines over undirected input
-	und     *Undirected
+	dir     *Directed   // nil for engines over undirected input
+	und     *Undirected // nil for directed engines
 	perm    *graph.Permutation
 	origDir *Directed
 	origUnd *Undirected
-	eidMap  []int64
+	memo    *baseMemo
+
+	// undEdges is the base's undirected edge count, or -1 until a directed
+	// engine first needs it (see undirectedEdgesLocked). A re-base adds the
+	// edge log's net change, so the count never needs a pass over the graph
+	// again.
+	undEdges int64
 
 	// The signed delta. The graphs above are the base: the CSRs as of the
 	// last re-base. arcLog (directed engines) and edgeLog record, in compute
@@ -138,7 +149,7 @@ type Engine struct {
 // undirected engine degenerate to CC. With Options.Reorder set, the engine
 // builds a relabeled copy once here and computes on it from then on.
 func NewEngine(g *Undirected, opt Options) *Engine {
-	e := &Engine{opt: opt, und: g}
+	e := &Engine{opt: opt, n: g.NumVertices(), und: g, memo: new(baseMemo), undEdges: g.NumEdges()}
 	if opt.Reorder != ReorderNone {
 		switch opt.Reorder {
 		case ReorderDegree:
@@ -148,17 +159,19 @@ func NewEngine(g *Undirected, opt Options) *Engine {
 		}
 		e.origUnd = g
 		e.und = e.perm.ApplyUndirected(g, opt.Threads)
-		e.eidMap = e.perm.EdgeIDMap(g, e.und, opt.Threads)
 	}
 	return e
 }
 
-// NewDirectedEngine returns an Engine over a directed graph. CC/BiCC/BgCC
-// queries run over the undirected view (computed once, per paper §6.1); SCC
-// and WCC use the directed graph. With Options.Reorder set, both views are
-// relabeled (ranked by total degree across the two CSRs).
+// NewDirectedEngine returns an Engine over a directed graph. SCC runs on the
+// directed graph. CC (that is, WCC) is CC over the undirected view (paper
+// §6.1), but its census runs straight on the out- and in-CSRs; BiCC, BgCC
+// and the traversal fast paths walk the undirected view itself, which the
+// first of them builds and the engine keeps from then on. With
+// Options.Reorder set, the graph is relabeled (ranked by total degree
+// across the two CSRs), and so is every view derived from it.
 func NewDirectedEngine(g *Directed, opt Options) *Engine {
-	e := &Engine{opt: opt, directed: true, dir: g, und: graph.UndirectThreads(g, opt.Threads)}
+	e := &Engine{opt: opt, n: g.NumVertices(), directed: true, dir: g, memo: new(baseMemo), undEdges: -1}
 	if opt.Reorder != ReorderNone {
 		switch opt.Reorder {
 		case ReorderDegree:
@@ -166,13 +179,15 @@ func NewDirectedEngine(g *Directed, opt Options) *Engine {
 		default:
 			e.perm = graph.BFSOrderDirected(g, opt.Threads)
 		}
-		e.origDir, e.origUnd = g, e.und
+		e.origDir = g
 		e.dir = e.perm.ApplyDirected(g, opt.Threads)
-		e.und = e.perm.ApplyUndirected(e.origUnd, opt.Threads)
-		e.eidMap = e.perm.EdgeIDMap(e.origUnd, e.und, opt.Threads)
 	}
 	return e
 }
+
+// NumVertices returns the vertex count, fixed for the engine's life: Apply
+// and ApplyUpdates never grow the vertex set.
+func (e *Engine) NumVertices() int { return e.n }
 
 // mapV translates an original vertex id into the compute id space.
 func (e *Engine) mapV(v V) V {
@@ -192,15 +207,16 @@ func (e *Engine) unmapV(v V) V {
 
 // Undirected returns the current (possibly derived) undirected view of the
 // engine's graph in original vertex ids, materializing any pending Apply
-// batches first.
+// batches first. On a directed engine the first call builds the view.
 func (e *Engine) Undirected() *Undirected {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rebaseLocked()
+	v := e.undirectedOf(e.base())
 	if e.perm != nil {
-		return e.origUnd
+		return v.origUnd
 	}
-	return e.und
+	return v.und
 }
 
 // Directed returns the current directed graph in original vertex ids
@@ -218,17 +234,9 @@ func (e *Engine) Directed() *Directed {
 	return e.dir
 }
 
-// undView snapshots the materialized undirected graph for use outside the
-// engine lock. The snapshot is immutable: a later Apply swaps the pointer
-// but never mutates a published graph.
-func (e *Engine) undView() *Undirected {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rebaseLocked()
-	return e.und
-}
-
-// dirView snapshots the materialized directed graph (nil when undirected).
+// dirView snapshots the materialized directed graph (nil when undirected)
+// for use outside the engine lock. The snapshot is immutable: a later Apply
+// swaps the pointer but never mutates a published graph.
 func (e *Engine) dirView() *Directed {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -245,27 +253,34 @@ func (e *Engine) ccOptions() cc.Options {
 	}
 }
 
-// resolveCCPolicy maps Options.CCPolicy onto a concrete matrix cell for g.
-// Explicit specs parse to their cell; "auto", "" and unparseable specs run
-// the adaptive chooser over cheap O(|V|) statistics of g. Resolution is per
-// graph, not per engine: Apply can reshape the graph enough to change the
-// auto cell, and serving snapshots resolve against their own pinned graph.
-func (e *Engine) resolveCCPolicy(g *Undirected) cc.Policy {
+// resolveCCPolicy maps Options.CCPolicy onto a concrete matrix cell for base
+// graph b. Explicit specs parse to their cell; "auto", "" and unparseable
+// specs run the adaptive chooser over b's undirected statistics (cheapOf).
+// Resolution is per graph, not per engine: Apply can reshape the graph
+// enough to change the auto cell, and re-bases resolve afresh.
+func (e *Engine) resolveCCPolicy(b graphSet) cc.Policy {
 	if s := e.opt.CCPolicy; s != "" && s != "auto" {
 		if pol, err := cc.ParsePolicy(s); err == nil {
 			return pol
 		}
 	}
-	return cc.ChoosePolicy(stats.CheapUndirected(g))
+	return cc.ChoosePolicy(e.cheapOf(b))
 }
 
-// ccSolve runs the complete CC decomposition of g under the engine's resolved
-// policy. Every cell produces the same min-id canonical labeling, so callers
-// (including inc.FromLabels seeding) are policy-agnostic.
-func (e *Engine) ccSolve(g *Undirected, ctx context.Context) *cc.Result {
+// ccSolve runs the complete CC decomposition of base graph b under the
+// engine's resolved policy. On a directed base a union-find cell runs
+// straight on the out- and in-CSRs; any other cell runs on the undirected
+// view (cc.SolveDirected). Every cell produces the same min-id canonical
+// labeling, so callers (including inc.FromLabels seeding) are
+// policy-agnostic.
+func (e *Engine) ccSolve(b graphSet, ctx context.Context) *cc.Result {
 	opt := e.ccOptions()
 	opt.Ctx = ctx
-	return cc.Solve(g, e.resolveCCPolicy(g), opt)
+	pol := e.resolveCCPolicy(b)
+	if b.dir != nil {
+		return cc.SolveDirected(b.dir, pol, opt)
+	}
+	return cc.Solve(b.und, pol, opt)
 }
 
 // CCPolicy reports the matrix cell the engine would use for its current
@@ -275,7 +290,7 @@ func (e *Engine) CCPolicy() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rebaseLocked()
-	return e.resolveCCPolicy(e.und).String()
+	return e.resolveCCPolicy(e.base()).String()
 }
 
 // resolveSCCPolicy maps Options.SCCPolicy onto a concrete matrix cell for g.
@@ -366,7 +381,7 @@ func (e *Engine) BiCCPolicy() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rebaseLocked()
-	return e.resolveBiCCPolicy(e.und).String()
+	return e.resolveBiCCPolicy(e.undirectedOf(e.base()).und).String()
 }
 
 func (e *Engine) bgccOptions(bridgeOnly bool) bgcc.Options {
@@ -421,7 +436,7 @@ func (e *Engine) ccRawLockedCtx(ctx context.Context) (*cc.Result, error) {
 		} else if e.inc != nil {
 			e.ccRaw = e.cen.result(e.opt.Threads)
 		} else {
-			res := e.ccSolve(e.und, ctx)
+			res := e.ccSolve(e.base(), ctx)
 			if err := ctxErr(ctx); err != nil {
 				return nil, err
 			}
@@ -507,12 +522,13 @@ func (e *Engine) biccCompleteCtx(ctx context.Context) (*bicc.Result, error) {
 	defer e.mu.Unlock()
 	e.rebaseLocked()
 	if e.biccRes == nil {
-		raw := e.biccSolve(e.und, ctx, false)
+		v := e.undirectedOf(e.base())
+		raw := e.biccSolve(v.und, ctx, false)
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
 		if e.perm != nil {
-			raw = remapBiCC(raw, e.perm, e.eidMap, e.opt.Threads)
+			raw = remapBiCC(raw, e.perm, e.eidMap(v), e.opt.Threads)
 		}
 		e.biccRes = raw
 	}
@@ -529,14 +545,15 @@ func (e *Engine) bgccCompleteCtx(ctx context.Context) (*bgcc.Result, error) {
 	defer e.mu.Unlock()
 	e.rebaseLocked()
 	if e.bgccRes == nil {
+		v := e.undirectedOf(e.base())
 		opt := e.bgccOptions(false)
 		opt.Ctx = ctx
-		raw := bgcc.Run(e.und, opt)
+		raw := bgcc.Run(v.und, opt)
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
 		if e.perm != nil {
-			raw = remapBgCC(raw, e.perm, e.eidMap, e.opt.Threads)
+			raw = remapBgCC(raw, e.perm, e.eidMap(v), e.opt.Threads)
 		}
 		e.bgccRes = raw
 	}
@@ -599,7 +616,7 @@ type ApplyResult struct {
 func (e *Engine) Apply(batch []Edge) (*ApplyResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := e.und.NumVertices()
+	n := e.n
 	for _, ed := range batch {
 		if int(ed.U) >= n || int(ed.V) >= n {
 			return nil, fmt.Errorf("aquila: Apply: edge (%d,%d) out of range [0,%d)", ed.U, ed.V, n)
@@ -626,7 +643,7 @@ func (e *Engine) applyLocked(batch []Edge) (*ApplyResult, error) {
 		cen, _ := e.censusLockedCtx(nil)
 		res := cen.base.res
 		e.inc = inc.FromLabels(res.Label, res.NumComponents)
-		e.baseEdges = e.und.NumEdges()
+		e.baseEdges = e.undirectedEdgesLocked()
 		e.sinceRebuild = 0
 	}
 
@@ -746,22 +763,90 @@ type directedView struct {
 }
 
 // undirectedView is the undirected side of an epoch's graph: the compute
-// CSR and, under a reorder, the caller-id CSR with the edge-id translation.
+// CSR and, under a reorder, the caller-id CSR with the edge-id translation
+// between them, which eidMap computes on first use.
 type undirectedView struct {
 	und, origUnd *Undirected
-	eidMap       []int64
+	eid          *eidMemo
 }
 
-// graphSet is both views of one graph: the engine's base, as a serving
-// epoch captures it.
+// eidMemo holds a reordered undirected view's edge-id translation, from the
+// caller-id CSR's dense edge ids to the compute CSR's. Only edge-indexed
+// results need it (the BiCC and BgCC remaps, which bridges go through), so
+// the first of those computes it.
+type eidMemo struct {
+	once sync.Once
+	m    []int64
+}
+
+// eidMap returns view v's edge-id translation, computing it on first use.
+// Only reordered engines call it.
+func (e *Engine) eidMap(v undirectedView) []int64 {
+	v.eid.once.Do(func() { v.eid.m = e.perm.EdgeIDMap(v.origUnd, v.und, e.opt.Threads) })
+	return v.eid.m
+}
+
+// graphSet is the engine's base graph, as a serving epoch captures it: the
+// directed CSRs of a directed engine or the undirected CSR of an undirected
+// one (each with its caller-id twin under a reorder), plus what is derived
+// from them on first use.
 type graphSet struct {
 	directedView
-	undirectedView
+	und, origUnd *Undirected // undirected engines only
+	memo         *baseMemo
+}
+
+// baseMemo holds what is derived from one base graph on first use. The
+// engine and every serving epoch on that base share it; a re-base starts a
+// new one.
+type baseMemo struct {
+	// cheap is a directed base's undirected statistics (see cheapOf).
+	cheapOnce sync.Once
+	cheap     stats.Cheap
+	// eid is the base undirected view's edge-id translation.
+	eid eidMemo
 }
 
 // base returns the engine's base graph pointers.
 func (e *Engine) base() graphSet {
-	return graphSet{directedView{e.dir, e.origDir}, undirectedView{e.und, e.origUnd, e.eidMap}}
+	return graphSet{directedView{e.dir, e.origDir}, e.und, e.origUnd, e.memo}
+}
+
+// undirectedOf returns base b's undirected view. An undirected engine's base
+// is that view. A directed engine derives it from its directed CSRs, which
+// build it on the first call and keep it (graph.Directed.Undirected), so
+// every epoch on the base shares one copy.
+func (e *Engine) undirectedOf(b graphSet) undirectedView {
+	v := undirectedView{und: b.und, origUnd: b.origUnd, eid: &b.memo.eid}
+	if b.dir != nil {
+		v.und = b.dir.Undirected(e.opt.Threads)
+		if b.origDir != nil {
+			v.origUnd = b.origDir.Undirected(e.opt.Threads)
+		}
+	}
+	return v
+}
+
+// cheapOf returns the undirected statistics of base b: the CC chooser's
+// input and the base's undirected edge count. An undirected base reads them
+// off its offsets in O(|V|). A directed base computes them exactly in one
+// count pass over its out- and in-CSRs (stats.CheapUndirectedOf), at most
+// once per base.
+func (e *Engine) cheapOf(b graphSet) stats.Cheap {
+	if b.dir == nil {
+		return stats.CheapUndirected(b.und)
+	}
+	b.memo.cheapOnce.Do(func() { b.memo.cheap = stats.CheapUndirectedOf(b.dir, e.opt.Threads) })
+	return b.memo.cheap
+}
+
+// undirectedEdgesLocked returns the base's undirected edge count. A
+// directed engine learns it from cheapOf on first need, once.
+func (e *Engine) undirectedEdgesLocked() int64 {
+	if e.undEdges < 0 {
+		e.undEdges = e.cheapOf(e.base()).Edges
+	}
+	return e.undEdges
 }
 
 // toOrig translates a compute-id change log into caller ids.
@@ -788,36 +873,54 @@ func (e *Engine) patchDirected(b directedView, arcs []graph.Change) directedView
 	return v
 }
 
-// patchUndirected merges an undirected-edge log into the base's undirected
-// CSR. Under a reorder the caller-id CSR takes the same log in caller ids,
-// and the edge-id translation is re-derived: dense ids shift when edges
-// come and go.
+// patchUndirected merges an undirected-edge log into an undirected view.
+// Under a reorder the caller-id CSR takes the same log in caller ids, and
+// the patched view gets its own edge-id translation: dense ids shift when
+// edges come and go.
 func (e *Engine) patchUndirected(b undirectedView, edges []graph.Change) undirectedView {
 	if len(edges) == 0 {
 		return b
 	}
-	v := undirectedView{und: b.und.Patch(edges, e.opt.Threads)}
+	v := undirectedView{und: b.und.Patch(edges, e.opt.Threads), eid: new(eidMemo)}
 	if e.perm != nil {
 		v.origUnd = b.origUnd.Patch(toOrig(e.perm, edges), e.opt.Threads)
-		v.eidMap = e.perm.EdgeIDMap(v.origUnd, v.und, e.opt.Threads)
 	}
 	return v
 }
 
-// rebaseLocked merges both logs into fresh base CSRs and starts empty
-// ones. Queries that walk adjacency re-base lazily; pure connectivity
-// queries never pay for it. Published graph pointers are never mutated in
-// place, and old logs are dropped rather than reused, so snapshots holding
-// the old base and a prefix of the old delta stay valid.
+// rebaseLocked merges the delta into a fresh base and starts empty logs. A
+// directed engine patches its directed CSRs; an undirected view they have
+// built moves to the new base with the edge log merged in
+// (graph.Directed.PatchWithView), and one they have not is left unbuilt.
+// Queries that walk adjacency re-base lazily; pure connectivity queries
+// never pay for it. Published graph pointers are never mutated in place,
+// and old logs are dropped rather than reused, so snapshots holding the old
+// base and a prefix of the old delta stay valid.
 func (e *Engine) rebaseLocked() {
 	if len(e.arcLog) == 0 && len(e.edgeLog) == 0 {
 		return
 	}
-	b := e.base()
-	d := e.patchDirected(b.directedView, e.arcLog)
-	u := e.patchUndirected(b.undirectedView, e.edgeLog)
-	e.dir, e.origDir = d.dir, d.origDir
-	e.und, e.origUnd, e.eidMap = u.und, u.origUnd, u.eidMap
+	if e.undEdges >= 0 {
+		// Only effective changes are logged, so the log nets out exactly.
+		for _, c := range e.edgeLog {
+			if c.Del {
+				e.undEdges--
+			} else {
+				e.undEdges++
+			}
+		}
+	}
+	th := e.opt.Threads
+	if e.directed {
+		e.dir = e.dir.PatchWithView(e.arcLog, e.edgeLog, th)
+		if e.perm != nil {
+			e.origDir = e.origDir.PatchWithView(toOrig(e.perm, e.arcLog), toOrig(e.perm, e.edgeLog), th)
+		}
+	} else {
+		u := e.patchUndirected(e.undirectedOf(e.base()), e.edgeLog)
+		e.und, e.origUnd = u.und, u.origUnd
+	}
+	e.memo = new(baseMemo)
 	e.arcLog, e.edgeLog, e.live = nil, nil, nil
 }
 
@@ -826,7 +929,7 @@ func (e *Engine) rebaseLocked() {
 // (negative) this fixed rule keeps the delta, and the cost of merging it
 // into every view, bounded by the graph itself.
 func (e *Engine) foldLargeDeltaLocked() {
-	if n := int64(len(e.edgeLog)); n > 0 && n >= e.und.NumEdges() {
+	if n := int64(len(e.edgeLog)); n > 0 && n >= e.undirectedEdgesLocked() {
 		e.rebaseLocked()
 	} else if n := int64(len(e.arcLog)); n > 0 && n >= e.dir.NumArcs() {
 		e.rebaseLocked()
@@ -853,12 +956,12 @@ func (e *Engine) putReach(s *bfs.ReachScratch) {
 func (e *Engine) rebuildLocked() {
 	e.rebaseLocked()
 	e.cacheGen++
-	e.ccRaw = e.ccSolve(e.und, nil)
+	e.ccRaw = e.ccSolve(e.base(), nil)
 	e.cen = newCensus(e.ccRaw)
 	e.ccRes, e.largestCC = nil, nil
 	if e.dyn == nil {
 		e.inc = inc.FromLabels(e.ccRaw.Label, e.ccRaw.NumComponents)
 	}
-	e.baseEdges = e.und.NumEdges()
+	e.baseEdges = e.undirectedEdgesLocked()
 	e.sinceRebuild = 0
 }

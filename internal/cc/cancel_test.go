@@ -44,50 +44,62 @@ func cancelCtx(m cancelMode) (context.Context, context.CancelFunc) {
 	}
 }
 
-// TestMatrixCancellation: every cell × every cancellation mode × p ∈ {1, 4}.
-// A cancelled Solve returns (possibly partial — never consulted), and the
-// immediate clean re-run must match the serial oracle, proving no shared
-// state survived the cancelled attempt.
+// TestMatrixCancellation: every cell × every cancellation mode × p ∈ {1, 4},
+// through both entries: Solve on an undirected graph and SolveDirected on a
+// directed one. A cancelled solve returns (possibly partial — never
+// consulted), and the immediate clean re-run must match the serial oracle,
+// proving no shared state survived the cancelled attempt.
 func TestMatrixCancellation(t *testing.T) {
 	g := gen.RandomUndirected(3000, 9000, 29)
-	want := serialdfs.CC(g)
+	d := gen.Random(3000, 6000, 29)
+	entries := []struct {
+		name  string
+		solve func(Policy, Options) *Result
+		want  []uint32
+	}{
+		{"undirected", func(pol Policy, opt Options) *Result { return Solve(g, pol, opt) }, serialdfs.CC(g)},
+		{"directed", func(pol Policy, opt Options) *Result { return SolveDirected(d, pol, opt) }, serialdfs.WCC(d)},
+	}
 	for _, pol := range Policies() {
 		for _, mode := range []cancelMode{preCancelled, midFlight, deadline} {
 			for _, p := range []int{1, 4} {
 				pol, mode, p := pol, mode, p
 				t.Run(fmt.Sprintf("%v/%v/p=%d", pol, mode, p), func(t *testing.T) {
-					ctx, cancel := cancelCtx(mode)
-					defer cancel()
-					if mode == midFlight {
-						returned := make(chan struct{})
-						go func() {
-							Solve(g, pol, Options{Threads: p, Ctx: ctx})
-							close(returned)
-						}()
-						time.Sleep(200 * time.Microsecond)
+					for _, en := range entries {
+						ctx, cancel := cancelCtx(mode)
+						if mode == midFlight {
+							returned := make(chan struct{})
+							go func() {
+								en.solve(pol, Options{Threads: p, Ctx: ctx})
+								close(returned)
+							}()
+							time.Sleep(200 * time.Microsecond)
+							cancel()
+							select {
+							case <-returned:
+							case <-time.After(10 * time.Second):
+								t.Fatalf("%s p=%d: solve did not return after cancel", en.name, p)
+							}
+						} else {
+							// Pre-cancelled / expired deadline: the solve must
+							// return promptly without touching most of the
+							// graph; the result is partial by contract and
+							// discarded here.
+							en.solve(pol, Options{Threads: p, Ctx: ctx})
+							if ctx.Err() == nil {
+								t.Fatalf("ctx.Err() = nil for mode %v", mode)
+							}
+						}
 						cancel()
-						select {
-						case <-returned:
-						case <-time.After(10 * time.Second):
-							t.Fatalf("p=%d: Solve did not return after cancel", p)
+						// Clean retry: identical oracle partition, exact min-ids.
+						res := en.solve(pol, Options{Threads: p})
+						if err := verify.SamePartition(res.Label, en.want); err != nil {
+							t.Fatalf("%s p=%d: retry after %v diverged: %v", en.name, p, mode, err)
 						}
-					} else {
-						// Pre-cancelled / expired deadline: Solve must return
-						// promptly without touching most of the graph; the
-						// result is partial by contract and discarded here.
-						Solve(g, pol, Options{Threads: p, Ctx: ctx})
-						if ctx.Err() == nil {
-							t.Fatalf("ctx.Err() = nil for mode %v", mode)
-						}
-					}
-					// Clean retry: identical oracle partition, exact min-ids.
-					res := Solve(g, pol, Options{Threads: p})
-					if err := verify.SamePartition(res.Label, want); err != nil {
-						t.Fatalf("p=%d: retry after %v diverged: %v", p, mode, err)
-					}
-					for v := range want {
-						if res.Label[v] != want[v] {
-							t.Fatalf("p=%d: retry Label[%d] = %d, want %d", p, v, res.Label[v], want[v])
+						for v := range en.want {
+							if res.Label[v] != en.want[v] {
+								t.Fatalf("%s p=%d: retry Label[%d] = %d, want %d", en.name, p, v, res.Label[v], en.want[v])
+							}
 						}
 					}
 				})

@@ -6,7 +6,10 @@
 // component, task-parallel label-propagation sweep for the many small ones)
 // survives unchanged as the {SampleNone, FinishEnhancedBFS} cell, which Run
 // still executes. WCC is the same computation over the undirected view of a
-// directed graph (graph.Undirect).
+// directed graph (graph.Undirect, paper §6.1). SolveDirected computes it
+// without that view for the union-find cells: they read each vertex's
+// undirected row as the two sorted lists Out and In, so a directed graph's
+// census needs only the CSRs it already has.
 package cc
 
 import (
@@ -96,20 +99,64 @@ func Solve(g *graph.Undirected, pol Policy, opt Options) *Result {
 	if pol.Valid() != nil {
 		pol = PolicyPipeline
 	}
-	n := g.NumVertices()
-	res := &Result{Label: make([]uint32, n), Policy: pol}
+	return solve(undirectedRows(g), pol, opt)
+}
+
+// SolveDirected computes the weakly connected components of d: the result
+// of Solve(graph.Undirect(d), pol, opt), labels and Stats alike (Stats
+// exactly at one thread). The union-find cells (Policy.UnionFind) run
+// unchanged on d's out- and in-CSRs, so no undirected graph is built. The
+// other cells walk undirected adjacency and run on d's undirected view,
+// which the first of them builds (graph.Directed.Undirected). An invalid
+// policy falls back to the pipeline cell, as in Solve.
+func SolveDirected(d *graph.Directed, pol Policy, opt Options) *Result {
+	if pol.Valid() != nil || !pol.UnionFind() {
+		return Solve(d.Undirected(opt.Threads), pol, opt)
+	}
+	return solve(directedRows(d), pol, opt)
+}
+
+// rows is the adjacency a matrix cell reads: each vertex's undirected row
+// as up to two strictly increasing lists, (off, adj) and (off2, adj2),
+// whose union is the row. An undirected graph gives one list per vertex
+// (off2 nil, tested once per chunk, after which its rows are indexed
+// directly); a directed graph gives Out and In. und is the graph the
+// traversal cells (the pipeline, hybrid-BFS, label propagation, BFS
+// sampling) walk, nil for a directed graph, which reaches only the
+// union-find cells.
+type rows struct {
+	n         int
+	off, off2 []int64
+	adj, adj2 []graph.V
+	und       *graph.Undirected
+}
+
+func undirectedRows(g *graph.Undirected) rows {
+	off, adj := g.CSR()
+	return rows{n: g.NumVertices(), off: off, adj: adj, und: g}
+}
+
+func directedRows(d *graph.Directed) rows {
+	off, adj := d.OutCSR()
+	off2, adj2 := d.InCSR()
+	return rows{n: d.NumVertices(), off: off, adj: adj, off2: off2, adj2: adj2}
+}
+
+// solve runs a valid cell over r.
+func solve(r rows, pol Policy, opt Options) *Result {
+	res := &Result{Label: make([]uint32, r.n), Policy: pol}
 	for i := range res.Label {
 		res.Label[i] = graph.NoVertex
 	}
-	if n == 0 {
+	if r.n == 0 {
 		res.Sizes = map[uint32]int{}
 		return res
 	}
 	if pol.Sampling == SampleNone && pol.Finish == FinishEnhancedBFS {
-		runPipeline(g, res, opt)
+		runPipeline(r.und, res, opt)
 		return res
 	}
-	runMatrix(g, pol, res, opt)
+	runMatrix(r, pol, res, opt)
 	return res
 }
 
@@ -279,13 +326,13 @@ func labelVisited(visited *bitmap.Atomic, label []uint32, p int) (uint32, int) {
 
 // runMatrix executes a non-pipeline cell: sampling phase into a concurrent
 // union-find, finish phase over the remaining rows, flatten, census.
-func runMatrix(g *graph.Undirected, pol Policy, res *Result, opt Options) {
-	n := g.NumVertices()
+func runMatrix(r rows, pol Policy, res *Result, opt Options) {
+	n := r.n
 	p := parallel.Threads(opt.Threads)
 	done := parallel.Done(opt.Ctx)
 	uf := unionfind.NewConcurrent(n)
 
-	largest, haveLargest := runSampling(g, pol, uf, res, p, opt)
+	largest, haveLargest := runSampling(r, pol, uf, res, p, opt)
 	if parallel.Stopped(done) {
 		return // partial: caller checks opt.Ctx.Err() and discards
 	}
@@ -304,13 +351,13 @@ func runMatrix(g *graph.Undirected, pol Policy, res *Result, opt Options) {
 		// the fixed point. Label propagation scans every row regardless —
 		// sampling still pays by starting labels closer to the fixed point.
 		flattenLabels(uf, res.Label, p)
-		lp.MinLabelCCDone(g, res.Label, nil, p, done)
+		lp.MinLabelCCDone(r.und, res.Label, nil, p, done)
 	case FinishUFAsync:
-		res.Stats.FinishRows = finishUF(g, uf, skip, false, p, done)
+		res.Stats.FinishRows = finishUF(r, uf, skip, false, p, done)
 	case FinishUFRem:
-		res.Stats.FinishRows = finishUF(g, uf, skip, true, p, done)
+		res.Stats.FinishRows = finishUF(r, uf, skip, true, p, done)
 	case FinishEnhancedBFS:
-		finishHybridBFS(g, uf, skip, res, p, opt)
+		finishHybridBFS(r, uf, skip, res, p, opt)
 	}
 	if parallel.Stopped(done) {
 		return

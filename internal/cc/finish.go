@@ -10,26 +10,34 @@ import (
 // finishUF completes the sampled partition by uniting every edge whose
 // source row is not skipped: edges internal to the provisional largest
 // component never get scanned, and any edge leaving it is seen from its
-// other endpoint's row (so connectivity is complete). rem selects Rem's
-// splicing unite over the two-Find CAS unite. Returns the number of rows
-// scanned.
-func finishUF(g *graph.Undirected, uf *unionfind.Concurrent, skip func(graph.V) bool, rem bool, p int, done <-chan struct{}) int {
+// other endpoint's row (so connectivity is complete). A row's two lists are
+// scanned one after the other; a neighbour in both (a mutual arc pair) is
+// united twice, which changes nothing. rem selects Rem's splicing unite over
+// the two-Find CAS unite. Returns the number of rows scanned.
+func finishUF(r rows, uf *unionfind.Concurrent, skip func(graph.V) bool, rem bool, p int, done <-chan struct{}) int {
 	unite := uf.Unite
 	if rem {
 		unite = uf.UniteRem
 	}
-	return forEachVertexChunk(g.NumVertices(), p, done, func(lo, hi int) int {
-		rows := 0
+	off, adj, off2, adj2 := r.off, r.adj, r.off2, r.adj2
+	return forEachVertexChunk(r.n, p, done, func(lo, hi int) int {
+		scanned := 0
+		two := off2 != nil
 		for v := lo; v < hi; v++ {
 			if skip != nil && skip(graph.V(v)) {
 				continue
 			}
-			rows++
-			for _, u := range g.Neighbors(graph.V(v)) {
+			scanned++
+			for _, u := range adj[off[v]:off[v+1]] {
 				unite(uint32(v), uint32(u))
 			}
+			if two {
+				for _, u := range adj2[off2[v]:off2[v+1]] {
+					unite(uint32(v), uint32(u))
+				}
+			}
 		}
-		return rows
+		return scanned
 	})
 }
 
@@ -40,8 +48,8 @@ func finishUF(g *graph.Undirected, uf *unionfind.Concurrent, skip func(graph.V) 
 // and the provisional largest component. Every edge with both endpoints
 // inside the reached set is already unioned (a full-component BFS has no
 // half-covered edges), so skipping those rows loses nothing.
-func finishHybridBFS(g *graph.Undirected, uf *unionfind.Concurrent, skip func(graph.V) bool, res *Result, p int, opt Options) {
-	n := g.NumVertices()
+func finishHybridBFS(r rows, uf *unionfind.Concurrent, skip func(graph.V) bool, res *Result, p int, opt Options) {
+	g, n := r.und, r.n
 	done := parallel.Done(opt.Ctx)
 	rs := bfs.NewReachScratch(n, p)
 	master := g.MaxDegreeVertex()
@@ -58,5 +66,5 @@ func finishHybridBFS(g *graph.Undirected, uf *unionfind.Concurrent, skip func(gr
 	sweep := func(v graph.V) bool {
 		return visited.Get(uint32(v)) || (skip != nil && skip(v))
 	}
-	res.Stats.FinishRows = finishUF(g, uf, sweep, false, p, done)
+	res.Stats.FinishRows = finishUF(r, uf, sweep, false, p, done)
 }

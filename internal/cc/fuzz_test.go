@@ -3,9 +3,11 @@ package cc
 // FuzzCCPolicyMatchesOracle decodes the fuzz input as (vertex count, matrix
 // cell, thread count, byte-pair edge list), runs Solve with that cell and
 // cross-checks the exact min-id canonical labeling against the serial DFS
-// oracle. Any cell × any graph × any parallelism that diverges from the
-// oracle crashes the fuzzer. The policy byte indexes Policies(), so new
-// matrix cells are fuzzed the moment they are enumerable.
+// oracle. It then reads the same pairs as arcs of a directed graph and
+// checks SolveDirected against the serial WCC oracle. Any cell × any graph ×
+// any parallelism that diverges from the oracle crashes the fuzzer. The
+// policy byte indexes Policies(), so new matrix cells are fuzzed the moment
+// they are enumerable.
 
 import (
 	"testing"
@@ -49,6 +51,15 @@ func FuzzCCPolicyMatchesOracle(f *testing.F) {
 		}
 		if err := verify.CheckCCInvariants(g, res.Label); err != nil {
 			t.Fatalf("cell %v p=%d: %v", pol, p, err)
+		}
+
+		d := graph.BuildDirected(n, edges)
+		wantW := serialdfs.WCC(d)
+		resW := SolveDirected(d, pol, Options{Threads: p})
+		for v := range wantW {
+			if resW.Label[v] != wantW[v] {
+				t.Fatalf("cell %v p=%d directed: Label[%d] = %d, want min-id %d", pol, p, v, resW.Label[v], wantW[v])
+			}
 		}
 	})
 }

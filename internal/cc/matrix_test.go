@@ -22,6 +22,11 @@ import (
 // rings joined by random chords (the serving harness's "directed-cyclic"
 // class): rich component structure with no dominant hub.
 func directedCyclicUndirected(n int, seed uint64) *graph.Undirected {
+	return graph.Undirect(directedCyclic(n, seed))
+}
+
+// directedCyclic is the directed graph behind directedCyclicUndirected.
+func directedCyclic(n int, seed uint64) *graph.Directed {
 	rng := gen.NewRNG(seed)
 	var edges []graph.Edge
 	for start := 0; start < n; {
@@ -43,7 +48,7 @@ func directedCyclicUndirected(n int, seed uint64) *graph.Undirected {
 			V: graph.V(rng.Intn(n)),
 		})
 	}
-	return graph.Undirect(graph.BuildDirected(n, edges))
+	return graph.BuildDirected(n, edges)
 }
 
 // matrixSuite is the graph-class table the matrix harness sweeps: the same

@@ -126,6 +126,15 @@ func (p Policy) Valid() error {
 	return nil
 }
 
+// UnionFind reports whether the cell is one of the six union-find cells:
+// sampling none, kout or afforest, finished by uf-async or uf-rem. These
+// cells read adjacency only row by row, so SolveDirected runs them on a
+// directed graph's out- and in-CSRs; the others traverse undirected
+// adjacency.
+func (p Policy) UnionFind() bool {
+	return p.Sampling != SampleBFS && (p.Finish == FinishUFAsync || p.Finish == FinishUFRem)
+}
+
 // sampleK resolves the effective neighbor budget.
 func (p Policy) sampleK() int {
 	if p.SampleK <= 0 {

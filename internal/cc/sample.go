@@ -20,7 +20,7 @@ const largestSampleSize = 1024
 // root of the provisional largest component (valid only when ok). SampleNone
 // returns no largest; the other strategies union a subgraph of the edges and
 // then locate the component the finish phase should skip.
-func runSampling(g *graph.Undirected, pol Policy, uf *unionfind.Concurrent, res *Result, p int, opt Options) (largest uint32, ok bool) {
+func runSampling(rw rows, pol Policy, uf *unionfind.Concurrent, res *Result, p int, opt Options) (largest uint32, ok bool) {
 	done := parallel.Done(opt.Ctx)
 	switch pol.Sampling {
 	case SampleNone:
@@ -29,17 +29,36 @@ func runSampling(g *graph.Undirected, pol Policy, uf *unionfind.Concurrent, res 
 	case SampleKOut:
 		// Union each vertex with k pseudo-randomly drawn neighbors. The draw
 		// is a deterministic hash of (vertex, round) so runs are reproducible
-		// and no RNG state is shared across workers.
+		// and no RNG state is shared across workers. It indexes the sorted
+		// row, so two-list rows draw exactly the neighbours their
+		// undirected CSR rows would.
 		k := pol.sampleK()
-		res.Stats.SampleMerges = forEachVertexChunk(g.NumVertices(), p, done, func(lo, hi int) int {
+		off, adj, off2, adj2 := rw.off, rw.adj, rw.off2, rw.adj2
+		res.Stats.SampleMerges = forEachVertexChunk(rw.n, p, done, func(lo, hi int) int {
 			merges := 0
+			if off2 == nil { // one list per row: index it directly
+				for v := lo; v < hi; v++ {
+					nb := adj[off[v]:off[v+1]]
+					if len(nb) == 0 {
+						continue
+					}
+					for r := 0; r < k; r++ {
+						u := nb[int(mix64(uint64(v)<<32|uint64(r))%uint64(len(nb)))]
+						if _, merged := uf.Unite(uint32(v), uint32(u)); merged {
+							merges++
+						}
+					}
+				}
+				return merges
+			}
 			for v := lo; v < hi; v++ {
-				adj := g.Neighbors(graph.V(v))
-				if len(adj) == 0 {
+				a, b := adj[off[v]:off[v+1]], adj2[off2[v]:off2[v+1]]
+				deg := uint64(graph.UnionSize(a, b))
+				if deg == 0 {
 					continue
 				}
 				for r := 0; r < k; r++ {
-					u := adj[int(mix64(uint64(v)<<32|uint64(r))%uint64(len(adj)))]
+					u, _ := graph.UnionNth(a, b, int(mix64(uint64(v)<<32|uint64(r))%deg))
 					if _, merged := uf.Unite(uint32(v), uint32(u)); merged {
 						merges++
 					}
@@ -52,22 +71,34 @@ func runSampling(g *graph.Undirected, pol Policy, uf *unionfind.Concurrent, res 
 		// Afforest subgraph sampling: k rounds of "union each vertex with
 		// its next neighbor". Processing neighbor r of every vertex per
 		// round (rather than k neighbors of one vertex at a time) is what
-		// lets the giant component coalesce across rounds.
+		// lets the giant component coalesce across rounds. Neighbour r is
+		// the r-th of the sorted row, whichever list holds it.
 		k := pol.sampleK()
+		off, adj, off2, adj2 := rw.off, rw.adj, rw.off2, rw.adj2
 		merges := 0
 		for r := 0; r < k; r++ {
 			if parallel.Stopped(done) {
 				return 0, false
 			}
 			r := r
-			merges += forEachVertexChunk(g.NumVertices(), p, done, func(lo, hi int) int {
+			merges += forEachVertexChunk(rw.n, p, done, func(lo, hi int) int {
 				m := 0
+				if off2 == nil { // one list per row: index it directly
+					for v := lo; v < hi; v++ {
+						if i := off[v] + int64(r); i < off[v+1] {
+							if _, merged := uf.Unite(uint32(v), uint32(adj[i])); merged {
+								m++
+							}
+						}
+					}
+					return m
+				}
 				for v := lo; v < hi; v++ {
-					adj := g.Neighbors(graph.V(v))
-					if r >= len(adj) {
+					u, ok := graph.UnionNth(adj[off[v]:off[v+1]], adj2[off2[v]:off2[v+1]], r)
+					if !ok {
 						continue
 					}
-					if _, merged := uf.Unite(uint32(v), uint32(adj[r])); merged {
+					if _, merged := uf.Unite(uint32(v), uint32(u)); merged {
 						m++
 					}
 				}
@@ -80,7 +111,7 @@ func runSampling(g *graph.Undirected, pol Policy, uf *unionfind.Concurrent, res 
 		// One enhanced BFS from the max-degree pivot covers its entire
 		// component; uniting the reached set makes the provisional largest
 		// exact (for that pivot's component).
-		n := g.NumVertices()
+		g, n := rw.und, rw.n
 		rs := bfs.NewReachScratch(n, p)
 		master := g.MaxDegreeVertex()
 		visited := rs.Reach(bfs.UndirectedAdj(g), master, nil,
@@ -94,7 +125,7 @@ func runSampling(g *graph.Undirected, pol Policy, uf *unionfind.Concurrent, res 
 	if parallel.Stopped(done) {
 		return 0, false
 	}
-	return mostFrequentRoot(uf, g.NumVertices())
+	return mostFrequentRoot(uf, rw.n)
 }
 
 // forEachVertexChunk runs body over dynamic vertex chunks with cancellation

@@ -34,7 +34,7 @@ func Answer(eng *aquila.Engine, query string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		n := eng.Undirected().NumVertices()
+		n := eng.NumVertices()
 		if int(u) >= n || int(v) >= n {
 			return "", fmt.Errorf("vertex out of range [0,%d)", n)
 		}
@@ -75,7 +75,7 @@ func Answer(eng *aquila.Engine, query string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("bad vertex id: %v", err)
 		}
-		if int(v) >= eng.Undirected().NumVertices() {
+		if int(v) >= eng.NumVertices() {
 			return "", fmt.Errorf("vertex %d out of range", v)
 		}
 		return fmt.Sprintf("%v", eng.InLargestCC(aquila.V(v))), nil

@@ -35,7 +35,7 @@ func ReplayUpdates(eng *aquila.Engine, r io.Reader, batchSize int) (string, erro
 		hasDel  bool
 		batchNo int
 	)
-	n := eng.Undirected().NumVertices() // Apply never grows the vertex set
+	n := eng.NumVertices() // Apply never grows the vertex set
 	flush := func() error {
 		if len(staged) == 0 {
 			return nil

@@ -114,6 +114,20 @@ func (f *Forest) HasEdge(u, v graph.V) bool {
 	return ok
 }
 
+// EdgeState reports the level of the live edge {u,v} and whether it is a
+// spanning-forest edge; ok is false when the edge is not live. It exists
+// for tests and diagnostics that compare two forests edge by edge.
+func (f *Forest) EdgeState(u, v graph.V) (level int, tree, ok bool) {
+	if u == v {
+		return 0, false, false
+	}
+	e, ok := f.index.get(key64(u, v))
+	if !ok {
+		return 0, false, false
+	}
+	return int(f.edges[e].level), f.edges[e].tree, true
+}
+
 // Connected reports whether u and v are in the same component.
 func (f *Forest) Connected(u, v graph.V) bool {
 	return f.levels[0].connected(u, v)

@@ -136,18 +136,19 @@ func undirect(g *Directed, p int) *Undirected {
 	parallel.For(0, n+1, p, func(i int) { off[i] = g.outOff[i] + g.inOff[i] })
 	bounds := degreeChunks(off, p)
 	forChunks(bounds, p, func(u int) {
-		off[u+1] = unionSize(g.Out(V(u)), g.In(V(u)))
+		off[u+1] = UnionSize(g.Out(V(u)), g.In(V(u)))
 	})
 	prefixInPlace(off, p)
 	adj := make([]V, off[n])
 	forChunks(bounds, p, func(u int) {
-		unionInto(adj[off[u]:off[u+1]], g.Out(V(u)), g.In(V(u)))
+		AppendUnion(adj[off[u]:off[u]:off[u+1]], g.Out(V(u)), g.In(V(u)))
 	})
 	return &Undirected{n: n, off: off, adj: adj}
 }
 
-// unionSize is |a ∪ b| for strictly increasing a and b.
-func unionSize(a, b []V) int64 {
+// UnionSize is |a ∪ b| for strictly increasing a and b: given a vertex's Out
+// and In lists, its degree in the undirected view.
+func UnionSize(a, b []V) int64 {
 	i, j, c := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -164,27 +165,63 @@ func unionSize(a, b []V) int64 {
 	return int64(c + len(a) - i + len(b) - j)
 }
 
-// unionInto writes the sorted union of strictly increasing a and b into dst,
-// which must be exactly unionSize(a, b) long.
-func unionInto(dst, a, b []V) {
-	i, j, k := 0, 0, 0
+// UnionNth returns the i-th smallest element (from 0) of a ∪ b for strictly
+// increasing a and b, or false when the union has at most i elements. It
+// walks only the first i+1 elements of the union, so the undirected view's
+// row entry i is found without building the row.
+func UnionNth(a, b []V, i int) (V, bool) {
+	if len(b) == 0 {
+		if i < len(a) {
+			return a[i], true
+		}
+		return 0, false
+	}
+	x, y := 0, 0
+	for {
+		var v V
+		switch {
+		case x < len(a) && (y == len(b) || a[x] < b[y]):
+			v = a[x]
+			x++
+		case y < len(b) && (x == len(a) || b[y] < a[x]):
+			v = b[y]
+			y++
+		case x < len(a): // a[x] == b[y]
+			v = a[x]
+			x++
+			y++
+		default:
+			return 0, false
+		}
+		if i == 0 {
+			return v, true
+		}
+		i--
+	}
+}
+
+// AppendUnion appends the sorted union of strictly increasing a and b to dst
+// and returns the extended slice: a vertex's undirected row, written in
+// place when dst has the capacity (Undirect's write pass) or into one
+// buffer reused across rows.
+func AppendUnion(dst, a, b []V) []V {
+	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i] < b[j]:
-			dst[k] = a[i]
+			dst = append(dst, a[i])
 			i++
 		case a[i] > b[j]:
-			dst[k] = b[j]
+			dst = append(dst, b[j])
 			j++
 		default:
-			dst[k] = a[i]
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
-		k++
 	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
 // buildCSR counts, sorts and dedups an edge list into the (U -> V) CSR arrays

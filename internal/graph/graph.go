@@ -1,11 +1,15 @@
 // Package graph provides the compressed-sparse-row (CSR) graph representation
 // used throughout Aquila (paper §6.1): a begin-position array of length |V|+1
 // and an adjacency array of length |E|. Directed graphs carry both the out-CSR
-// and the in-CSR (SCC needs backward traversals). Undirected graphs map every
-// adjacency slot to a dense edge id so per-undirected-edge state (block
-// labels, bridge flags) can be stored once per edge even though CSR stores
-// each edge twice; that index is built on first use, since connectivity reads
-// and union-find updates never need it.
+// and the in-CSR (SCC needs backward traversals). A directed graph's
+// undirected view (Undirect) is a derived graph it builds on first use and
+// keeps: weakly connected components read the out- and in-CSRs directly, so
+// only queries that walk undirected adjacency (BiCC, BgCC, traversals) pay
+// for it. Undirected graphs map every adjacency slot to a dense edge id so
+// per-undirected-edge state (block labels, bridge flags) can be stored once
+// per edge even though CSR stores each edge twice; that index is built on
+// first use too, since connectivity reads and union-find updates never need
+// it.
 package graph
 
 import (
@@ -22,13 +26,17 @@ type V = uint32
 const NoVertex V = ^V(0)
 
 // Directed is an immutable directed graph in CSR form with both edge
-// directions materialized.
+// directions materialized. Its undirected view is built on first use by
+// Undirected. A Directed must not be copied by value.
 type Directed struct {
 	n      int
 	outOff []int64
 	outAdj []V
 	inOff  []int64
 	inAdj  []V
+
+	undMu sync.Mutex
+	und   atomic.Pointer[Undirected] // nil until Undirected first runs
 }
 
 // NumVertices returns |V|.
@@ -63,6 +71,29 @@ func (g *Directed) OutCSR() (off []int64, adj []V) { return g.outOff, g.outAdj }
 // InCSR returns the raw in-direction CSR arrays as shared views; callers must
 // not modify them.
 func (g *Directed) InCSR() (off []int64, adj []V) { return g.inOff, g.inAdj }
+
+// Undirected returns g's undirected view, Undirect(g), as a shared graph.
+// The first call builds it with up to threads workers (Threads semantics);
+// later calls, from any goroutine, return the same graph. Connectivity never
+// needs it — the union-find cells read Out and In as the two halves of each
+// undirected row — so it exists only once a query walks undirected adjacency.
+func (g *Directed) Undirected(threads int) *Undirected {
+	if u := g.und.Load(); u != nil {
+		return u
+	}
+	g.undMu.Lock()
+	defer g.undMu.Unlock()
+	if u := g.und.Load(); u != nil {
+		return u
+	}
+	u := UndirectThreads(g, threads)
+	g.und.Store(u)
+	return u
+}
+
+// UndirectedBuilt reports whether the undirected view exists yet, without
+// building it.
+func (g *Directed) UndirectedBuilt() bool { return g.und.Load() != nil }
 
 // MaxOutDegreeVertex returns the vertex with the highest out+in degree — the
 // paper's heuristic master pivot, "always in the single large task" (§5.3).

@@ -89,6 +89,22 @@ func (g *Directed) Patch(log []Change, threads int) *Directed {
 	return &Directed{n: g.n, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
 }
 
+// PatchWithView is Patch for the graph that replaces g, such as an engine's
+// next base. When g's undirected view is built, the result's view is that
+// view with edges — the undirected changes the arc log makes, as
+// Undirected.Patch takes them — merged in, so it costs one linear merge
+// instead of a fresh Undirect. Otherwise the result builds its own view on
+// first use, and edges is not read.
+func (g *Directed) PatchWithView(arcs, edges []Change, threads int) *Directed {
+	d := g.Patch(arcs, threads)
+	if d != g {
+		if u := g.und.Load(); u != nil {
+			d.und.Store(u.Patch(edges, threads))
+		}
+	}
+	return d
+}
+
 // Patch returns g with the undirected change log applied (an entry {U,V}
 // stands for the edge in either order). It is Directed.Patch for the
 // symmetric CSR: one merge of g's rows with both directions of every net

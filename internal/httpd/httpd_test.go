@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -652,6 +653,45 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if m.RetainedEpochs != 2 {
 		t.Fatalf("retained_epochs = %d, want 2", m.RetainedEpochs)
+	}
+}
+
+// TestMetricsRuntime checks the runtime block of /metrics: every field is
+// in the JSON, the scheduler-latency quantiles are ordered, the heap gauges
+// are set, and GC cycles grow across a forced GC between two scrapes.
+func TestMetricsRuntime(t *testing.T) {
+	eng := aquila.NewEngine(gen.RandomUndirected(100, 300, 5), aquila.Options{Threads: 1})
+	ts := newTS(t, httpd.New(aquila.NewServer(eng, aquila.ServerConfig{}), httpd.Config{}))
+
+	var raw struct {
+		Runtime map[string]any `json:"runtime"`
+	}
+	mustGet(t, ts, "/metrics", "", &raw)
+	for _, k := range []string{"sched_latency_p50_ms", "sched_latency_p99_ms", "sched_latency_p999_ms",
+		"gc_cycles", "heap_goal_bytes", "heap_live_bytes"} {
+		if _, ok := raw.Runtime[k]; !ok {
+			t.Fatalf("runtime metrics lack %q: %v", k, raw.Runtime)
+		}
+	}
+	var m1, m2 httpd.MetricsSnapshot
+	mustGet(t, ts, "/metrics", "", &m1)
+	runtime.GC()
+	mustGet(t, ts, "/metrics", "", &m2)
+	for _, m := range []httpd.MetricsSnapshot{m1, m2} {
+		r := m.Runtime
+		if r.SchedLatencyP50Ms < 0 || r.SchedLatencyP50Ms > r.SchedLatencyP99Ms || r.SchedLatencyP99Ms > r.SchedLatencyP999Ms {
+			t.Fatalf("scheduler latency quantiles out of order: %+v", r)
+		}
+		if r.HeapGoalBytes == 0 {
+			t.Fatalf("heap goal unset: %+v", r)
+		}
+	}
+	// The live heap is measured by a GC; the forced one has run.
+	if m2.Runtime.HeapLiveBytes == 0 {
+		t.Fatalf("live heap unset after a GC: %+v", m2.Runtime)
+	}
+	if m2.Runtime.GCCycles <= m1.Runtime.GCCycles {
+		t.Fatalf("gc cycles %d then %d across a forced GC", m1.Runtime.GCCycles, m2.Runtime.GCCycles)
 	}
 }
 

@@ -1,7 +1,9 @@
 package httpd
 
 import (
+	"math"
 	"net/http"
+	rtmetrics "runtime/metrics"
 	"sync/atomic"
 	"time"
 )
@@ -104,6 +106,87 @@ type MetricsSnapshot struct {
 	Singleflight SingleflightMetrics `json:"singleflight"`
 	// Kinds holds per-endpoint counters keyed by query kind.
 	Kinds map[string]KindMetrics `json:"kinds"`
+	// Runtime is the Go runtime's state at the scrape.
+	Runtime RuntimeMetrics `json:"runtime"`
+}
+
+// RuntimeMetrics is the Go runtime's view of the process, read through
+// runtime/metrics when /metrics is scraped and never on a request path.
+// Scheduler latency is how long goroutines waited, runnable, for a CPU;
+// its tail next to a read tail tells a stalled host from a slow handler.
+// GC cycles and the heap goal and live bytes show what a smaller heap
+// costs: a lower goal means more cycles for the same allocation.
+type RuntimeMetrics struct {
+	// SchedLatencyP50Ms, P99Ms and P999Ms are quantiles of the scheduler
+	// latency histogram since process start, each the upper bound of the
+	// bucket it falls in.
+	SchedLatencyP50Ms  float64 `json:"sched_latency_p50_ms"`
+	SchedLatencyP99Ms  float64 `json:"sched_latency_p99_ms"`
+	SchedLatencyP999Ms float64 `json:"sched_latency_p999_ms"`
+	// GCCycles counts completed GC cycles since process start.
+	GCCycles uint64 `json:"gc_cycles"`
+	// HeapGoalBytes is the heap size the current GC cycle aims to finish
+	// under; HeapLiveBytes the heap the last GC marked live.
+	HeapGoalBytes uint64 `json:"heap_goal_bytes"`
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
+}
+
+// runtimeSampleNames are the runtime/metrics keys RuntimeMetrics reads, in
+// readRuntime's order.
+var runtimeSampleNames = [...]string{
+	"/sched/latencies:seconds",
+	"/gc/cycles/total:gc-cycles",
+	"/gc/heap/goal:bytes",
+	"/gc/heap/live:bytes",
+}
+
+// readRuntime reads RuntimeMetrics. A key the running Go version does not
+// support reads as zero.
+func readRuntime() RuntimeMetrics {
+	var s [len(runtimeSampleNames)]rtmetrics.Sample
+	for i, name := range runtimeSampleNames {
+		s[i].Name = name
+	}
+	rtmetrics.Read(s[:])
+	var r RuntimeMetrics
+	if s[0].Value.Kind() == rtmetrics.KindFloat64Histogram {
+		h := s[0].Value.Float64Histogram()
+		r.SchedLatencyP50Ms = 1e3 * histQuantile(h, 0.5)
+		r.SchedLatencyP99Ms = 1e3 * histQuantile(h, 0.99)
+		r.SchedLatencyP999Ms = 1e3 * histQuantile(h, 0.999)
+	}
+	u := func(v rtmetrics.Value) uint64 {
+		if v.Kind() == rtmetrics.KindUint64 {
+			return v.Uint64()
+		}
+		return 0
+	}
+	r.GCCycles, r.HeapGoalBytes, r.HeapLiveBytes = u(s[1].Value), u(s[2].Value), u(s[3].Value)
+	return r
+}
+
+// histQuantile returns the upper bound of the bucket holding the q-quantile
+// of h (its lower bound for the open-ended last bucket), or 0 when h is
+// empty. It is monotone in q.
+func histQuantile(h *rtmetrics.Float64Histogram, q float64) float64 {
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := max(1, uint64(math.Ceil(q*float64(total))))
+	var cum uint64
+	for i, c := range h.Counts {
+		if cum += c; cum >= rank {
+			if hi := h.Buckets[i+1]; !math.IsInf(hi, 1) {
+				return hi
+			}
+			return h.Buckets[i]
+		}
+	}
+	return 0
 }
 
 // Metrics assembles a point-in-time snapshot of every counter.
@@ -120,6 +203,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		AdmissionRejects: s.met.rejects.Load(),
 		Singleflight:     sf,
 		Kinds:            make(map[string]KindMetrics, len(s.met.kinds)),
+		Runtime:          readRuntime(),
 	}
 	for name, k := range s.met.kinds {
 		km := KindMetrics{

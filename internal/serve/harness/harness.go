@@ -26,6 +26,7 @@ import (
 
 	"aquila"
 	"aquila/internal/baseline/serialdfs"
+	"aquila/internal/cc"
 	"aquila/internal/gen"
 	"aquila/internal/graph"
 	"aquila/internal/verify"
@@ -124,6 +125,18 @@ func runSchedule(cls Class, cfg Config, seed uint64) error {
 		// Occasionally exercise the cache-aware relabeling layer: snapshot
 		// answers must be identical in original ids.
 		opt.Reorder = aquila.ReorderDegree
+	}
+	if rng.Intn(4) == 0 {
+		// Occasionally pin a union-find cell: the harness graphs are too
+		// small for auto to pick one, and on the directed classes these
+		// cells run the census on the out- and in-CSRs.
+		var uf []cc.Policy
+		for _, pol := range cc.Policies() {
+			if pol.UnionFind() {
+				uf = append(uf, pol)
+			}
+		}
+		opt.CCPolicy = uf[rng.Intn(len(uf))].String()
 	}
 
 	var eng *aquila.Engine

@@ -1,7 +1,11 @@
 // Package stats computes descriptive graph statistics: degree distribution
 // summaries, reciprocity (the fraction of mutual arcs, which drives how much
 // of a WCC is strongly connected), and a double-sweep BFS diameter estimate.
-// The CLI's "stats" query and the workload documentation use these.
+// The CLI's "stats" query and the workload documentation use these. It also
+// computes the probes the adaptive policy choosers read: Cheap for CC —
+// from an undirected graph's offsets, or exactly for a directed graph's
+// undirected view from its out- and in-CSRs without building the view —
+// and the SCC and BiCC probes.
 package stats
 
 import (

@@ -157,7 +157,7 @@ func (e *Engine) IsConnectedContext(ctx context.Context) (bool, error) {
 
 func (e *Engine) isConnectedCtx(ctx context.Context) (bool, error) {
 	e.mu.Lock()
-	n := e.und.NumVertices()
+	n := e.n
 	if n <= 1 {
 		e.mu.Unlock()
 		return true, nil
@@ -172,6 +172,12 @@ func (e *Engine) isConnectedCtx(ctx context.Context) (bool, error) {
 		e.mu.Unlock()
 		return cnt == 1, nil
 	}
+	if e.ccRaw != nil {
+		// A census computed already answers without a traversal.
+		cnt := e.ccRaw.NumComponents
+		e.mu.Unlock()
+		return cnt == 1, nil
+	}
 	if e.opt.DisablePartial {
 		res, err := e.ccCompleteLockedCtx(ctx)
 		e.mu.Unlock()
@@ -180,7 +186,7 @@ func (e *Engine) isConnectedCtx(ctx context.Context) (bool, error) {
 		}
 		return res.NumComponents == 1, nil
 	}
-	g := e.und
+	g := e.undirectedOf(e.base()).und
 	e.mu.Unlock()
 	// Trim check: a trimmable pattern in a graph bigger than the pattern is a
 	// separate component.
@@ -266,8 +272,8 @@ func (l *LargestResult) Contains(v V) bool { return l.contains(v) }
 // max-degree master pivot and, if the found component is at least as big as
 // everything else combined, stops there — no other component can beat it.
 // Only when the heuristic pivot lands in a minority component does it fall
-// back to the complete computation. Under incremental updates the answer
-// comes from the census instead of any traversal.
+// back to the complete computation. Under incremental updates, or once a
+// census exists, the answer comes from the census instead of any traversal.
 func (e *Engine) LargestCC() *LargestResult {
 	res, _ := e.largestCCCtx(nil)
 	return res
@@ -283,7 +289,7 @@ func (e *Engine) LargestCCContext(ctx context.Context) (*LargestResult, error) {
 
 func (e *Engine) largestCCCtx(ctx context.Context) (*LargestResult, error) {
 	e.mu.Lock()
-	if e.inc != nil || e.dyn != nil {
+	if e.inc != nil || e.dyn != nil || e.ccRaw != nil {
 		c, err := e.censusLockedCtx(ctx)
 		e.mu.Unlock()
 		if err != nil {
@@ -291,7 +297,7 @@ func (e *Engine) largestCCCtx(ctx context.Context) (*LargestResult, error) {
 		}
 		return e.largestFromCensus(c), nil
 	}
-	g := e.und
+	g := e.undirectedOf(e.base()).und
 	e.mu.Unlock()
 	n := g.NumVertices()
 	if !e.opt.DisablePartial && n > 0 {
@@ -423,9 +429,10 @@ func (e *Engine) ArticulationPoints() []V {
 		e.mu.Lock()
 		e.rebaseLocked()
 		if e.apOnly == nil {
-			raw := e.biccSolve(e.und, nil, true)
+			v := e.undirectedOf(e.base())
+			raw := e.biccSolve(v.und, nil, true)
 			if e.perm != nil {
-				raw = remapBiCC(raw, e.perm, e.eidMap, e.opt.Threads)
+				raw = remapBiCC(raw, e.perm, e.eidMap(v), e.opt.Threads)
 			}
 			e.apOnly = raw
 		}
@@ -463,25 +470,26 @@ func (e *Engine) Bridges() [][2]V {
 	e.rebaseLocked()
 	// The kernel runs on the compute graph; the cached flags and the reported
 	// endpoints are both in original ids (flags remapped through eidMap).
-	g := e.und
+	v := e.undirectedOf(e.base())
+	g := v.und
 	if e.perm != nil {
-		g = e.origUnd
+		g = v.origUnd
 	}
 	var isBridge []bool
 	if e.opt.DisablePartial {
 		if e.bgccRes == nil {
-			raw := bgcc.Run(e.und, e.bgccOptions(false))
+			raw := bgcc.Run(v.und, e.bgccOptions(false))
 			if e.perm != nil {
-				raw = remapBgCC(raw, e.perm, e.eidMap, e.opt.Threads)
+				raw = remapBgCC(raw, e.perm, e.eidMap(v), e.opt.Threads)
 			}
 			e.bgccRes = raw
 		}
 		isBridge = e.bgccRes.IsBridge
 	} else {
 		if e.brOnly == nil {
-			raw := bgcc.Run(e.und, e.bgccOptions(true))
+			raw := bgcc.Run(v.und, e.bgccOptions(true))
 			if e.perm != nil {
-				raw = remapBgCC(raw, e.perm, e.eidMap, e.opt.Threads)
+				raw = remapBgCC(raw, e.perm, e.eidMap(v), e.opt.Threads)
 			}
 			e.brOnly = raw
 		}

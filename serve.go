@@ -71,7 +71,7 @@ func (e *Engine) snapshotState() snapState {
 func (e *Engine) adoptColdCensus(st snapState, c *census) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ccRaw == nil && e.und == st.base.und && len(e.edgeLog) == 0 && len(e.arcLog) == 0 &&
+	if e.ccRaw == nil && e.base() == st.base && len(e.edgeLog) == 0 && len(e.arcLog) == 0 &&
 		e.inc == nil && e.dyn == nil && e.cacheGen == st.gen {
 		e.ccRaw, e.cen = c.base.res, c
 	}
@@ -167,12 +167,13 @@ func (s *Server) capture(epoch uint64) *Snapshot {
 	if st.cen != nil {
 		sn.cen.Seed(st.cen)
 	}
-	// A view with nothing to merge is the base itself.
+	// A view with nothing to merge is the base itself. A directed engine's
+	// undirected view may not be built yet, so its cell fills on first use.
 	if len(st.arcs) == 0 {
 		sn.dirView.Seed(st.base.directedView)
 	}
-	if len(st.edges) == 0 {
-		sn.undView.Seed(st.base.undirectedView)
+	if len(st.edges) == 0 && !s.eng.directed {
+		sn.undView.Seed(s.eng.undirectedOf(st.base))
 	}
 	return sn
 }
@@ -332,10 +333,12 @@ func (s *Server) Bridges(ctx context.Context) ([][2]V, error) {
 //
 // An epoch holds its graph as the engine's base CSRs plus its prefix of the
 // signed delta. The two views kernels walk — the directed CSRs for SCC, the
-// undirected CSR for everything else — are merged from those on first use,
-// each on its own, and cached only while the epoch is current: publishing
-// the next epoch drops them, while cached results stay. A kernel on a
-// superseded epoch merges its view again and lets it go afterwards.
+// undirected CSR for BiCC, BgCC and the traversals — are merged from those
+// on first use, each on its own, and cached only while the epoch is current:
+// publishing the next epoch drops them, while cached results stay. A kernel
+// on a superseded epoch merges its view again and lets it go afterwards. A
+// directed engine's connectivity census reads neither: it is kept current
+// by Apply, or solved on the base's directed CSRs.
 //
 // A Snapshot is safe for concurrent use. It holds no locks between calls and
 // never blocks a writer.
@@ -365,7 +368,7 @@ func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
 
 // NumVertices returns the vertex count (fixed across epochs: Apply never
 // grows the vertex set).
-func (sn *Snapshot) NumVertices() int { return sn.st.base.und.NumVertices() }
+func (sn *Snapshot) NumVertices() int { return sn.eng.n }
 
 // getCell is the dedup point for every lazily computed snapshot value: warm
 // values return immediately; cold ones compute through the cell's
@@ -417,11 +420,13 @@ func (sn *Snapshot) directed(ctx context.Context) (directedView, error) {
 	})
 }
 
-// undirected returns the epoch's undirected view, merged from the base
-// undirected CSR and the epoch's edge delta; see directed.
+// undirected returns the epoch's undirected view, merged from the base's
+// undirected view and the epoch's edge delta; see directed. On a directed
+// engine the base's view is built by the first caller on that base and kept
+// by its directed CSRs, so every epoch on the base merges into one copy.
 func (sn *Snapshot) undirected(ctx context.Context) (undirectedView, error) {
 	return getCell(sn, ctx, &sn.undView, func(context.Context) (undirectedView, error) {
-		return sn.eng.patchUndirected(sn.st.base.undirectedView, sn.st.edges), nil
+		return sn.eng.patchUndirected(sn.eng.undirectedOf(sn.st.base), sn.st.edges), nil
 	})
 }
 
@@ -437,15 +442,13 @@ func (sn *Snapshot) censusGet(ctx context.Context) (*census, error) {
 }
 
 // solveCensus is a cold epoch's census compute: one CC kernel pass over the
-// epoch's graph.
+// epoch's graph. Only an epoch before the first update lacks a census, so
+// its graph is the base with an empty delta; on a directed engine a
+// union-find cell runs on the base's directed CSRs (see Engine.ccSolve).
 func (sn *Snapshot) solveCensus(cctx context.Context) (*census, error) {
 	var res *cc.Result
 	err := sn.withSlot(cctx, func() error {
-		gs, err := sn.undirected(cctx)
-		if err != nil {
-			return err
-		}
-		r := sn.eng.ccSolve(gs.und, cctx)
+		r := sn.eng.ccSolve(sn.st.base, cctx)
 		if err := ctxErr(cctx); err != nil {
 			return err
 		}
@@ -658,7 +661,7 @@ func (sn *Snapshot) BiCC(ctx context.Context) (*BiCCResult, error) {
 				return err
 			}
 			if sn.eng.perm != nil {
-				raw = remapBiCC(raw, sn.eng.perm, gs.eidMap, sn.eng.opt.Threads)
+				raw = remapBiCC(raw, sn.eng.perm, sn.eng.eidMap(gs), sn.eng.opt.Threads)
 			}
 			res = raw
 			return nil
@@ -684,7 +687,7 @@ func (sn *Snapshot) BgCC(ctx context.Context) (*BgCCResult, error) {
 				return err
 			}
 			if sn.eng.perm != nil {
-				raw = remapBgCC(raw, sn.eng.perm, gs.eidMap, sn.eng.opt.Threads)
+				raw = remapBgCC(raw, sn.eng.perm, sn.eng.eidMap(gs), sn.eng.opt.Threads)
 			}
 			res = raw
 			return nil
@@ -716,7 +719,7 @@ func (sn *Snapshot) ArticulationPoints(ctx context.Context) ([]V, error) {
 				return err
 			}
 			if sn.eng.perm != nil {
-				raw = remapBiCC(raw, sn.eng.perm, gs.eidMap, sn.eng.opt.Threads)
+				raw = remapBiCC(raw, sn.eng.perm, sn.eng.eidMap(gs), sn.eng.opt.Threads)
 			}
 			res = raw
 			return nil
@@ -762,7 +765,7 @@ func (sn *Snapshot) Bridges(ctx context.Context) ([][2]V, error) {
 				return err
 			}
 			if sn.eng.perm != nil {
-				raw = remapBgCC(raw, sn.eng.perm, gs.eidMap, sn.eng.opt.Threads)
+				raw = remapBgCC(raw, sn.eng.perm, sn.eng.eidMap(gs), sn.eng.opt.Threads)
 			}
 			res = raw
 			return nil

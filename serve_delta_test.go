@@ -15,6 +15,7 @@ import (
 
 	"aquila/internal/baseline/serialdfs"
 	"aquila/internal/gen"
+	"aquila/internal/graph"
 	"aquila/internal/verify"
 )
 
@@ -133,8 +134,8 @@ func TestForestBuildAllocs(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		e.promoteDynLocked()
 		runtime.ReadMemStats(&after)
-		if e.dyn.NumEdges() != int(e.und.NumEdges()) {
-			t.Fatalf("forest holds %d edges, graph %d", e.dyn.NumEdges(), e.und.NumEdges())
+		if m := e.undirectedEdgesLocked(); e.dyn.NumEdges() != int(m) {
+			t.Fatalf("forest holds %d edges, graph %d", e.dyn.NumEdges(), m)
 		}
 		return after.Mallocs - before.Mallocs
 	}
@@ -425,12 +426,19 @@ func TestDeltaFoldsAtBaseSize(t *testing.T) {
 			}
 			o.apply(batch)
 			e.mu.Lock()
-			edges, arcs, base := len(e.edgeLog), len(e.arcLog), e.und.NumEdges()
-			baseArcs := int64(0)
+			edges, arcs, base := len(e.edgeLog), len(e.arcLog), e.undirectedEdgesLocked()
+			baseArcs, wantBase := int64(0), int64(0)
 			if directed {
-				baseArcs = e.dir.NumArcs()
+				baseArcs, wantBase = e.dir.NumArcs(), graph.Undirect(e.dir).NumEdges()
+			} else {
+				wantBase = e.und.NumEdges()
 			}
 			e.mu.Unlock()
+			// The engine carries the base's edge count across re-bases by
+			// netting the edge log; it must match the base itself.
+			if base != wantBase {
+				t.Fatalf("directed=%v round %d: base edge count %d, graph has %d", directed, round, base, wantBase)
+			}
 			if int64(edges) > base || (directed && int64(arcs) > baseArcs) {
 				t.Fatalf("directed=%v round %d: delta of %d edges / %d arcs outgrew a base of %d / %d", directed, round, edges, arcs, base, baseArcs)
 			}

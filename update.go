@@ -6,6 +6,7 @@ import (
 
 	"aquila/internal/cc"
 	"aquila/internal/dyn"
+	"aquila/internal/graph"
 )
 
 // UpdateOp discriminates the two batch update operations.
@@ -85,7 +86,7 @@ func (e *Engine) Dynamic() bool {
 func (e *Engine) ApplyUpdates(batch []Update) (*ApplyResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := e.und.NumVertices()
+	n := e.n
 	hasDelete := false
 	for _, up := range batch {
 		if int(up.U) >= n || int(up.V) >= n {
@@ -112,7 +113,7 @@ func (e *Engine) ApplyUpdates(batch []Update) (*ApplyResult, error) {
 		if e.opt.DisableDynamic {
 			return nil, ErrDeletesDisabled
 		}
-		if err := dynFits(n, e.und.NumEdges()+int64(len(e.edgeLog)), batch); err != nil {
+		if err := dynFits(n, e.undirectedEdgesLocked()+int64(len(e.edgeLog)), batch); err != nil {
 			return nil, err
 		}
 		e.promoteDynLocked()
@@ -121,25 +122,39 @@ func (e *Engine) ApplyUpdates(batch []Update) (*ApplyResult, error) {
 }
 
 // promoteDynLocked retires the insert-only incremental layer and builds the
-// fully dynamic spanning forest from the re-based undirected CSR, presized
-// from its edge count. Called (under e.mu) on the first batch containing a
-// delete.
+// fully dynamic spanning forest from the re-based graph, presized from its
+// undirected edge count. It links every undirected edge u < v in the order
+// of a walk over the undirected CSR's rows. A directed engine merges each
+// row from Out(u) and In(u) as it goes, which visits the same edges in the
+// same order without building the CSR. Called (under e.mu) on the first
+// batch containing a delete.
 func (e *Engine) promoteDynLocked() {
 	e.rebaseLocked() // fold any pending delta first
-	g := e.und
-	n := g.NumVertices()
-	f := dyn.NewForestSized(n, int(g.NumEdges()))
-	off, adj := g.CSR()
-	for u := 0; u < n; u++ {
-		for _, v := range adj[off[u]:off[u+1]] {
+	b := e.base()
+	m := e.undirectedEdgesLocked()
+	f := dyn.NewForestSized(e.n, int(m))
+	link := func(u int, row []V) {
+		for _, v := range row {
 			if V(u) < v {
 				f.Link(V(u), v)
 			}
 		}
 	}
+	if b.dir != nil {
+		var row []V
+		for u := 0; u < e.n; u++ {
+			row = graph.AppendUnion(row[:0], b.dir.Out(V(u)), b.dir.In(V(u)))
+			link(u, row)
+		}
+	} else {
+		off, adj := b.und.CSR()
+		for u := 0; u < e.n; u++ {
+			link(u, adj[off[u]:off[u+1]])
+		}
+	}
 	e.dyn = f
 	e.inc = nil
-	e.baseEdges = g.NumEdges()
+	e.baseEdges = m
 	e.sinceRebuild = 0
 }
 
