@@ -1,13 +1,16 @@
 package aquila
 
-// A directed engine's connectivity census runs on its out- and in-CSRs:
-// the point and census queries, the first Apply's seed and threshold
-// rebuilds never build the undirected view, on the engine and through a
-// Server alike, and reordered engines leave edge ids unbuilt until an
-// edge-indexed query asks for them.
+// A directed engine's connectivity census is a union-find over its out-arcs:
+// the point and census queries, cold IsConnected and LargestCC, the first
+// Apply's seed and threshold rebuilds build neither the in-CSR nor the
+// undirected view, on the engine and through a Server alike; the queries
+// that walk them build each once per base. Reordered engines leave edge ids
+// unbuilt until an edge-indexed query asks for them.
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"maps"
 	"runtime"
 	"slices"
@@ -110,12 +113,30 @@ func (e *Engine) undirectedBuilt() bool {
 	return e.dir.UndirectedBuilt() || (e.origDir != nil && e.origDir.UndirectedBuilt())
 }
 
+// inBuilt reports whether any graph the engine holds has built its in-CSR.
+func (e *Engine) inBuilt() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.dir.InBuilt() || (e.origDir != nil && e.origDir.InBuilt())
+}
+
+// baseIn returns the first in-adjacency slot of the engine's base graph,
+// which identifies the in-CSR the base holds.
+func (e *Engine) baseIn() *V {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, adj := e.dir.InCSR()
+	return &adj[0]
+}
+
 // TestDirectedCensusNeverUndirects: on epoch 0, after insert-only Applies and
 // after a threshold rebuild, a directed engine and a Server over one answer
 // Connected, CountCC, CC/WCC, LargestCC, CCSizeHistogram and IsConnected
-// exactly, and the graph's undirected view is never built. The auto case is
-// big enough for the chooser to pick a union-find cell; the small one names
-// a union-find cell explicitly.
+// exactly, and neither the graph's in-CSR nor its undirected view is ever
+// built. The auto case is big enough for the chooser to pick a union-find
+// cell; the small one names a union-find cell explicitly. Afterwards SCC,
+// BiCC and Undirected build the in-CSR once for the base, and an Apply's
+// next epoch on that base keeps it.
 func TestDirectedCensusNeverUndirects(t *testing.T) {
 	cases := []struct {
 		name string
@@ -144,7 +165,7 @@ func TestDirectedCensusNeverUndirects(t *testing.T) {
 			arcs := arcsOf(d)
 			rng := gen.NewRNG(7)
 			probe := [2]V{V(rng.Intn(n)), V(rng.Intn(n))}
-			check := func(stage string) {
+			check := func(stage string, unbuilt bool) {
 				t.Helper()
 				want := oracleAnswers(n, arcs, probe)
 				var got ccAnswers
@@ -156,8 +177,9 @@ func TestDirectedCensusNeverUndirects(t *testing.T) {
 				if !got.equal(want) {
 					t.Fatalf("%s server=%v %s: answers differ from the WCC oracle", c.name, viaServer, stage)
 				}
-				if e.undirectedBuilt() || d.UndirectedBuilt() {
-					t.Fatalf("%s server=%v %s: the undirected view was built", c.name, viaServer, stage)
+				e.CCPolicy()
+				if unbuilt && (e.undirectedBuilt() || d.UndirectedBuilt() || e.inBuilt() || d.InBuilt()) {
+					t.Fatalf("%s server=%v %s: the undirected view or the in-CSR was built", c.name, viaServer, stage)
 				}
 			}
 			apply := func(k int) *ApplyResult {
@@ -180,26 +202,141 @@ func TestDirectedCensusNeverUndirects(t *testing.T) {
 				return res
 			}
 
-			check("epoch 0")
+			check("epoch 0", true)
 			for i := 0; i < 3; i++ {
 				if apply(4).Rebuilt {
 					t.Fatalf("%s: a 4-edge batch rebuilt", c.name)
 				}
 				probe = [2]V{arcs[len(arcs)-1].U, V(rng.Intn(n))}
-				check("after insert-only Applies")
+				check("after insert-only Applies", true)
 			}
 			if !apply(n / 2).Rebuilt {
 				t.Fatalf("%s: a batch of %d edges did not cross the rebuild threshold", c.name, n/2)
 			}
-			check("after a threshold rebuild")
+			check("after a threshold rebuild", true)
+
+			ctx := context.Background()
+			if viaServer {
+				if _, err := s.SCC(ctx); err != nil {
+					t.Fatal(err)
+				}
+			} else if _, err := e.SCC(); err != nil {
+				t.Fatal(err)
+			}
+			if !e.inBuilt() {
+				t.Fatalf("%s server=%v: SCC ran without the in-CSR", c.name, viaServer)
+			}
+			in := e.baseIn()
+			if viaServer {
+				if _, err := s.BiCC(ctx); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				e.BiCC()
+			}
+			e.Undirected()
+			if e.baseIn() != in {
+				t.Fatalf("%s server=%v: BiCC or Undirected built a second in-CSR", c.name, viaServer)
+			}
+			apply(2)
+			if viaServer {
+				if _, err := s.SCC(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if e.baseIn() != in {
+				t.Fatalf("%s server=%v: the next epoch built a second in-CSR", c.name, viaServer)
+			}
+			check("after SCC, BiCC and Undirected", false)
+		}
+	}
+}
+
+// TestColdDirectedPartialsUseCensus: on a directed engine whose census is a
+// union-find cell, a cold IsConnected or LargestCC — on the engine or as
+// the first query a Server answers — answers as the WCC oracle does from
+// that census, building neither the in-CSR nor the undirected view.
+func TestColdDirectedPartialsUseCensus(t *testing.T) {
+	ring := func(n int) *Directed {
+		edges := make([]Edge, 0, 2*n)
+		for v := 0; v < n; v++ {
+			edges = append(edges, Edge{U: V(v), V: V((v + 1) % n)}, Edge{U: V((v * 7) % n), V: V(v)})
+		}
+		return NewDirected(n, edges)
+	}
+	cases := []struct {
+		name string
+		g    func() *Directed
+		opt  Options
+	}{
+		{"auto/scattered", func() *Directed {
+			return gen.Social(gen.SocialConfig{GiantVertices: 6000, GiantAvgDeg: 5, SmallComps: 300,
+				SmallMaxSize: 6, Isolated: 200, MutualFrac: 0.5, Seed: 33})
+		}, Options{Threads: 2}},
+		{"auto/connected", func() *Directed { return ring(5000) }, Options{Threads: 2}},
+		{"explicit", func() *Directed { return gen.Random(700, 900, 34) }, Options{Threads: 2, CCPolicy: "none+uf-async"}},
+	}
+	for _, c := range cases {
+		for _, viaServer := range []bool{false, true} {
+			for _, first := range []string{"IsConnected", "LargestCC"} {
+				d := c.g()
+				n := d.NumVertices()
+				want := oracleAnswers(n, arcsOf(d), [2]V{0, 0})
+				e := NewDirectedEngine(d, c.opt)
+				var s *Server
+				if viaServer {
+					s = NewServer(e, ServerConfig{})
+				}
+				ask := func(q string) {
+					t.Helper()
+					switch {
+					case q == "IsConnected" && viaServer:
+						got, err := s.IsConnected(context.Background())
+						if err != nil || got != want.isConn {
+							t.Fatalf("%s server: IsConnected = %v, %v, want %v", c.name, got, err, want.isConn)
+						}
+					case q == "IsConnected":
+						if got := e.IsConnected(); got != want.isConn {
+							t.Fatalf("%s: IsConnected = %v, want %v", c.name, got, want.isConn)
+						}
+					default:
+						var l *LargestResult
+						if viaServer {
+							var err error
+							if l, err = s.LargestCC(context.Background()); err != nil {
+								t.Fatal(err)
+							}
+						} else {
+							l = e.LargestCC()
+						}
+						if l.Size != want.largest || l.Partial {
+							t.Fatalf("%s server=%v: LargestCC size %d partial %v, want %d from the census",
+								c.name, viaServer, l.Size, l.Partial, want.largest)
+						}
+						for v := 0; v < n; v++ {
+							if l.Contains(V(v)) != (want.labels[v] == want.labels[l.Pivot]) {
+								t.Fatalf("%s server=%v: LargestCC.Contains(%d) wrong", c.name, viaServer, v)
+							}
+						}
+					}
+				}
+				ask(first)
+				if e.inBuilt() || e.undirectedBuilt() {
+					t.Fatalf("%s server=%v: a cold %s built the in-CSR or the undirected view", c.name, viaServer, first)
+				}
+				ask("IsConnected")
+				ask("LargestCC")
+			}
 		}
 	}
 }
 
 // TestDirectedBootAllocIndependentOfArcs: NewDirectedEngine plus the first
-// census allocate the same on two graphs with one vertex count and one
-// component layout, one of them with 4x the arcs: nothing the boot keeps
-// grows with |E|.
+// census and the first Apply allocate the same on two graphs with one vertex
+// count and one component layout, one of them with 4x the arcs: nothing the
+// boot builds grows with |E|. Loaded from a text edge list, the two graphs'
+// engines then differ in retained heap by the out-CSR's 4 bytes per arc
+// alone: no in-CSR is built.
 func TestDirectedBootAllocIndependentOfArcs(t *testing.T) {
 	const n, block = 1 << 15, 64
 	build := func(chords int) *Directed {
@@ -215,30 +352,67 @@ func TestDirectedBootAllocIndependentOfArcs(t *testing.T) {
 		}
 		return NewDirected(n, edges)
 	}
+	bootOn := func(d *Directed) *Engine {
+		e := NewDirectedEngine(d, Options{Threads: 1})
+		if got := e.CountCC(); got != n/block {
+			t.Fatalf("%d components, want %d", got, n/block)
+		}
+		if _, err := e.Apply([]Edge{{U: 0, V: 1}, {U: 2, V: 0}}); err != nil {
+			t.Fatal(err)
+		}
+		if e.undirectedBuilt() || e.inBuilt() {
+			t.Fatal("the boot census or the first Apply built the undirected view or the in-CSR")
+		}
+		return e
+	}
 	boot := func(d *Directed) uint64 {
 		var before, after runtime.MemStats
 		best := ^uint64(0)
 		for r := 0; r < 3; r++ {
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			e := NewDirectedEngine(d, Options{Threads: 1})
-			if got := e.CountCC(); got != n/block {
-				t.Fatalf("%d components, want %d", got, n/block)
-			}
+			bootOn(d)
 			runtime.ReadMemStats(&after)
 			best = min(best, after.TotalAlloc-before.TotalAlloc)
-			if e.undirectedBuilt() {
-				t.Fatal("the boot census built the undirected view")
-			}
 		}
 		return best
 	}
 	sparse, dense := build(1), build(7)
 	small, large := boot(sparse), boot(dense)
-	t.Logf("boot + census: %d B at %d arcs, %d B at %d arcs", small, sparse.NumArcs(), large, dense.NumArcs())
+	t.Logf("boot + census + Apply: %d B at %d arcs, %d B at %d arcs", small, sparse.NumArcs(), large, dense.NumArcs())
 	if large > small+64<<10 {
-		t.Fatalf("boot + census allocate %d B at %d arcs vs %d B at %d: something grows with |E|",
+		t.Fatalf("boot + census + Apply allocate %d B at %d arcs vs %d B at %d: something grows with |E|",
 			large, dense.NumArcs(), small, sparse.NumArcs())
+	}
+
+	retained := func(d *Directed) uint64 {
+		var text bytes.Buffer
+		for _, a := range arcsOf(d) {
+			fmt.Fprintf(&text, "%d %d\n", a.U, a.V)
+		}
+		var before, after runtime.MemStats
+		best := ^uint64(0)
+		for r := 0; r < 3; r++ {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			loaded, err := LoadEdgeList(bytes.NewReader(text.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := bootOn(loaded)
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(e)
+			best = min(best, after.HeapAlloc-before.HeapAlloc)
+		}
+		return best
+	}
+	small, large = retained(sparse), retained(dense)
+	outCSR := 4 * uint64(dense.NumArcs()-sparse.NumArcs())
+	t.Logf("text boot retains %d B at %d arcs, %d B at %d arcs", small, sparse.NumArcs(), large, dense.NumArcs())
+	if large > small+outCSR+128<<10 {
+		t.Fatalf("text boot retains %d B more at %d arcs than at %d; the out-CSR accounts for %d",
+			large-small, dense.NumArcs(), sparse.NumArcs(), outCSR)
 	}
 }
 

@@ -65,10 +65,10 @@ type Engine struct {
 	n        int  // the vertex count: Apply never grows the vertex set
 
 	// dir (directed engines) or und (undirected ones) is the base graph
-	// every kernel runs on. A directed engine holds no undirected CSR: its
-	// undirected view is derived from dir, built by the first query that
-	// walks undirected adjacency (see undirectedOf), while connectivity
-	// censuses read dir's out- and in-CSRs directly. Under Options.Reorder
+	// every kernel runs on. A directed engine holds its out-CSR alone: the
+	// in-CSR and the undirected view are derived from it, built by the first
+	// query that walks them (see undirectedOf), while connectivity censuses
+	// run a union-find over dir's out-arcs. Under Options.Reorder
 	// the base is the cache-aware relabeled CSR; perm is then non-nil and
 	// origDir/origUnd keep the caller-id graph. Results are mapped back to
 	// original ids at cache-fill time (see remap.go), so the relabeling
@@ -163,13 +163,15 @@ func NewEngine(g *Undirected, opt Options) *Engine {
 	return e
 }
 
-// NewDirectedEngine returns an Engine over a directed graph. SCC runs on the
-// directed graph. CC (that is, WCC) is CC over the undirected view (paper
-// §6.1), but its census runs straight on the out- and in-CSRs; BiCC, BgCC
-// and the traversal fast paths walk the undirected view itself, which the
-// first of them builds and the engine keeps from then on. With
-// Options.Reorder set, the graph is relabeled (ranked by total degree
-// across the two CSRs), and so is every view derived from it.
+// NewDirectedEngine returns an Engine over a directed graph. CC (that is,
+// WCC) is CC over the undirected view (paper §6.1), but its census is a
+// union-find over the out-arcs alone: every undirected edge is an arc in its
+// source's out-row. SCC also walks the in-CSR, and BiCC, BgCC and the
+// traversal fast paths walk the undirected view; each is built by the first
+// query that needs it and kept from then on, so an engine that answers only
+// connectivity never transposes the graph. With Options.Reorder set, the
+// graph is relabeled (ranked by total degree across the two CSRs), and so is
+// every view derived from it.
 func NewDirectedEngine(g *Directed, opt Options) *Engine {
 	e := &Engine{opt: opt, n: g.NumVertices(), directed: true, dir: g, memo: new(baseMemo), undEdges: -1}
 	if opt.Reorder != ReorderNone {
@@ -255,22 +257,27 @@ func (e *Engine) ccOptions() cc.Options {
 
 // resolveCCPolicy maps Options.CCPolicy onto a concrete matrix cell for base
 // graph b. Explicit specs parse to their cell; "auto", "" and unparseable
-// specs run the adaptive chooser over b's undirected statistics (cheapOf).
-// Resolution is per graph, not per engine: Apply can reshape the graph
-// enough to change the auto cell, and re-bases resolve afresh.
+// specs run the adaptive chooser: over an undirected base's degree
+// statistics, or, for a directed base, over its vertex count alone
+// (cc.ChooseDirectedPolicy), so resolving reads no adjacency. Resolution is
+// per graph, not per engine: Apply can reshape the graph enough to change
+// the auto cell, and re-bases resolve afresh.
 func (e *Engine) resolveCCPolicy(b graphSet) cc.Policy {
 	if s := e.opt.CCPolicy; s != "" && s != "auto" {
 		if pol, err := cc.ParsePolicy(s); err == nil {
 			return pol
 		}
 	}
-	return cc.ChoosePolicy(e.cheapOf(b))
+	if b.dir != nil {
+		return cc.ChooseDirectedPolicy(b.dir.NumVertices())
+	}
+	return cc.ChoosePolicy(stats.CheapUndirected(b.und))
 }
 
 // ccSolve runs the complete CC decomposition of base graph b under the
-// engine's resolved policy. On a directed base a union-find cell runs
-// straight on the out- and in-CSRs; any other cell runs on the undirected
-// view (cc.SolveDirected). Every cell produces the same min-id canonical
+// engine's resolved policy. On a directed base a union-find cell runs on
+// the out-arcs alone; any other cell runs on the undirected view
+// (cc.SolveDirected). Every cell produces the same min-id canonical
 // labeling, so callers (including inc.FromLabels seeding) are
 // policy-agnostic.
 func (e *Engine) ccSolve(b graphSet, ctx context.Context) *cc.Result {
@@ -281,6 +288,14 @@ func (e *Engine) ccSolve(b graphSet, ctx context.Context) *cc.Result {
 		return cc.SolveDirected(b.dir, pol, opt)
 	}
 	return cc.Solve(b.und, pol, opt)
+}
+
+// arcCensus reports whether base b's connectivity census is a union-find
+// over its out-arcs: a directed base under a union-find cell. There the
+// census costs less than the undirected view a §3 traversal would build
+// first, so IsConnected and LargestCC answer from it.
+func (e *Engine) arcCensus(b graphSet) bool {
+	return b.dir != nil && e.resolveCCPolicy(b).UnionFind()
 }
 
 // CCPolicy reports the matrix cell the engine would use for its current
@@ -800,9 +815,6 @@ type graphSet struct {
 // engine and every serving epoch on that base share it; a re-base starts a
 // new one.
 type baseMemo struct {
-	// cheap is a directed base's undirected statistics (see cheapOf).
-	cheapOnce sync.Once
-	cheap     stats.Cheap
 	// eid is the base undirected view's edge-id translation.
 	eid eidMemo
 }
@@ -827,24 +839,12 @@ func (e *Engine) undirectedOf(b graphSet) undirectedView {
 	return v
 }
 
-// cheapOf returns the undirected statistics of base b: the CC chooser's
-// input and the base's undirected edge count. An undirected base reads them
-// off its offsets in O(|V|). A directed base computes them exactly in one
-// count pass over its out- and in-CSRs (stats.CheapUndirectedOf), at most
-// once per base.
-func (e *Engine) cheapOf(b graphSet) stats.Cheap {
-	if b.dir == nil {
-		return stats.CheapUndirected(b.und)
-	}
-	b.memo.cheapOnce.Do(func() { b.memo.cheap = stats.CheapUndirectedOf(b.dir, e.opt.Threads) })
-	return b.memo.cheap
-}
-
 // undirectedEdgesLocked returns the base's undirected edge count. A
-// directed engine learns it from cheapOf on first need, once.
+// directed engine counts it on first need, once, from its out-CSR alone:
+// |A| less one per mutual arc pair (stats.MutualArcs).
 func (e *Engine) undirectedEdgesLocked() int64 {
 	if e.undEdges < 0 {
-		e.undEdges = e.cheapOf(e.base()).Edges
+		e.undEdges = e.dir.NumArcs() - stats.MutualArcs(e.dir, e.opt.Threads)/2
 	}
 	return e.undEdges
 }

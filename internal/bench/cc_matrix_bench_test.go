@@ -46,37 +46,50 @@ func matrixSocialTail() *graph.Directed {
 
 func matrixRMAT() *graph.Directed { return gen.RMAT(16, 16, 69) }
 
-// BenchmarkWCC times a directed graph's weakly connected components two
-// ways, in the union-find cell auto picks for it: graph.Undirect plus
-// cc.Solve, which builds the undirected CSR first, against cc.SolveDirected,
-// which reads the out- and in-CSRs. B/op shows the CSR the second never
+// BenchmarkWCC times a directed graph's weakly connected components the two
+// ways a built graph can take them. undirect+solve is graph.Undirect plus
+// cc.Solve in the cell auto picks for the undirected view; a built graph
+// holds its out-CSR alone, so Undirect transposes it first. arcs is
+// cc.SolveDirected in the cell auto picks for the directed graph, a
+// union-find over the out-arcs. Every iteration starts from a freshly built
+// graph (untimed), so B/op shows the in-CSR and the view the second never
 // allocates.
 func BenchmarkWCC(b *testing.B) {
 	for _, cl := range []struct {
 		name string
 		d    *graph.Directed
 	}{{"social-tail", matrixSocialTail()}, {"rmat", matrixRMAT()}} {
-		cl := cl
-		pol := cc.ChoosePolicy(stats.CheapUndirectedOf(cl.d, 0))
-		if !pol.UnionFind() {
-			b.Fatalf("%s: auto picked %v, not a union-find cell", cl.name, pol)
+		n := cl.d.NumVertices()
+		var arcs []graph.Edge
+		for u := 0; u < n; u++ {
+			for _, v := range cl.d.Out(graph.V(u)) {
+				arcs = append(arcs, graph.Edge{U: graph.V(u), V: v})
+			}
 		}
-		b.Run(fmt.Sprintf("%s/undirect+solve/%v", cl.name, pol), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if cc.Solve(graph.Undirect(cl.d), pol, cc.Options{}).NumComponents == 0 {
-					b.Fatal("no components")
+		for _, way := range []struct {
+			name  string
+			pol   cc.Policy
+			solve func(*graph.Directed, cc.Policy) *cc.Result
+		}{
+			{"undirect+solve", cc.ChoosePolicy(stats.CheapUndirected(graph.Undirect(cl.d))),
+				func(d *graph.Directed, pol cc.Policy) *cc.Result {
+					return cc.Solve(graph.Undirect(d), pol, cc.Options{})
+				}},
+			{"arcs", cc.ChooseDirectedPolicy(n),
+				func(d *graph.Directed, pol cc.Policy) *cc.Result { return cc.SolveDirected(d, pol, cc.Options{}) }},
+		} {
+			b.Run(fmt.Sprintf("%s/%s/%v", cl.name, way.name, way.pol), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					d := graph.BuildDirected(n, arcs)
+					b.StartTimer()
+					if way.solve(d, way.pol).NumComponents == 0 {
+						b.Fatal("no components")
+					}
 				}
-			}
-		})
-		b.Run(fmt.Sprintf("%s/directed/%v", cl.name, pol), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if cc.SolveDirected(cl.d, pol, cc.Options{}).NumComponents == 0 {
-					b.Fatal("no components")
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

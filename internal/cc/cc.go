@@ -7,9 +7,9 @@
 // survives unchanged as the {SampleNone, FinishEnhancedBFS} cell, which Run
 // still executes. WCC is the same computation over the undirected view of a
 // directed graph (graph.Undirect, paper §6.1). SolveDirected computes it
-// without that view for the union-find cells: they read each vertex's
-// undirected row as the two sorted lists Out and In, so a directed graph's
-// census needs only the CSRs it already has.
+// without that view for the union-find cells: every undirected edge is an
+// arc in its source's out-row, so a union-find over the out-arcs alone is a
+// complete WCC, and a directed graph's census needs only its out-CSR.
 package cc
 
 import (
@@ -102,44 +102,42 @@ func Solve(g *graph.Undirected, pol Policy, opt Options) *Result {
 	return solve(undirectedRows(g), pol, opt)
 }
 
-// SolveDirected computes the weakly connected components of d: the result
-// of Solve(graph.Undirect(d), pol, opt), labels and Stats alike (Stats
-// exactly at one thread). The union-find cells (Policy.UnionFind) run
-// unchanged on d's out- and in-CSRs, so no undirected graph is built. The
-// other cells walk undirected adjacency and run on d's undirected view,
-// which the first of them builds (graph.Directed.Undirected). An invalid
-// policy falls back to the pipeline cell, as in Solve.
+// SolveDirected computes the weakly connected components of d: the labels
+// and census of Solve(graph.Undirect(d), pol, opt). The union-find cells
+// (Policy.UnionFind) run on d's out-CSR alone, the same loops undirected CC
+// runs, so neither the in-CSR nor the undirected view is built. Each edge is
+// then stored at one endpoint only, so the finish skips no row:
+// Stats.FinishRows is |V|. The other cells walk undirected adjacency and run
+// on d's undirected view, which the first of them builds
+// (graph.Directed.Undirected). An invalid policy falls back to the pipeline
+// cell, as in Solve.
 func SolveDirected(d *graph.Directed, pol Policy, opt Options) *Result {
 	if pol.Valid() != nil || !pol.UnionFind() {
 		return Solve(d.Undirected(opt.Threads), pol, opt)
 	}
-	return solve(directedRows(d), pol, opt)
+	off, adj := d.OutCSR()
+	return solve(rows{n: d.NumVertices(), off: off, adj: adj, oneEnd: true}, pol, opt)
 }
 
-// rows is the adjacency a matrix cell reads: each vertex's undirected row
-// as up to two strictly increasing lists, (off, adj) and (off2, adj2),
-// whose union is the row. An undirected graph gives one list per vertex
-// (off2 nil, tested once per chunk, after which its rows are indexed
-// directly); a directed graph gives Out and In. und is the graph the
-// traversal cells (the pipeline, hybrid-BFS, label propagation, BFS
-// sampling) walk, nil for a directed graph, which reaches only the
+// rows is the adjacency a matrix cell reads: row v is adj[off[v]:off[v+1]].
+// An undirected graph stores each edge in both endpoints' rows. With oneEnd
+// set each edge sits in one endpoint's row only (a directed graph's
+// out-arcs), so no row may be skipped as internal to the provisional largest
+// component: an arc u→v with u inside it is stored in u's row alone. und is
+// the graph the traversal cells (the pipeline, hybrid-BFS, label
+// propagation, BFS sampling) walk, nil with oneEnd, which reaches only the
 // union-find cells.
 type rows struct {
-	n         int
-	off, off2 []int64
-	adj, adj2 []graph.V
-	und       *graph.Undirected
+	n      int
+	off    []int64
+	adj    []graph.V
+	oneEnd bool
+	und    *graph.Undirected
 }
 
 func undirectedRows(g *graph.Undirected) rows {
 	off, adj := g.CSR()
 	return rows{n: g.NumVertices(), off: off, adj: adj, und: g}
-}
-
-func directedRows(d *graph.Directed) rows {
-	off, adj := d.OutCSR()
-	off2, adj2 := d.InCSR()
-	return rows{n: d.NumVertices(), off: off, adj: adj, off2: off2, adj2: adj2}
 }
 
 // solve runs a valid cell over r.
@@ -339,9 +337,10 @@ func runMatrix(r rows, pol Policy, res *Result, opt Options) {
 
 	// skip reports rows whose edges the finish phase may ignore: everything
 	// inside the provisional largest component is already unioned, and any
-	// edge leaving it is seen from its other endpoint's row.
+	// edge leaving it is seen from its other endpoint's row — which holds
+	// only where every edge is stored at both endpoints.
 	var skip func(graph.V) bool
-	if haveLargest {
+	if haveLargest && !r.oneEnd {
 		skip = func(v graph.V) bool { return uf.Find(uint32(v)) == uf.Find(largest) }
 	}
 

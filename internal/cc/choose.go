@@ -52,3 +52,17 @@ func ChoosePolicy(cs stats.Cheap) Policy {
 		return Policy{Sampling: SampleAfforest, Finish: FinishUFRem}
 	}
 }
+
+// ChooseDirectedPolicy picks the cell for a directed graph's WCC from its
+// vertex count alone, so choosing reads no adjacency. A tiny graph takes the
+// pipeline cell, as ChoosePolicy gives it; any other takes afforest+uf-rem,
+// which SolveDirected runs on the out-arcs without the in-CSR or the
+// undirected view. On the out-arcs, with no row skipped, that cell was the
+// fastest union-find cell, or within a few percent of it, on every class of
+// the repository benchmark (EXPERIMENTS.md "PR 23").
+func ChooseDirectedPolicy(vertices int) Policy {
+	if vertices <= chooseTinyVertices {
+		return PolicyPipeline
+	}
+	return Policy{Sampling: SampleAfforest, Finish: FinishUFRem}
+}

@@ -10,19 +10,17 @@ import (
 // finishUF completes the sampled partition by uniting every edge whose
 // source row is not skipped: edges internal to the provisional largest
 // component never get scanned, and any edge leaving it is seen from its
-// other endpoint's row (so connectivity is complete). A row's two lists are
-// scanned one after the other; a neighbour in both (a mutual arc pair) is
-// united twice, which changes nothing. rem selects Rem's splicing unite over
-// the two-Find CAS unite. Returns the number of rows scanned.
+// other endpoint's row (so connectivity is complete). rem selects Rem's
+// splicing unite over the two-Find CAS unite. Returns the number of rows
+// scanned.
 func finishUF(r rows, uf *unionfind.Concurrent, skip func(graph.V) bool, rem bool, p int, done <-chan struct{}) int {
 	unite := uf.Unite
 	if rem {
 		unite = uf.UniteRem
 	}
-	off, adj, off2, adj2 := r.off, r.adj, r.off2, r.adj2
+	off, adj := r.off, r.adj
 	return forEachVertexChunk(r.n, p, done, func(lo, hi int) int {
 		scanned := 0
-		two := off2 != nil
 		for v := lo; v < hi; v++ {
 			if skip != nil && skip(graph.V(v)) {
 				continue
@@ -30,11 +28,6 @@ func finishUF(r rows, uf *unionfind.Concurrent, skip func(graph.V) bool, rem boo
 			scanned++
 			for _, u := range adj[off[v]:off[v+1]] {
 				unite(uint32(v), uint32(u))
-			}
-			if two {
-				for _, u := range adj2[off2[v]:off2[v+1]] {
-					unite(uint32(v), uint32(u))
-				}
 			}
 		}
 		return scanned

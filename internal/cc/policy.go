@@ -128,9 +128,8 @@ func (p Policy) Valid() error {
 
 // UnionFind reports whether the cell is one of the six union-find cells:
 // sampling none, kout or afforest, finished by uf-async or uf-rem. These
-// cells read adjacency only row by row, so SolveDirected runs them on a
-// directed graph's out- and in-CSRs; the others traverse undirected
-// adjacency.
+// cells union edges in any order, so SolveDirected runs them on a directed
+// graph's out-arcs alone; the others traverse undirected adjacency.
 func (p Policy) UnionFind() bool {
 	return p.Sampling != SampleBFS && (p.Finish == FinishUFAsync || p.Finish == FinishUFRem)
 }

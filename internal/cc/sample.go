@@ -29,36 +29,18 @@ func runSampling(rw rows, pol Policy, uf *unionfind.Concurrent, res *Result, p i
 	case SampleKOut:
 		// Union each vertex with k pseudo-randomly drawn neighbors. The draw
 		// is a deterministic hash of (vertex, round) so runs are reproducible
-		// and no RNG state is shared across workers. It indexes the sorted
-		// row, so two-list rows draw exactly the neighbours their
-		// undirected CSR rows would.
+		// and no RNG state is shared across workers.
 		k := pol.sampleK()
-		off, adj, off2, adj2 := rw.off, rw.adj, rw.off2, rw.adj2
+		off, adj := rw.off, rw.adj
 		res.Stats.SampleMerges = forEachVertexChunk(rw.n, p, done, func(lo, hi int) int {
 			merges := 0
-			if off2 == nil { // one list per row: index it directly
-				for v := lo; v < hi; v++ {
-					nb := adj[off[v]:off[v+1]]
-					if len(nb) == 0 {
-						continue
-					}
-					for r := 0; r < k; r++ {
-						u := nb[int(mix64(uint64(v)<<32|uint64(r))%uint64(len(nb)))]
-						if _, merged := uf.Unite(uint32(v), uint32(u)); merged {
-							merges++
-						}
-					}
-				}
-				return merges
-			}
 			for v := lo; v < hi; v++ {
-				a, b := adj[off[v]:off[v+1]], adj2[off2[v]:off2[v+1]]
-				deg := uint64(graph.UnionSize(a, b))
-				if deg == 0 {
+				nb := adj[off[v]:off[v+1]]
+				if len(nb) == 0 {
 					continue
 				}
 				for r := 0; r < k; r++ {
-					u, _ := graph.UnionNth(a, b, int(mix64(uint64(v)<<32|uint64(r))%deg))
+					u := nb[int(mix64(uint64(v)<<32|uint64(r))%uint64(len(nb)))]
 					if _, merged := uf.Unite(uint32(v), uint32(u)); merged {
 						merges++
 					}
@@ -71,10 +53,9 @@ func runSampling(rw rows, pol Policy, uf *unionfind.Concurrent, res *Result, p i
 		// Afforest subgraph sampling: k rounds of "union each vertex with
 		// its next neighbor". Processing neighbor r of every vertex per
 		// round (rather than k neighbors of one vertex at a time) is what
-		// lets the giant component coalesce across rounds. Neighbour r is
-		// the r-th of the sorted row, whichever list holds it.
+		// lets the giant component coalesce across rounds.
 		k := pol.sampleK()
-		off, adj, off2, adj2 := rw.off, rw.adj, rw.off2, rw.adj2
+		off, adj := rw.off, rw.adj
 		merges := 0
 		for r := 0; r < k; r++ {
 			if parallel.Stopped(done) {
@@ -83,23 +64,11 @@ func runSampling(rw rows, pol Policy, uf *unionfind.Concurrent, res *Result, p i
 			r := r
 			merges += forEachVertexChunk(rw.n, p, done, func(lo, hi int) int {
 				m := 0
-				if off2 == nil { // one list per row: index it directly
-					for v := lo; v < hi; v++ {
-						if i := off[v] + int64(r); i < off[v+1] {
-							if _, merged := uf.Unite(uint32(v), uint32(adj[i])); merged {
-								m++
-							}
-						}
-					}
-					return m
-				}
 				for v := lo; v < hi; v++ {
-					u, ok := graph.UnionNth(adj[off[v]:off[v+1]], adj2[off2[v]:off2[v+1]], r)
-					if !ok {
-						continue
-					}
-					if _, merged := uf.Unite(uint32(v), uint32(u)); merged {
-						m++
+					if i := off[v] + int64(r); i < off[v+1] {
+						if _, merged := uf.Unite(uint32(v), uint32(adj[i])); merged {
+							m++
+						}
 					}
 				}
 				return m

@@ -149,15 +149,16 @@ func Explain(query string) (string, error) {
 	return strings.TrimRight(b.String(), "\n"), nil
 }
 
-// toPlanQuery maps CLI query strings onto the structured plan queries.
+// toPlanQuery maps CLI query strings onto the structured plan queries. The
+// CLI's graphs are directed, so its CC queries are WCC queries.
 func toPlanQuery(query string) (plan.Query, error) {
 	switch {
 	case query == "connected", strings.HasPrefix(query, "connected="):
-		return plan.Query{Alg: plan.CC, Kind: "connected"}, nil
+		return plan.Query{Alg: plan.WCC, Kind: "connected"}, nil
 	case query == "strongly-connected":
 		return plan.Query{Alg: plan.SCC, Kind: "connected"}, nil
 	case query == "num-cc", query == "histogram":
-		return plan.Query{Alg: plan.CC, Kind: "count"}, nil
+		return plan.Query{Alg: plan.WCC, Kind: "count"}, nil
 	case query == "num-scc":
 		return plan.Query{Alg: plan.SCC, Kind: "count"}, nil
 	case query == "num-bicc":
@@ -165,7 +166,7 @@ func toPlanQuery(query string) (plan.Query, error) {
 	case query == "num-bgcc":
 		return plan.Query{Alg: plan.BgCC, Kind: "count"}, nil
 	case query == "largest-cc", strings.HasPrefix(query, "in-largest-cc="):
-		return plan.Query{Alg: plan.CC, Kind: "largest-size"}, nil
+		return plan.Query{Alg: plan.WCC, Kind: "largest-size"}, nil
 	case query == "largest-scc":
 		return plan.Query{Alg: plan.SCC, Kind: "largest-size"}, nil
 	case query == "aps":

@@ -42,24 +42,22 @@ func buildThreads(threads, m int) int {
 func BuildDirected(n int, edges []Edge) *Directed { return BuildDirectedThreads(n, edges, 0) }
 
 // BuildDirectedThreads is BuildDirected with an explicit worker count
-// (Threads semantics: values < 1 mean GOMAXPROCS). It builds the out-CSR from
-// the edge list and derives the in-CSR from it by transposeCSR, so the edge
-// list is scattered, sorted and deduplicated once. The result is identical to
-// BuildDirectedSerial for every worker count.
+// (Threads semantics: values < 1 mean GOMAXPROCS). It builds the out-CSR
+// alone; the in-CSR is derived from it on first use (InCSR). The result is
+// identical to BuildDirectedSerial for every worker count.
 func BuildDirectedThreads(n int, edges []Edge, threads int) *Directed {
-	p := buildThreads(threads, len(edges))
-	outOff, outAdj := buildCSR(n, edges, p)
-	inOff, inAdj := transposeCSR(outOff, outAdj, p)
-	return &Directed{n: n, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
+	outOff, outAdj := buildCSR(n, edges, buildThreads(threads, len(edges)))
+	return &Directed{n: n, outOff: outOff, outAdj: outAdj}
 }
 
 // BuildDirectedSerial is the single-threaded seed builder, kept as the pinned
 // baseline for the parallel-ingestion differential tests and the
-// build-throughput benchmarks.
+// build-throughput benchmarks. It builds both CSRs from the edge list, so
+// its in-CSR is the oracle for the transpose.
 func BuildDirectedSerial(n int, edges []Edge) *Directed {
 	outOff, outAdj := buildCSRSerial(n, edges, false)
 	inOff, inAdj := buildCSRSerial(n, edges, true)
-	return &Directed{n: n, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
+	return (&Directed{n: n, outOff: outOff, outAdj: outAdj}).withIn(inOff, inAdj)
 }
 
 // BuildUndirected constructs an Undirected graph over n vertices. Each input
@@ -109,18 +107,19 @@ func BuildUndirectedSerial(n int, edges []Edge) *Undirected {
 // that shares only one directed edge, keeping the vertex count unchanged.
 //
 // It relies on the invariant every Directed carries (the builders, the v1
-// and .aqg loaders and the relabelings all establish it): out- and
-// in-segments are strictly increasing and loop-free, and the in-CSR is the
-// transpose of the out-CSR. Vertex u's undirected list is then exactly the
-// sorted union Out(u) ∪ In(u), which a linear merge produces directly.
+// and .aqg loaders and the relabelings all establish it): out-segments are
+// strictly increasing and loop-free, and so are the segments of the in-CSR,
+// its transpose. Vertex u's undirected list is then exactly the sorted union
+// Out(u) ∪ In(u), which a linear merge produces directly.
 func Undirect(g *Directed) *Undirected { return UndirectThreads(g, 0) }
 
-// UndirectThreads is Undirect with an explicit worker count. It makes two
-// merge passes over the vertices — count |Out(u) ∪ In(u)| into the offsets,
-// prefix-sum, then write the unions — on degree-weighted chunks (a vertex
-// weighs its out- plus in-degree, so in-hubs balance too). No edge list,
-// histogram, atomic or sort is involved; one worker runs the same loops
-// serially. The edge-id index is left for EdgeIDs to build on first use.
+// UndirectThreads is Undirect with an explicit worker count. It builds g's
+// in-CSR first if g has not, then makes two merge passes over the vertices —
+// count |Out(u) ∪ In(u)| into the offsets, prefix-sum, then write the unions
+// — on degree-weighted chunks (a vertex weighs its out- plus in-degree, so
+// in-hubs balance too). No edge list, histogram, atomic or sort is involved;
+// one worker runs the same loops serially. The edge-id index is left for
+// EdgeIDs to build on first use.
 func UndirectThreads(g *Directed, threads int) *Undirected {
 	return undirect(g, buildThreads(threads, len(g.outAdj)))
 }
@@ -129,26 +128,28 @@ func UndirectThreads(g *Directed, threads int) *Undirected {
 // differential tests can drive small graphs through the parallel schedule.
 func undirect(g *Directed, p int) *Undirected {
 	n := g.n
+	outOff, outAdj := g.outOff, g.outAdj
+	inOff, inAdj := g.InCSR()
 	// Seed off with the summed out/in offsets — itself a CSR offset array,
 	// weighting each vertex by out+in degree — and cut the chunk bounds from
 	// it before the count pass overwrites off[u+1] with u's union size.
 	off := make([]int64, n+1)
-	parallel.For(0, n+1, p, func(i int) { off[i] = g.outOff[i] + g.inOff[i] })
+	parallel.For(0, n+1, p, func(i int) { off[i] = outOff[i] + inOff[i] })
 	bounds := degreeChunks(off, p)
 	forChunks(bounds, p, func(u int) {
-		off[u+1] = UnionSize(g.Out(V(u)), g.In(V(u)))
+		off[u+1] = unionSize(outAdj[outOff[u]:outOff[u+1]], inAdj[inOff[u]:inOff[u+1]])
 	})
 	prefixInPlace(off, p)
 	adj := make([]V, off[n])
 	forChunks(bounds, p, func(u int) {
-		AppendUnion(adj[off[u]:off[u]:off[u+1]], g.Out(V(u)), g.In(V(u)))
+		AppendUnion(adj[off[u]:off[u]:off[u+1]], outAdj[outOff[u]:outOff[u+1]], inAdj[inOff[u]:inOff[u+1]])
 	})
 	return &Undirected{n: n, off: off, adj: adj}
 }
 
-// UnionSize is |a ∪ b| for strictly increasing a and b: given a vertex's Out
+// unionSize is |a ∪ b| for strictly increasing a and b: given a vertex's Out
 // and In lists, its degree in the undirected view.
-func UnionSize(a, b []V) int64 {
+func unionSize(a, b []V) int64 {
 	i, j, c := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -163,41 +164,6 @@ func UnionSize(a, b []V) int64 {
 		c++
 	}
 	return int64(c + len(a) - i + len(b) - j)
-}
-
-// UnionNth returns the i-th smallest element (from 0) of a ∪ b for strictly
-// increasing a and b, or false when the union has at most i elements. It
-// walks only the first i+1 elements of the union, so the undirected view's
-// row entry i is found without building the row.
-func UnionNth(a, b []V, i int) (V, bool) {
-	if len(b) == 0 {
-		if i < len(a) {
-			return a[i], true
-		}
-		return 0, false
-	}
-	x, y := 0, 0
-	for {
-		var v V
-		switch {
-		case x < len(a) && (y == len(b) || a[x] < b[y]):
-			v = a[x]
-			x++
-		case y < len(b) && (x == len(a) || b[y] < a[x]):
-			v = b[y]
-			y++
-		case x < len(a): // a[x] == b[y]
-			v = a[x]
-			x++
-			y++
-		default:
-			return 0, false
-		}
-		if i == 0 {
-			return v, true
-		}
-		i--
-	}
 }
 
 // AppendUnion appends the sorted union of strictly increasing a and b to dst

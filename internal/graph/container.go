@@ -160,8 +160,10 @@ func BinaryFormat(head []byte) int {
 }
 
 // WriteContainer serializes a directed graph as an .aqg v2 container. The
-// in-CSR is persisted alongside the out-CSR, so loading performs no rebuild.
+// in-CSR (built first if g has not built it yet) is persisted alongside the
+// out-CSR, so loading performs no rebuild.
 func WriteContainer(w io.Writer, g *Directed) error {
+	inOff, inAdj := g.InCSR()
 	h := &aqgHeader{
 		n:     int64(g.n),
 		slots: int64(len(g.outAdj)),
@@ -171,8 +173,8 @@ func WriteContainer(w io.Writer, g *Directed) error {
 	cw := newContainerWriter(w, h)
 	cw.int64Section(0, g.outOff)
 	cw.vSection(1, g.outAdj)
-	cw.int64Section(2, g.inOff)
-	cw.vSection(3, g.inAdj)
+	cw.int64Section(2, inOff)
+	cw.vSection(3, inAdj)
 	return cw.finish()
 }
 
@@ -543,7 +545,7 @@ func (h *aqgHeader) assembleDirected(outOff []int64, outAdj []V, inOff []int64, 
 	if outHash != inHash {
 		return nil, fmt.Errorf("graph: container in-CSR is not the transpose of the out-CSR")
 	}
-	g := &Directed{n: int(h.n), outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
+	g := (&Directed{n: int(h.n), outOff: outOff, outAdj: outAdj}).withIn(inOff, inAdj)
 	return &Container{Directed: g}, nil
 }
 
@@ -558,7 +560,7 @@ func (h *aqgHeader) assembleUndirected(off []int64, adj []V, mate, eid []int64) 
 		return nil, err
 	}
 	g := &Undirected{n: int(h.n), off: off, adj: adj}
-	g.eid.Store(&eid)
+	g.eid.p.Store(&eid)
 	return &Container{Undirected: g}, nil
 }
 

@@ -82,9 +82,10 @@ func FuzzReadEdgeListParity(f *testing.F) {
 }
 
 // FuzzParallelBuildParity fuzzes the parallel CSR builder and its in-CSR
-// transpose against the serial seed builder, and the merge-based Undirect
-// against the expand-and-build oracle, on small adversarial edge lists (the
-// size clamp and the transpose's worker cap are bypassed by driving buildCSR,
+// transpose — built lazily on first use, and on p workers — against the
+// serial seed builder, and the merge-based Undirect against the
+// expand-and-build oracle, on small adversarial edge lists (the size clamp
+// and the transpose's worker cap are bypassed by driving buildCSR,
 // transpose and undirect directly).
 func FuzzParallelBuildParity(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 2, 2, 2, 3, 0})
@@ -107,9 +108,8 @@ func FuzzParallelBuildParity(f *testing.F) {
 		wantUD := undirectSerial(wantD)
 		for _, p := range []int{2, 4} {
 			outOff, outAdj := buildCSR(n, edges, p)
-			inOff, inAdj := transpose(outOff, outAdj, p)
-			gotD := &Directed{n: n, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
-			sameDirected(t, wantD, gotD)
+			sameDirected(t, wantD, &Directed{n: n, outOff: outOff, outAdj: outAdj})
+			sameDirected(t, wantD, (&Directed{n: n, outOff: outOff, outAdj: outAdj}).withIn(transpose(outOff, outAdj, p)))
 			sym := make([]Edge, 0, 2*len(edges))
 			for _, e := range edges {
 				sym = append(sym, e, Edge{e.V, e.U})

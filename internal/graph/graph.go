@@ -1,15 +1,15 @@
 // Package graph provides the compressed-sparse-row (CSR) graph representation
 // used throughout Aquila (paper §6.1): a begin-position array of length |V|+1
-// and an adjacency array of length |E|. Directed graphs carry both the out-CSR
-// and the in-CSR (SCC needs backward traversals). A directed graph's
-// undirected view (Undirect) is a derived graph it builds on first use and
-// keeps: weakly connected components read the out- and in-CSRs directly, so
-// only queries that walk undirected adjacency (BiCC, BgCC, traversals) pay
-// for it. Undirected graphs map every adjacency slot to a dense edge id so
-// per-undirected-edge state (block labels, bridge flags) can be stored once
-// per edge even though CSR stores each edge twice; that index is built on
-// first use too, since connectivity reads and union-find updates never need
-// it.
+// and an adjacency array of length |E|. A directed graph's base is its
+// out-CSR alone. Its in-CSR (the transpose, which SCC's backward traversals
+// read) and its undirected view (Undirect, which BiCC, BgCC and the
+// traversals walk) are derived structures it builds on first use and keeps:
+// weakly connected components need neither, since every undirected edge is
+// already an arc in its source's out-row. Undirected graphs map every
+// adjacency slot to a dense edge id so per-undirected-edge state (block
+// labels, bridge flags) can be stored once per edge even though CSR stores
+// each edge twice; that index is built on first use too, since connectivity
+// reads and union-find updates never need it.
 package graph
 
 import (
@@ -25,18 +25,55 @@ type V = uint32
 // unvisited vertices and component labels of removed vertices).
 const NoVertex V = ^V(0)
 
-// Directed is an immutable directed graph in CSR form with both edge
-// directions materialized. Its undirected view is built on first use by
-// Undirected. A Directed must not be copied by value.
+// Directed is an immutable directed graph in CSR form: the out-CSR, plus the
+// in-CSR and the undirected view derived from it on first use (InCSR,
+// Undirected). A Directed must not be copied by value.
 type Directed struct {
 	n      int
 	outOff []int64
 	outAdj []V
-	inOff  []int64
-	inAdj  []V
 
-	undMu sync.Mutex
-	und   atomic.Pointer[Undirected] // nil until Undirected first runs
+	in  memo[csr]        // the transpose; nil until InCSR first runs
+	und memo[Undirected] // nil until Undirected first runs
+}
+
+// csr is one CSR direction: offsets of length |V|+1 and the adjacency.
+type csr struct {
+	off []int64
+	adj []V
+}
+
+// memo holds a value derived from an immutable graph on first use: the
+// first get builds it under the mutex, and later gets, from any goroutine,
+// load the same value.
+type memo[T any] struct {
+	mu sync.Mutex
+	p  atomic.Pointer[T]
+}
+
+func (m *memo[T]) get(build func() *T) *T {
+	if v := m.p.Load(); v != nil {
+		return v
+	}
+	return m.fill(build)
+}
+
+func (m *memo[T]) fill(build func() *T) *T {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if v := m.p.Load(); v != nil {
+		return v
+	}
+	v := build()
+	m.p.Store(v)
+	return v
+}
+
+// withIn stores (off, adj), which must be the transpose of g's out-CSR, as
+// g's in-CSR already built, and returns g.
+func (g *Directed) withIn(off []int64, adj []V) *Directed {
+	g.in.p.Store(&csr{off, adj})
+	return g
 }
 
 // NumVertices returns |V|.
@@ -48,16 +85,23 @@ func (g *Directed) NumArcs() int64 { return int64(len(g.outAdj)) }
 // OutDegree returns the out-degree of u.
 func (g *Directed) OutDegree(u V) int { return int(g.outOff[u+1] - g.outOff[u]) }
 
-// InDegree returns the in-degree of u.
-func (g *Directed) InDegree(u V) int { return int(g.inOff[u+1] - g.inOff[u]) }
+// InDegree returns the in-degree of u, building the in-CSR on first use;
+// per-vertex loops fetch InCSR once instead.
+func (g *Directed) InDegree(u V) int {
+	off, _ := g.InCSR()
+	return int(off[u+1] - off[u])
+}
 
 // Out returns u's out-neighbors as a shared slice view; callers must not
 // modify it.
 func (g *Directed) Out(u V) []V { return g.outAdj[g.outOff[u]:g.outOff[u+1]] }
 
-// In returns u's in-neighbors as a shared slice view; callers must not
-// modify it.
-func (g *Directed) In(u V) []V { return g.inAdj[g.inOff[u]:g.inOff[u+1]] }
+// In returns u's in-neighbors as a shared slice view, building the in-CSR on
+// first use; callers must not modify it.
+func (g *Directed) In(u V) []V {
+	off, adj := g.InCSR()
+	return adj[off[u]:off[u+1]]
+}
 
 // HasArc reports whether the directed edge u→v exists. It binary-searches
 // u's sorted out-adjacency list.
@@ -69,39 +113,42 @@ func (g *Directed) HasArc(u, v V) bool { return searchSlot(g.outOff, g.outAdj, u
 func (g *Directed) OutCSR() (off []int64, adj []V) { return g.outOff, g.outAdj }
 
 // InCSR returns the raw in-direction CSR arrays as shared views; callers must
-// not modify them.
-func (g *Directed) InCSR() (off []int64, adj []V) { return g.inOff, g.inAdj }
+// not modify them. The first call derives them from the out-CSR by
+// transposeCSR with GOMAXPROCS workers; later calls, from any goroutine,
+// return the same arrays. A graph loaded from a container, or built by
+// BuildDirectedSerial, has them already.
+func (g *Directed) InCSR() (off []int64, adj []V) {
+	c := g.in.get(func() *csr {
+		off, adj := transposeCSR(g.outOff, g.outAdj, buildThreads(0, len(g.outAdj)))
+		return &csr{off, adj}
+	})
+	return c.off, c.adj
+}
+
+// InBuilt reports whether the in-CSR exists yet, without building it.
+func (g *Directed) InBuilt() bool { return g.in.p.Load() != nil }
 
 // Undirected returns g's undirected view, Undirect(g), as a shared graph.
-// The first call builds it with up to threads workers (Threads semantics);
-// later calls, from any goroutine, return the same graph. Connectivity never
-// needs it — the union-find cells read Out and In as the two halves of each
-// undirected row — so it exists only once a query walks undirected adjacency.
+// The first call builds it with up to threads workers (Threads semantics),
+// building the in-CSR first if need be; later calls, from any
+// goroutine, return the same graph. Connectivity never needs it, so it
+// exists only once a query walks undirected adjacency.
 func (g *Directed) Undirected(threads int) *Undirected {
-	if u := g.und.Load(); u != nil {
-		return u
-	}
-	g.undMu.Lock()
-	defer g.undMu.Unlock()
-	if u := g.und.Load(); u != nil {
-		return u
-	}
-	u := UndirectThreads(g, threads)
-	g.und.Store(u)
-	return u
+	return g.und.get(func() *Undirected { return UndirectThreads(g, threads) })
 }
 
 // UndirectedBuilt reports whether the undirected view exists yet, without
 // building it.
-func (g *Directed) UndirectedBuilt() bool { return g.und.Load() != nil }
+func (g *Directed) UndirectedBuilt() bool { return g.und.p.Load() != nil }
 
 // MaxOutDegreeVertex returns the vertex with the highest out+in degree — the
 // paper's heuristic master pivot, "always in the single large task" (§5.3).
 func (g *Directed) MaxOutDegreeVertex() V {
+	inOff, _ := g.InCSR()
 	best := V(0)
-	bestDeg := -1
+	bestDeg := int64(-1)
 	for u := 0; u < g.n; u++ {
-		d := g.OutDegree(V(u)) + g.InDegree(V(u))
+		d := g.outOff[u+1] - g.outOff[u] + inOff[u+1] - inOff[u]
 		if d > bestDeg {
 			bestDeg = d
 			best = V(u)
@@ -120,8 +167,7 @@ type Undirected struct {
 	off []int64
 	adj []V
 
-	eidMu sync.Mutex
-	eid   atomic.Pointer[[]int64] // nil until EdgeIDs first runs
+	eid memo[[]int64] // nil until EdgeIDs first runs
 }
 
 // NumVertices returns |V|.
@@ -156,29 +202,22 @@ func (g *Undirected) SlotTarget(s int64) V { return g.adj[s] }
 // goroutine, return the same slice. Kernels fetch it once at entry, outside
 // their per-slot loops.
 func (g *Undirected) EdgeIDs() []int64 {
-	if p := g.eid.Load(); p != nil {
-		return *p
-	}
-	g.eidMu.Lock()
-	defer g.eidMu.Unlock()
-	if p := g.eid.Load(); p != nil {
-		return *p
-	}
-	eid := make([]int64, len(g.adj))
-	if !walkEdges(g.off, g.adj, func(s, r, k int64) bool {
-		eid[s], eid[r] = k, k
-		return true
-	}) {
-		// No builder emits an asymmetric CSR and every loader rejects one.
-		panic("graph: asymmetric CSR — reverse edge missing")
-	}
-	g.eid.Store(&eid)
-	return eid
+	return *g.eid.get(func() *[]int64 {
+		eid := make([]int64, len(g.adj))
+		if !walkEdges(g.off, g.adj, func(s, r, k int64) bool {
+			eid[s], eid[r] = k, k
+			return true
+		}) {
+			// No builder emits an asymmetric CSR and every loader rejects one.
+			panic("graph: asymmetric CSR — reverse edge missing")
+		}
+		return &eid
+	})
 }
 
 // EdgeIDsBuilt reports whether the edge-id index exists yet, without
 // building it.
-func (g *Undirected) EdgeIDsBuilt() bool { return g.eid.Load() != nil }
+func (g *Undirected) EdgeIDsBuilt() bool { return g.eid.p.Load() != nil }
 
 // EdgeIDOf returns the dense edge id of edge {u,v}, or -1 if no such edge
 // exists. It binary-searches u's sorted adjacency list.

@@ -456,7 +456,7 @@ func ReadBinary(r io.Reader) (*Directed, error) {
 		return BuildDirected(int(n), edges), nil
 	}
 	inOff, inAdj := transposeCSR(off, adj, buildThreads(0, int(m)))
-	return &Directed{n: int(n), outOff: off, outAdj: adj, inOff: inOff, inAdj: inAdj}, nil
+	return (&Directed{n: int(n), outOff: off, outAdj: adj}).withIn(inOff, inAdj), nil
 }
 
 // Section readers shared by the v1 reader and the v2 streaming container

@@ -47,18 +47,23 @@ func diffEdges(n, m int, seed uint64) []Edge {
 	return edges
 }
 
+// sameDirected checks got against want CSR by CSR, byte for byte. Each
+// graph's in-CSR is read through InCSR, so one built lazily is compared as
+// built.
 func sameDirected(t *testing.T, want, got *Directed) {
 	t.Helper()
 	if want.n != got.n {
 		t.Fatalf("n: want %d, got %d", want.n, got.n)
 	}
+	wInOff, wInAdj := want.InCSR()
+	gInOff, gInAdj := got.InCSR()
 	for _, c := range []struct {
 		name       string
 		wOff, gOff []int64
 		wAdj, gAdj []V
 	}{
 		{"out", want.outOff, got.outOff, want.outAdj, got.outAdj},
-		{"in", want.inOff, got.inOff, want.inAdj, got.inAdj},
+		{"in", wInOff, gInOff, wInAdj, gInAdj},
 	} {
 		if !reflect.DeepEqual(c.wOff, c.gOff) {
 			t.Fatalf("%s-CSR offsets differ", c.name)
@@ -114,10 +119,10 @@ func seedEdgeIndex(n int, off []int64, adj []V) (mate, eid []int64) {
 }
 
 // TestBuildDirectedParallelMatchesSerial pins the tentpole determinism claim:
-// every worker count yields byte-identical CSR to the serial seed builder.
-// Large cases go through the public API (past the minParallelBuild clamp);
-// small cases drive buildCSR and transpose directly so degenerate shapes
-// still hit the parallel code path.
+// every worker count yields byte-identical CSRs to the serial seed builder,
+// the in-CSR as the graph builds it on first use. Large cases go through the
+// public API (past the minParallelBuild clamp); small cases drive buildCSR
+// directly so degenerate shapes still hit the parallel code path.
 func TestBuildDirectedParallelMatchesSerial(t *testing.T) {
 	for _, tc := range []struct{ n, m int }{
 		{50, 400}, {1000, 5000}, {4000, minParallelBuild + 7}, {1 << 12, 1 << 16},
@@ -126,14 +131,15 @@ func TestBuildDirectedParallelMatchesSerial(t *testing.T) {
 			edges := diffEdges(tc.n, tc.m, seed)
 			want := BuildDirectedSerial(tc.n, edges)
 			for _, p := range []int{2, 3, 4, 8} {
-				if tc.m >= minParallelBuild {
-					sameDirected(t, want, BuildDirectedThreads(tc.n, edges, p))
-				} else {
+				got := BuildDirectedThreads(tc.n, edges, p)
+				if tc.m < minParallelBuild {
 					outOff, outAdj := buildCSR(tc.n, edges, p)
-					inOff, inAdj := transpose(outOff, outAdj, p)
-					got := &Directed{n: tc.n, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
-					sameDirected(t, want, got)
+					got = &Directed{n: tc.n, outOff: outOff, outAdj: outAdj}
 				}
+				if got.InBuilt() {
+					t.Fatal("the builder built the in-CSR")
+				}
+				sameDirected(t, want, got)
 			}
 		}
 	}
@@ -311,8 +317,8 @@ func TestTransposeMatchesSerial(t *testing.T) {
 			for _, p := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("%s/%s/p=%d", counters.name, name, p), func(t *testing.T) {
 					for _, tr := range []func([]int64, []V, int) ([]int64, []V){transpose, transposeCSR} {
-						inOff, inAdj := tr(g.outOff, g.outAdj, p)
-						sameDirected(t, g, &Directed{n: g.n, outOff: g.outOff, outAdj: g.outAdj, inOff: inOff, inAdj: inAdj})
+						got := &Directed{n: g.n, outOff: g.outOff, outAdj: g.outAdj}
+						sameDirected(t, g, got.withIn(tr(g.outOff, g.outAdj, p)))
 					}
 				})
 			}

@@ -65,10 +65,12 @@ func netChanges(log []Change, sym bool) []Change {
 
 // Patch returns g with the change log applied: the arcs the log nets as
 // inserted are added, the ones it nets as deleted are removed. g is not
-// modified. Each CSR direction is one linear merge of g's rows with the
-// net changes, so the cost is O(|V| + |E|) plus a sort of the log; no edge
-// list is built. Inserting a present arc or deleting an absent one is a
-// no-op, so the result is a valid graph for any log.
+// modified. The out-CSR is one linear merge of g's rows with the net
+// changes, so the cost is O(|V| + |E|) plus a sort of the log; no edge list
+// is built. The in-CSR is patched the same way when g has built it, and
+// otherwise left for the result to derive on first use. Inserting a present
+// arc or deleting an absent one is a no-op, so the result is a valid graph
+// for any log.
 func (g *Directed) Patch(log []Change, threads int) *Directed {
 	net := netChanges(log, false)
 	if len(net) == 0 {
@@ -76,17 +78,20 @@ func (g *Directed) Patch(log []Change, threads int) *Directed {
 	}
 	p := buildThreads(threads, len(g.outAdj))
 	outOff, outAdj := patchCSR(g.outOff, g.outAdj, net, p)
-	for i := range net {
-		net[i].U, net[i].V = net[i].V, net[i].U
-	}
-	slices.SortFunc(net, func(a, b Change) int {
-		if a.U != b.U {
-			return cmp.Compare(a.U, b.U)
+	d := &Directed{n: g.n, outOff: outOff, outAdj: outAdj}
+	if in := g.in.p.Load(); in != nil {
+		for i := range net {
+			net[i].U, net[i].V = net[i].V, net[i].U
 		}
-		return cmp.Compare(a.V, b.V)
-	})
-	inOff, inAdj := patchCSR(g.inOff, g.inAdj, net, p)
-	return &Directed{n: g.n, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
+		slices.SortFunc(net, func(a, b Change) int {
+			if a.U != b.U {
+				return cmp.Compare(a.U, b.U)
+			}
+			return cmp.Compare(a.V, b.V)
+		})
+		d.withIn(patchCSR(in.off, in.adj, net, p))
+	}
+	return d
 }
 
 // PatchWithView is Patch for the graph that replaces g, such as an engine's
@@ -98,8 +103,8 @@ func (g *Directed) Patch(log []Change, threads int) *Directed {
 func (g *Directed) PatchWithView(arcs, edges []Change, threads int) *Directed {
 	d := g.Patch(arcs, threads)
 	if d != g {
-		if u := g.und.Load(); u != nil {
-			d.und.Store(u.Patch(edges, threads))
+		if u := g.und.p.Load(); u != nil {
+			d.und.p.Store(u.Patch(edges, threads))
 		}
 	}
 	return d

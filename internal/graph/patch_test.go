@@ -66,21 +66,33 @@ func TestPatchMatchesRebuild(t *testing.T) {
 				edges = append(edges, Edge{U: V(rnd.Intn(tc.n)), V: V(rnd.Intn(tc.n))})
 			}
 
-			d := BuildDirected(tc.n, edges)
-			before := slices.Clone(d.outAdj)
+			// An unbuilt in-CSR stays unbuilt and a built one is patched;
+			// either way it ends as the transpose the serial builder makes.
 			log, final := patchSchedule(rnd, tc.n, edges, false, tc.steps)
-			sameDirected(t, BuildDirected(tc.n, final), d.Patch(log, threads))
-			if !slices.Equal(d.outAdj, before) {
-				t.Fatal("Directed.Patch modified its receiver")
+			want := BuildDirectedSerial(tc.n, final)
+			for _, inBuilt := range []bool{false, true} {
+				d := BuildDirected(tc.n, edges)
+				if inBuilt {
+					d.InCSR()
+				}
+				before := slices.Clone(d.outAdj)
+				got := d.Patch(log, threads)
+				if got.InBuilt() != inBuilt {
+					t.Fatalf("in-CSR built %v before Patch, %v after", inBuilt, got.InBuilt())
+				}
+				sameDirected(t, want, got)
+				if !slices.Equal(d.outAdj, before) {
+					t.Fatal("Directed.Patch modified its receiver")
+				}
 			}
 
 			u := BuildUndirected(tc.n, edges)
 			log, final = patchSchedule(rnd, tc.n, edges, true, tc.steps)
-			got, want := u.Patch(log, threads), BuildUndirected(tc.n, final)
-			if !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) {
+			gotU, wantU := u.Patch(log, threads), BuildUndirected(tc.n, final)
+			if !slices.Equal(gotU.off, wantU.off) || !slices.Equal(gotU.adj, wantU.adj) {
 				t.Fatalf("n=%d threads=%d: patched undirected CSR differs from the rebuild", tc.n, threads)
 			}
-			if !slices.Equal(got.EdgeEndpoints(), want.EdgeEndpoints()) {
+			if !slices.Equal(gotU.EdgeEndpoints(), wantU.EdgeEndpoints()) {
 				t.Fatal("patched edge ids differ from the rebuild")
 			}
 		}

@@ -42,9 +42,13 @@ func DegreeOrder(g *Undirected, threads int) *Permutation {
 // DegreeOrderDirected is DegreeOrder for directed graphs, ranking by
 // out-degree + in-degree (total touch count across both CSRs).
 func DegreeOrderDirected(g *Directed, threads int) *Permutation {
-	return degreeOrder(g.n, func(u V) int64 {
-		return (g.outOff[u+1] - g.outOff[u]) + (g.inOff[u+1] - g.inOff[u])
-	}, threads)
+	return degreeOrder(g.n, totalDegree(g), threads)
+}
+
+// totalDegree returns u's out-degree + in-degree as a function of u.
+func totalDegree(g *Directed) func(V) int64 {
+	inOff, _ := g.InCSR()
+	return func(u V) int64 { return (g.outOff[u+1] - g.outOff[u]) + (inOff[u+1] - inOff[u]) }
 }
 
 func degreeOrder(n int, degree func(V) int64, threads int) *Permutation {
@@ -120,9 +124,8 @@ func BFSOrder(g *Undirected, threads int) *Permutation {
 // connected component stays contiguous in the layout.
 func BFSOrderDirected(g *Directed, threads int) *Permutation {
 	n := g.n
-	seeds := degreeOrder(n, func(u V) int64 {
-		return (g.outOff[u+1] - g.outOff[u]) + (g.inOff[u+1] - g.inOff[u])
-	}, threads).Inv
+	inOff, inAdj := g.InCSR()
+	seeds := degreeOrder(n, totalDegree(g), threads).Inv
 	inv := make([]V, 0, n)
 	visited := make([]bool, n)
 	queue := make([]V, 0, n)
@@ -142,7 +145,7 @@ func BFSOrderDirected(g *Directed, threads int) *Permutation {
 					queue = append(queue, v)
 				}
 			}
-			for _, v := range g.inAdj[g.inOff[u]:g.inOff[u+1]] {
+			for _, v := range inAdj[inOff[u]:inOff[u+1]] {
 				if !visited[v] {
 					visited[v] = true
 					queue = append(queue, v)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"sync"
@@ -40,8 +41,90 @@ func TestDirectedUndirectedMemo(t *testing.T) {
 	sameUndirected(t, want, got[0])
 }
 
-// TestUnionRowHelpers checks UnionSize, UnionNth and AppendUnion against
-// Undirect's rows, which are the sorted unions of Out and In.
+// TestDirectedInMemo: a built graph holds its out-CSR alone; the first
+// In, InDegree or InCSR — racing from several goroutines — builds one shared
+// in-CSR, equal to the serial builder's, which later calls return.
+func TestDirectedInMemo(t *testing.T) {
+	edges := testEdges(1<<10, 1<<13, 7)
+	want := BuildDirectedSerial(1<<10, edges)
+	for _, first := range []string{"In", "InDegree", "InCSR"} {
+		d := BuildDirected(1<<10, edges)
+		if d.InBuilt() {
+			t.Fatal("BuildDirected built the in-CSR")
+		}
+		got := make([][]V, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				switch first {
+				case "In":
+					d.In(V(i))
+				case "InDegree":
+					d.InDegree(V(i))
+				}
+				_, got[i] = d.InCSR()
+			}()
+		}
+		wg.Wait()
+		if !d.InBuilt() {
+			t.Fatalf("%s: InBuilt false after the first use", first)
+		}
+		for i, adj := range got {
+			if &adj[0] != &got[0][0] {
+				t.Fatalf("%s: goroutine %d got its own in-CSR", first, i)
+			}
+		}
+		sameDirected(t, want, d)
+		if d.UndirectedBuilt() {
+			t.Fatalf("%s: building the in-CSR built the undirected view", first)
+		}
+	}
+	// Undirect builds the in-CSR first and leaves it on the graph.
+	d := BuildDirected(1<<10, edges)
+	d.Undirected(2)
+	if !d.InBuilt() {
+		t.Fatal("Undirected left the in-CSR unbuilt")
+	}
+}
+
+// TestInCSRBuiltOnLoad: the loaders that read or derive the in-CSR anyway —
+// the .aqg container (which checks it is the transpose) and the v1 binary —
+// hand it over built, equal to the serial builder's.
+func TestInCSRBuiltOnLoad(t *testing.T) {
+	edges := testEdges(500, 3000, 9)
+	want := BuildDirectedSerial(500, edges)
+	var aqg, v1 bytes.Buffer
+	if err := WriteContainer(&aqg, BuildDirected(500, edges)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinary(&v1, BuildDirected(500, edges)); err != nil {
+		t.Fatal(err)
+	}
+	c, err := LoadContainer(writeTempContainer(t, aqg.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Release()
+	streamed, err := ReadContainer(bytes.NewReader(aqg.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := ReadBinary(&v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Directed{"mapped": c.Directed, "streamed": streamed.Directed, "v1": bin} {
+		if !g.InBuilt() {
+			t.Fatalf("%s: the load left the in-CSR unbuilt", name)
+		}
+		sameDirected(t, want, g)
+	}
+}
+
+// TestUnionRowHelpers checks unionSize and AppendUnion against Undirect's
+// rows, which are the sorted unions of Out and In.
 func TestUnionRowHelpers(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 7, 200} {
@@ -58,17 +141,11 @@ func TestUnionRowHelpers(t *testing.T) {
 		for v := 0; v < n; v++ {
 			row := u.Neighbors(V(v))
 			out, in := d.Out(V(v)), d.In(V(v))
-			if got := UnionSize(out, in); got != int64(len(row)) {
-				t.Fatalf("n=%d v=%d: UnionSize = %d, want %d", n, v, got, len(row))
+			if got := unionSize(out, in); got != int64(len(row)) {
+				t.Fatalf("n=%d v=%d: unionSize = %d, want %d", n, v, got, len(row))
 			}
 			if buf = AppendUnion(buf[:0], out, in); !slices.Equal(buf, row) {
 				t.Fatalf("n=%d v=%d: AppendUnion = %v, want %v", n, v, buf, row)
-			}
-			for i := 0; i <= len(row); i++ {
-				got, ok := UnionNth(out, in, i)
-				if ok != (i < len(row)) || (ok && got != row[i]) {
-					t.Fatalf("n=%d v=%d: UnionNth(%d) = %d,%v, want row %v", n, v, i, got, ok, row)
-				}
 			}
 		}
 	}
@@ -102,17 +179,18 @@ func TestPatchWithView(t *testing.T) {
 	}
 
 	cold := d.PatchWithView(arcs, edges, 2)
-	if cold.UndirectedBuilt() {
-		t.Fatal("an unbuilt view was built by the re-base")
+	if cold.UndirectedBuilt() || cold.InBuilt() {
+		t.Fatal("an unbuilt view or in-CSR was built by the re-base")
 	}
 	want := Undirect(cold)
 	d.Undirected(2)
 	for _, p := range []int{1, 4} {
 		warm := d.PatchWithView(arcs, edges, p)
-		if !warm.UndirectedBuilt() {
-			t.Fatalf("p=%d: the built view was not carried forward", p)
+		if !warm.UndirectedBuilt() || !warm.InBuilt() {
+			t.Fatalf("p=%d: the built view or in-CSR was not carried forward", p)
 		}
 		sameUndirected(t, want, warm.Undirected(p))
+		sameDirected(t, cold, warm)
 	}
 	if d.PatchWithView(nil, nil, 2) != d {
 		t.Fatal("an empty log made a new graph")

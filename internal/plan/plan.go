@@ -96,6 +96,12 @@ func Classify(q Query) (*Plan, error) {
 			"trim check: any trimmable pattern in a larger graph disproves connectivity",
 			"single traversal from a random pivot; compare coverage with |V|",
 		}
+		if q.Alg == WCC {
+			p.Steps = []string{
+				"union-find census over the out-arcs when the CC cell is a union-find cell (auto past 4096 vertices): connected iff one component; builds neither the in-CSR nor the undirected view",
+				"otherwise trim check, then a single traversal of the undirected view from a random pivot",
+			}
+		}
 		if q.Alg == SCC {
 			p.Steps = []string{
 				"trim check: any vertex with zero in- or out-degree disproves strong connectivity",
@@ -109,6 +115,12 @@ func Classify(q Query) (*Plan, error) {
 			"compute that XCC with the enhanced parallel BFS",
 			"if it covers at least half the graph it is provably the largest — stop",
 			"otherwise fall back to the complete computation",
+		}
+		if q.Alg == WCC {
+			p.Steps = []string{
+				"union-find census over the out-arcs when the CC cell is a union-find cell (auto past 4096 vertices): its largest component; builds neither the in-CSR nor the undirected view",
+				"otherwise the pivot traversal of the undirected view, stopping if it covers half the graph, else the complete computation",
+			}
 		}
 	case "aps", "is-ap":
 		if q.Alg != BiCC {

@@ -59,6 +59,13 @@ func TestStrategiesMentionTheRightTechniques(t *testing.T) {
 	if !strings.Contains(strings.Join(p.Steps, " "), "trim check") {
 		t.Errorf("small-CC plan must lead with the trim check")
 	}
+	// A directed graph's partial CC queries name the arc census they take.
+	for _, kind := range []string{"connected", "largest-size"} {
+		p, _ = Classify(Query{WCC, kind})
+		if !strings.HasPrefix(p.Steps[0], "union-find census over the out-arcs") {
+			t.Errorf("WCC %s plan must lead with the arc census: %s", kind, p.Steps[0])
+		}
+	}
 }
 
 func TestStringers(t *testing.T) {

@@ -239,6 +239,7 @@ func assignColorSCCs(g *graph.Directed, color, label []uint32, live []graph.V, p
 			roots = append(roots, v)
 		}
 	}
+	inOff, inAdj := g.InCSR()
 	parallel.ForChunksDynamic(0, len(roots), p, 1, func(lo, hi, _ int) {
 		queue := make([]graph.V, 0, 64)
 		for i := lo; i < hi; i++ {
@@ -254,7 +255,7 @@ func assignColorSCCs(g *graph.Directed, color, label []uint32, live []graph.V, p
 			label[r] = c
 			for head := 0; head < len(queue); head++ {
 				u := queue[head]
-				for _, w := range g.In(u) {
+				for _, w := range inAdj[inOff[u]:inOff[u+1]] {
 					if color[w] == c && label[w] == graph.NoVertex {
 						label[w] = c
 						if uint32(w) < minID {
@@ -313,13 +314,14 @@ func maxLiveDegree(g *graph.Directed, label []uint32, p int) graph.V {
 // maxLiveDegreeRange is the serial scan over [lo, hi): first vertex with the
 // maximum live degree, i.e. the smallest id among the maximal ones.
 func maxLiveDegreeRange(g *graph.Directed, label []uint32, lo, hi int) graph.V {
+	inOff, _ := g.InCSR()
 	best := graph.NoVertex
 	bestDeg := -1
 	for v := lo; v < hi; v++ {
 		if label[v] != graph.NoVertex {
 			continue
 		}
-		d := g.OutDegree(graph.V(v)) + g.InDegree(graph.V(v))
+		d := g.OutDegree(graph.V(v)) + int(inOff[v+1]-inOff[v])
 		if d > bestDeg {
 			bestDeg = d
 			best = graph.V(v)

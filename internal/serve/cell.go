@@ -61,7 +61,9 @@ func (c *Cell[T]) SetStats(st *CellStats) {
 // compute receives a private context that is cancelled once all waiters have
 // abandoned the call; it must return promptly after cancellation (partial
 // results are discarded). Get returns ctx.Err() if ctx is done before the
-// shared compute finishes. A nil ctx never cancels.
+// shared compute finishes — at once, without starting or joining a compute
+// and without counting a hit or a miss, if ctx is done already and no value
+// is cached. A nil ctx never cancels.
 func (c *Cell[T]) Get(ctx context.Context, compute func(context.Context) (T, error)) (T, error) {
 	c.mu.Lock()
 	if c.has {
@@ -71,6 +73,13 @@ func (c *Cell[T]) Get(ctx context.Context, compute func(context.Context) (T, err
 		v := c.val
 		c.mu.Unlock()
 		return v, nil
+	}
+	if err := ctxErr(ctx); err != nil {
+		// Selecting on an expired ctx against a compute that may finish
+		// first would answer at random.
+		c.mu.Unlock()
+		var zero T
+		return zero, err
 	}
 	cl := c.cur
 	if st := c.stats; st != nil {

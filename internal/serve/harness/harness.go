@@ -129,7 +129,7 @@ func runSchedule(cls Class, cfg Config, seed uint64) error {
 	if rng.Intn(4) == 0 {
 		// Occasionally pin a union-find cell: the harness graphs are too
 		// small for auto to pick one, and on the directed classes these
-		// cells run the census on the out- and in-CSRs.
+		// cells run the census on the out-arcs alone.
 		var uf []cc.Policy
 		for _, pol := range cc.Policies() {
 			if pol.UnionFind() {

@@ -326,6 +326,54 @@ func TestCellStats(t *testing.T) {
 	}
 }
 
+// TestCellGetExpiredContext: a Get whose context is done already returns
+// the context's error from a cold cell without starting a compute, joining
+// one in flight or counting a lookup, and still returns a warm cell's value.
+func TestCellGetExpiredContext(t *testing.T) {
+	var st CellStats
+	var cell Cell[int]
+	cell.SetStats(&st)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, stop := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer stop()
+	for _, c := range []context.Context{ctx, expired} {
+		for i := 0; i < 100; i++ {
+			_, err := cell.Get(c, func(context.Context) (int, error) {
+				t.Error("compute ran for a done context")
+				return 1, nil
+			})
+			if !errors.Is(err, c.Err()) {
+				t.Fatalf("Get = %v, want %v", err, c.Err())
+			}
+		}
+	}
+	if h, m := st.Counts(); h != 0 || m != 0 {
+		t.Fatalf("hits=%d misses=%d after expired Gets, want 0/0", h, m)
+	}
+
+	// An expired Get does not join a compute in flight either.
+	release, started := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		cell.Get(nil, func(context.Context) (int, error) {
+			close(started)
+			<-release
+			return 7, nil
+		})
+	}()
+	<-started
+	if _, err := cell.Get(ctx, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Get during a compute = %v, want %v", err, context.Canceled)
+	}
+	close(release)
+	<-done
+	if v, err := cell.Get(ctx, nil); err != nil || v != 7 {
+		t.Fatalf("warm Get with a done context = %d, %v, want 7, nil", v, err)
+	}
+}
+
 // TestGateAcquireCancelHandoffRace choreographs the narrow interleaving in
 // which a queued Acquire's context is cancelled at the same moment Release
 // hands it the slot: the waiter wakes on the cancellation branch, finds its

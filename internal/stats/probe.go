@@ -43,8 +43,9 @@ func CheapDirected(g *graph.Directed) Cheap {
 	if c.Vertices == 0 {
 		return c
 	}
+	inOff, _ := g.InCSR()
 	for v := 0; v < c.Vertices; v++ {
-		d := g.OutDegree(graph.V(v)) + g.InDegree(graph.V(v))
+		d := g.OutDegree(graph.V(v)) + int(inOff[v+1]-inOff[v])
 		if d > c.MaxDeg {
 			c.MaxDeg = d
 		}
@@ -70,6 +71,7 @@ func ProbeDirected(g *graph.Directed, threads int) SCCProbe {
 		return pr
 	}
 	p := parallel.Threads(threads)
+	inOff, inAdj := g.InCSR()
 
 	// Bounded size-1 trim probe: a vertex with no live in-neighbor or no
 	// live out-neighbor can never sit on a cycle. Detect-then-commit keeps
@@ -86,7 +88,7 @@ func ProbeDirected(g *graph.Directed, threads int) SCCProbe {
 				if dead[v] {
 					continue
 				}
-				if !probeHasLive(g.In(graph.V(v)), dead) || !probeHasLive(g.Out(graph.V(v)), dead) {
+				if !probeHasLive(inAdj[inOff[v]:inOff[v+1]], dead) || !probeHasLive(g.Out(graph.V(v)), dead) {
 					newly[v] = true
 					local++
 				}

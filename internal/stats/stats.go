@@ -1,20 +1,22 @@
 // Package stats computes descriptive graph statistics: degree distribution
 // summaries, reciprocity (the fraction of mutual arcs, which drives how much
-// of a WCC is strongly connected), and a double-sweep BFS diameter estimate.
-// The CLI's "stats" query and the workload documentation use these. It also
-// computes the probes the adaptive policy choosers read: Cheap for CC —
-// from an undirected graph's offsets, or exactly for a directed graph's
-// undirected view from its out- and in-CSRs without building the view —
-// and the SCC and BiCC probes.
+// of a WCC is strongly connected, and which gives a directed graph's
+// undirected edge count without building its undirected view), and a
+// double-sweep BFS diameter estimate. The CLI's "stats" query and the
+// workload documentation use these. It also computes the probes the
+// adaptive policy choosers read: Cheap for CC, from an undirected graph's
+// offsets, and the SCC and BiCC probes.
 package stats
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"aquila/internal/bfs"
 	"aquila/internal/graph"
+	"aquila/internal/parallel"
 )
 
 // Degrees summarizes a degree distribution.
@@ -54,32 +56,31 @@ func Reciprocity(g *graph.Directed) float64 {
 	if g.NumArcs() == 0 {
 		return 0
 	}
-	mutual := int64(0)
-	for u := 0; u < g.NumVertices(); u++ {
-		for _, v := range g.Out(graph.V(u)) {
-			if hasArc(g, v, graph.V(u)) {
-				mutual++
-			}
-		}
-	}
-	return float64(mutual) / float64(g.NumArcs())
+	return float64(MutualArcs(g, 1)) / float64(g.NumArcs())
 }
 
-func hasArc(g *graph.Directed, from, to graph.V) bool {
-	out := g.Out(from)
-	lo, hi := 0, len(out)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case out[mid] < to:
-			lo = mid + 1
-		case out[mid] > to:
-			hi = mid
-		default:
-			return true
+// mutualChunk is the vertex grain of MutualArcs.
+const mutualChunk = 2048
+
+// MutualArcs counts the arcs whose reverse arc also exists, with up to
+// threads workers (Threads semantics), reading the out-CSR alone: for each
+// arc u→v with u < v it binary-searches u in v's out-row. Each mutual pair
+// is one undirected edge, so g's undirected view has NumArcs() -
+// MutualArcs()/2 edges.
+func MutualArcs(g *graph.Directed, threads int) int64 {
+	var mutual atomic.Int64
+	parallel.ForChunksDynamic(0, g.NumVertices(), parallel.Threads(threads), mutualChunk, func(lo, hi, _ int) {
+		var pairs int64
+		for u := lo; u < hi; u++ {
+			for _, v := range g.Out(graph.V(u)) {
+				if graph.V(u) < v && g.HasArc(v, graph.V(u)) {
+					pairs++
+				}
+			}
 		}
-	}
-	return false
+		mutual.Add(2 * pairs)
+	})
+	return mutual.Load()
 }
 
 // ApproxDiameter lower-bounds the diameter of the component containing the

@@ -65,6 +65,7 @@ func Pairs(g *graph.Undirected, label []uint32, threads int) int {
 // point: peeling a vertex can expose its neighbors. Returns vertices trimmed.
 func SCCSize1(g *graph.Directed, label []uint32, threads int) int {
 	total := 0
+	inOff, inAdj := g.InCSR()
 	for {
 		var count int64
 		parallel.ForBlocks(0, g.NumVertices(), threads, func(lo, hi, _ int) {
@@ -73,7 +74,7 @@ func SCCSize1(g *graph.Directed, label []uint32, threads int) int {
 				if atomic.LoadUint32(&label[v]) != graph.NoVertex {
 					continue
 				}
-				if !hasLiveNeighbor(g.In(graph.V(v)), label) ||
+				if !hasLiveNeighbor(inAdj[inOff[v]:inOff[v+1]], label) ||
 					!hasLiveNeighbor(g.Out(graph.V(v)), label) {
 					atomic.StoreUint32(&label[v], uint32(v))
 					local++
@@ -200,6 +201,7 @@ func onlyLiveNeighbor(ns []graph.V, want graph.V, label []uint32) bool {
 // is the in-loop variant used between coloring rounds, where scanning the
 // whole vertex range would dwarf the remaining work.
 func SCCLive(g *graph.Directed, label []uint32, live []graph.V, threads int) (size1, size2 int, remaining []graph.V) {
+	inOff, inAdj := g.InCSR()
 	for {
 		var count int64
 		parallel.ForChunksDynamic(0, len(live), threads, 128, func(lo, hi, _ int) {
@@ -209,7 +211,7 @@ func SCCLive(g *graph.Directed, label []uint32, live []graph.V, threads int) (si
 				if atomic.LoadUint32(&label[v]) != graph.NoVertex {
 					continue
 				}
-				if !hasLiveNeighbor(g.In(v), label) || !hasLiveNeighbor(g.Out(v), label) {
+				if !hasLiveNeighbor(inAdj[inOff[v]:inOff[v+1]], label) || !hasLiveNeighbor(g.Out(v), label) {
 					atomic.StoreUint32(&label[v], uint32(v))
 					local++
 				}

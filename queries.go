@@ -142,6 +142,9 @@ func (e *Engine) CCSizeHistogram() map[int]int {
 // any orphan or isolated pair in a larger graph disproves connectivity
 // immediately — and otherwise runs a single traversal from a randomly chosen
 // vertex. Under incremental updates the component counter answers directly.
+// A directed engine whose census is a union-find cell answers from that
+// census instead: it reads only the out-arcs, where a traversal would first
+// build the undirected view.
 func (e *Engine) IsConnected() bool {
 	ok, _ := e.isConnectedCtx(nil)
 	return ok
@@ -178,13 +181,13 @@ func (e *Engine) isConnectedCtx(ctx context.Context) (bool, error) {
 		e.mu.Unlock()
 		return cnt == 1, nil
 	}
-	if e.opt.DisablePartial {
-		res, err := e.ccCompleteLockedCtx(ctx)
+	if e.opt.DisablePartial || e.arcCensus(e.base()) {
+		c, err := e.censusLockedCtx(ctx)
 		e.mu.Unlock()
 		if err != nil {
 			return false, err
 		}
-		return res.NumComponents == 1, nil
+		return c.num == 1, nil
 	}
 	g := e.undirectedOf(e.base()).und
 	e.mu.Unlock()
@@ -232,8 +235,9 @@ func (e *Engine) IsStronglyConnected() (bool, error) {
 	if e.opt.DisablePartial {
 		return e.sccComplete().NumComponents == 1, nil
 	}
+	inOff, _ := g.InCSR()
 	for v := 0; v < n; v++ {
-		if g.InDegree(graph.V(v)) == 0 || g.OutDegree(graph.V(v)) == 0 {
+		if inOff[v+1] == inOff[v] || g.OutDegree(graph.V(v)) == 0 {
 			return false, nil
 		}
 	}
@@ -272,8 +276,9 @@ func (l *LargestResult) Contains(v V) bool { return l.contains(v) }
 // max-degree master pivot and, if the found component is at least as big as
 // everything else combined, stops there — no other component can beat it.
 // Only when the heuristic pivot lands in a minority component does it fall
-// back to the complete computation. Under incremental updates, or once a
-// census exists, the answer comes from the census instead of any traversal.
+// back to the complete computation. Under incremental updates, once a census
+// exists, or on a directed engine whose census is a union-find cell (see
+// IsConnected), the answer comes from the census instead of any traversal.
 func (e *Engine) LargestCC() *LargestResult {
 	res, _ := e.largestCCCtx(nil)
 	return res
@@ -289,7 +294,7 @@ func (e *Engine) LargestCCContext(ctx context.Context) (*LargestResult, error) {
 
 func (e *Engine) largestCCCtx(ctx context.Context) (*LargestResult, error) {
 	e.mu.Lock()
-	if e.inc != nil || e.dyn != nil || e.ccRaw != nil {
+	if e.inc != nil || e.dyn != nil || e.ccRaw != nil || e.arcCensus(e.base()) {
 		c, err := e.censusLockedCtx(ctx)
 		e.mu.Unlock()
 		if err != nil {

@@ -522,14 +522,22 @@ func (sn *Snapshot) CCSizeHistogram(ctx context.Context) (map[int]int, error) {
 }
 
 // IsConnected reports whether the graph is connected as of this epoch. With
-// the census present it is O(1); otherwise it runs one partial traversal
-// (§3), coalesced across concurrent callers.
+// the census present it is O(1). A directed engine whose census is a
+// union-find cell solves the census (Engine.IsConnected); otherwise it runs
+// one partial traversal (§3). Either is coalesced across concurrent callers.
 func (sn *Snapshot) IsConnected(ctx context.Context) (bool, error) {
 	n := sn.NumVertices()
 	if n <= 1 {
 		return true, nil
 	}
 	if c, ok := sn.cen.Peek(); ok {
+		return c.num == 1, nil
+	}
+	if sn.eng.arcCensus(sn.st.base) {
+		c, err := sn.censusGet(ctx)
+		if err != nil {
+			return false, err
+		}
 		return c.num == 1, nil
 	}
 	return getCell(sn, ctx, &sn.isConn, func(cctx context.Context) (bool, error) {
@@ -554,17 +562,18 @@ func (sn *Snapshot) IsConnected(ctx context.Context) (bool, error) {
 }
 
 // LargestCC answers the largest-component query for this epoch from the
-// census when it is present. Otherwise it runs the §3 partial computation:
-// one traversal from the max-degree pivot, falling back to the census solve
-// only when the pivot's component is a minority. Concurrent callers coalesce
-// into one execution.
+// census when it is present, or when the census is a union-find over a
+// directed engine's out-arcs (Engine.LargestCC). Otherwise it runs the §3
+// partial computation: one traversal from the max-degree pivot, falling back
+// to the census solve only when the pivot's component is a minority.
+// Concurrent callers coalesce into one execution.
 func (sn *Snapshot) LargestCC(ctx context.Context) (*LargestResult, error) {
 	return getCell(sn, ctx, &sn.largest, func(cctx context.Context) (*LargestResult, error) {
 		if c, ok := sn.cen.Peek(); ok {
 			return sn.eng.largestFromCensus(c), nil
 		}
 		n := sn.NumVertices()
-		if !sn.eng.opt.DisablePartial && n > 0 {
+		if !sn.eng.opt.DisablePartial && n > 0 && !sn.eng.arcCensus(sn.st.base) {
 			var partial *LargestResult
 			err := sn.withSlot(cctx, func() error {
 				gs, err := sn.undirected(cctx)

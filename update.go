@@ -126,8 +126,9 @@ func (e *Engine) ApplyUpdates(batch []Update) (*ApplyResult, error) {
 // undirected edge count. It links every undirected edge u < v in the order
 // of a walk over the undirected CSR's rows. A directed engine merges each
 // row from Out(u) and In(u) as it goes, which visits the same edges in the
-// same order without building the CSR. Called (under e.mu) on the first
-// batch containing a delete.
+// same order without building the undirected CSR (the in-CSR it builds if
+// the base has not). Called (under e.mu) on the first batch containing a
+// delete.
 func (e *Engine) promoteDynLocked() {
 	e.rebaseLocked() // fold any pending delta first
 	b := e.base()
@@ -142,8 +143,9 @@ func (e *Engine) promoteDynLocked() {
 	}
 	if b.dir != nil {
 		var row []V
+		inOff, inAdj := b.dir.InCSR()
 		for u := 0; u < e.n; u++ {
-			row = graph.AppendUnion(row[:0], b.dir.Out(V(u)), b.dir.In(V(u)))
+			row = graph.AppendUnion(row[:0], b.dir.Out(V(u)), inAdj[inOff[u]:inOff[u+1]])
 			link(u, row)
 		}
 	} else {
