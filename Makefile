@@ -44,13 +44,16 @@ bench:
 # (edges/s), and the PR 17 merging insert-only publish (ns/op and B/op at
 # 2^16 and 2^20 vertices); plus the dynamic publish through a Server (B/op)
 # and the forest's bytes per live edge after promotion and churn (B/edge);
-# plus the directed WCC entry against Undirect + Solve (ns/op and B/op).
-# The benchmarks the last change moved (BenchmarkWCC, BenchmarkLoadEdgeListFile)
-# also run, in the same session, on the tree of PARENT exported to a
-# temporary directory (default HEAD~1; PARENT=HEAD compares uncommitted
-# changes with the last commit); their rows carry the name prefix
-# BenchmarkParent/. The snapshot goes to BENCH_PR23.json, stamped by
-# bench2json with the host (goos, goarch, cpu, GOMAXPROCS) and the Go version.
+# plus the directed WCC entry against Undirect + Solve (ns/op and B/op);
+# plus the engine's cold partial queries (BenchmarkEngineQueries), which run
+# on the engine's current epoch. The benchmarks the last change moved
+# (BenchmarkEngineQueries and the serving set: ServerThroughput,
+# ApplyUnderReadLoad, ServerApplyPublish) also run, in the same session, on
+# the tree of PARENT exported to a temporary directory (default HEAD~1;
+# PARENT=HEAD compares uncommitted changes with the last commit); their rows
+# carry the name prefix BenchmarkParent/. The snapshot goes to
+# BENCH_PR24.json, stamped by bench2json with the host (goos, goarch, cpu,
+# GOMAXPROCS) and the Go version.
 PARENT ?= HEAD~1
 
 bench-json:
@@ -68,17 +71,19 @@ bench-json:
 		./internal/bench ; \
 	  go test -bench='ServerThroughput|ApplyUnderReadLoad|ServerApplyPublish' -benchmem -benchtime=5x -run='^$$' \
 		. ; \
+	  go test -bench='^BenchmarkEngineQueries$$' -benchmem -benchtime=20x -run='^$$' \
+		. ; \
 	  go test -bench='^BenchmarkDynamicApply$$' -benchmem -benchtime=3x -run='^$$' \
 		. ; \
 	  go test -bench='HTTPThroughput' -benchmem -benchtime=2s -run='^$$' \
 		./internal/httpd ; \
 	  parent=$$(mktemp -d) && git archive $(PARENT) | tar -x -C $$parent && \
 	  ( cd $$parent && \
-	    go test -bench='^BenchmarkLoadEdgeListFile$$' -benchmem -benchtime=5x -run='^$$' ./internal/bench ; \
-	    go test -bench='^BenchmarkWCC$$' -benchmem -benchtime=3x -run='^$$' ./internal/bench ) \
+	    go test -bench='ServerThroughput|ApplyUnderReadLoad|ServerApplyPublish' -benchmem -benchtime=5x -run='^$$' . ; \
+	    go test -bench='^BenchmarkEngineQueries$$' -benchmem -benchtime=20x -run='^$$' . ) \
 		| sed 's/^Benchmark/BenchmarkParent\//' ; \
 	  rm -rf $$parent ) \
-		| go run ./cmd/bench2json > BENCH_PR23.json
+		| go run ./cmd/bench2json > BENCH_PR24.json
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -13,13 +13,14 @@ import (
 	"aquila/internal/graph"
 	"aquila/internal/inc"
 	"aquila/internal/scc"
+	"aquila/internal/serve"
 	"aquila/internal/stats"
 )
 
 // Engine answers connectivity queries over one graph. It owns the query
 // transformation (§3): partial-computation queries use dedicated fast paths,
-// and complete decompositions are computed at most once and cached, so
-// repeated queries are free.
+// and complete decompositions are computed at most once per epoch and
+// cached, so repeated queries are free.
 //
 // An Engine also accepts batches of edge insertions via Apply, and mixed
 // insert/delete batches via ApplyUpdates. Insertions are absorbed by an
@@ -43,22 +44,25 @@ import (
 // disconnects them); dynamic mode trades that for deletions while keeping
 // per-query consistency. The contract, precisely:
 //
-//   - e.mu guards the graph pointers, the incremental state, and every result
-//     cache. Cache fills for complete decompositions run *under* e.mu, so a
-//     query storm against a cold cache serializes behind one compute — the
-//     Server layer (snapshot isolation + singleflight) is the scalable path
-//     for that workload.
+//   - e.mu guards the mutable state: the base graph pointers, the signed
+//     delta, the incremental or dynamic state, the census and the pointer to
+//     the current epoch. It is held to read or advance them, never for a
+//     decomposition, so Apply never waits behind a cold query.
+//   - Every query except the live point reads — Connected, CountCC, and
+//     IsConnected once updates have begun — runs on the current epoch (see
+//     Snapshot), outside e.mu. An epoch is immutable and caches each result
+//     in a singleflight cell, so a query storm against a cold result
+//     coalesces into one compute, and a query racing an Apply answers as of
+//     the epoch it started on. The first query after a write captures the
+//     next epoch, which inherits every result the write could not change.
 //   - Published graph pointers are immutable: a re-base builds fresh CSRs
-//     and swaps pointers, so a query that snapshotted a base graph under the
-//     lock can traverse it lock-free afterwards. The delta logs are append-only
-//     between re-bases, so a prefix handed to a serving snapshot never
+//     and swaps pointers, so an epoch that captured a base graph under the
+//     lock can traverse it lock-free afterwards. The delta logs are
+//     append-only between re-bases, so a prefix an epoch captured never
 //     changes under it.
 //   - Traversal scratches come from a shared race-clean ScratchPool (its own
-//     mutex, never held together with e.mu), so partial fast paths running
-//     outside the lock never contend with writers.
-//   - Cache fills computed outside e.mu (the partial fast paths) re-validate
-//     against cacheGen before storing, so a concurrent Apply's invalidation
-//     is never overwritten by a stale fill.
+//     mutex, never held together with e.mu), so traversals never contend
+//     with writers.
 type Engine struct {
 	opt      Options
 	directed bool // fixed at construction; e.dir is non-nil iff directed
@@ -100,10 +104,15 @@ type Engine struct {
 	edgeLog []graph.Change
 	live    map[uint64]bool
 
-	// Incremental state (nil until the first Apply).
+	// Incremental state (nil until the first Apply). baseEdges is the
+	// undirected edge count at the last (re)build, or -1 while a directed
+	// engine has not counted it: baseArcs then bounds it (see pastThreshold)
+	// and foldedNet is the net edge change re-bases have merged since.
 	inc          *inc.State
-	baseEdges    int64 // undirected edge count at the last (re)build
-	sinceRebuild int64 // undirected edges inserted/deleted since then
+	baseEdges    int64
+	baseArcs     int64
+	foldedNet    int64
+	sinceRebuild int64 // undirected edges inserted/deleted since the (re)build
 
 	// Fully dynamic state (nil until the first delete op; see ApplyUpdates).
 	// Once dyn is non-nil the incremental layer is retired and the forest
@@ -113,36 +122,31 @@ type Engine struct {
 
 	// reach pools traversal scratches for the partial fast paths
 	// (IsConnected, LargestCC, ...), so query storms reuse warm buffers
-	// instead of allocating per call. It has its own lock, not e.mu: queries
-	// run their traversals outside the engine lock, and serving snapshots
-	// share the same pool.
+	// instead of allocating per call; a bitmap that must outlive its
+	// checkout is taken with DetachVisited before the scratch goes back. It
+	// has its own lock, not e.mu: traversals run outside the engine lock, on
+	// every epoch.
 	reach bfs.ScratchPool
 
-	// cacheGen increments (under e.mu) every time Apply or a rebuild
-	// invalidates result caches. Fills computed outside e.mu compare it to
-	// the value captured before computing and drop the fill on mismatch —
-	// otherwise a slow stale fill could overwrite a newer invalidation.
-	cacheGen uint64
+	// cen is the compute-space census once updates have begun; its base
+	// labels are min-id canonical in compute space, which inc.FromLabels
+	// requires. Apply advances it in O(batch + overlay). In dynamic mode a
+	// batch that merges or splits components clears it, and the next capture
+	// re-derives it from the forest.
+	cen *census
 
-	// ccRaw is the compute-space CC decomposition; its labels are min-id
-	// canonical in compute space, which inc.FromLabels requires. ccRes is the
-	// caller-facing (original-id) version — the same object when perm == nil.
-	// cen is the compute-space census the point and census queries read.
-	// Once inc exists it is never nil: Apply advances it in O(batch +
-	// overlay), and ccRaw is materialized from it only on demand. Otherwise
-	// it wraps ccRaw and is dropped with it.
-	ccRaw        *cc.Result
-	cen          *census
-	ccRes        *cc.Result
-	sccRes       *scc.Result
-	biccRes      *bicc.Result
-	bgccRes      *bgcc.Result
-	apOnly       *bicc.Result
-	brOnly       *bgcc.Result
-	largestCC    *LargestResult
-	condensation *Condensation
-	betweenness  []float64
-	coreness     []int32
+	// snap is the engine's own handle on its current epoch, nil until first
+	// needed; stale reports a write or a re-base since its capture, so the
+	// next query captures a successor (see epochLocked), and after a re-base
+	// snap holds only what that successor inherits (see epoch.husk). arcGen
+	// and edgeGen count the arc and undirected-edge changes ever logged: a
+	// successor inherits its predecessor's results whose input counter, or
+	// census, is unchanged. stats, set by NewServer, collects the epochs'
+	// singleflight telemetry.
+	snap            *Snapshot
+	stale           bool
+	arcGen, edgeGen uint64
+	stats           *serve.CellStats
 }
 
 // NewEngine returns an Engine over an undirected graph. SCC queries on an
@@ -233,16 +237,6 @@ func (e *Engine) Directed() *Directed {
 	if e.perm != nil {
 		return e.origDir
 	}
-	return e.dir
-}
-
-// dirView snapshots the materialized directed graph (nil when undirected)
-// for use outside the engine lock. The snapshot is immutable: a later Apply
-// swaps the pointer but never mutates a published graph.
-func (e *Engine) dirView() *Directed {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rebaseLocked()
 	return e.dir
 }
 
@@ -419,162 +413,6 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// ccComplete returns the cached complete CC decomposition, computing it once.
-func (e *Engine) ccComplete() *cc.Result {
-	res, _ := e.ccCompleteCtx(nil)
-	return res
-}
-
-func (e *Engine) ccCompleteCtx(ctx context.Context) (*cc.Result, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ccCompleteLockedCtx(ctx)
-}
-
-// ccRawLockedCtx fills the compute-space CC cache under e.mu. Once incremental
-// state exists the result is materialized from the census in O(|V|) — the
-// paper's workload-reduction philosophy applied to updates: no traversal
-// reruns. Raw labels are min-id canonical in compute space; the incremental
-// layer is always seeded from these, never from the remapped caller view.
-// A cancelled ctx aborts the kernel; the partial result is discarded, never
-// cached, so a later call recomputes from scratch.
-func (e *Engine) ccRawLockedCtx(ctx context.Context) (*cc.Result, error) {
-	if e.ccRaw == nil {
-		if e.dyn != nil {
-			// Dynamic mode: the forest census replaces any traversal — an
-			// O(|V|) walk over the Euler tours, valid across deletions. A
-			// dead ctx aborts before the walk so nothing partial is cached.
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-			e.ccRaw = ccResultFromLabels(e.dyn.Labels())
-		} else if e.inc != nil {
-			e.ccRaw = e.cen.result(e.opt.Threads)
-		} else {
-			res := e.ccSolve(e.base(), ctx)
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-			e.ccRaw = res
-		}
-	}
-	return e.ccRaw, nil
-}
-
-// ccRawLocked is ccRawLockedCtx without cancellation (legacy callers).
-func (e *Engine) ccRawLocked() *cc.Result {
-	res, _ := e.ccRawLockedCtx(nil)
-	return res
-}
-
-// censusLockedCtx returns the engine's census under e.mu. The insert-only
-// path keeps it current through every Apply; otherwise it wraps the cached
-// decomposition with an empty overlay, filling that first (ccRawLockedCtx
-// semantics, cancellation included).
-func (e *Engine) censusLockedCtx(ctx context.Context) (*census, error) {
-	if e.cen == nil {
-		raw, err := e.ccRawLockedCtx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		e.cen = newCensus(raw)
-	}
-	return e.cen, nil
-}
-
-// ccCompleteLockedCtx fills the caller-facing CC cache under e.mu, remapping
-// the raw decomposition to original ids when the engine is reordered.
-func (e *Engine) ccCompleteLockedCtx(ctx context.Context) (*cc.Result, error) {
-	if e.ccRes == nil {
-		raw, err := e.ccRawLockedCtx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if e.perm != nil {
-			e.ccRes = remapCC(raw, e.perm, e.opt.Threads)
-		} else {
-			e.ccRes = raw
-		}
-	}
-	return e.ccRes, nil
-}
-
-// ccCompleteLocked is ccCompleteLockedCtx without cancellation.
-func (e *Engine) ccCompleteLocked() *cc.Result {
-	res, _ := e.ccCompleteLockedCtx(nil)
-	return res
-}
-
-func (e *Engine) sccComplete() *scc.Result {
-	res, _ := e.sccCompleteCtx(nil)
-	return res
-}
-
-func (e *Engine) sccCompleteCtx(ctx context.Context) (*scc.Result, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rebaseLocked()
-	if e.sccRes == nil {
-		raw := e.sccSolve(e.dir, ctx)
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		if e.perm != nil {
-			raw = remapSCC(raw, e.perm, e.opt.Threads)
-		}
-		e.sccRes = raw
-	}
-	return e.sccRes, nil
-}
-
-func (e *Engine) biccComplete() *bicc.Result {
-	res, _ := e.biccCompleteCtx(nil)
-	return res
-}
-
-func (e *Engine) biccCompleteCtx(ctx context.Context) (*bicc.Result, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rebaseLocked()
-	if e.biccRes == nil {
-		v := e.undirectedOf(e.base())
-		raw := e.biccSolve(v.und, ctx, false)
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		if e.perm != nil {
-			raw = remapBiCC(raw, e.perm, e.eidMap(v), e.opt.Threads)
-		}
-		e.biccRes = raw
-	}
-	return e.biccRes, nil
-}
-
-func (e *Engine) bgccComplete() *bgcc.Result {
-	res, _ := e.bgccCompleteCtx(nil)
-	return res
-}
-
-func (e *Engine) bgccCompleteCtx(ctx context.Context) (*bgcc.Result, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rebaseLocked()
-	if e.bgccRes == nil {
-		v := e.undirectedOf(e.base())
-		opt := e.bgccOptions(false)
-		opt.Ctx = ctx
-		raw := bgcc.Run(v.und, opt)
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		if e.perm != nil {
-			raw = remapBgCC(raw, e.perm, e.eidMap(v), e.opt.Threads)
-		}
-		e.bgccRes = raw
-	}
-	return e.bgccRes, nil
-}
-
 // ApplyResult summarizes one Apply batch.
 type ApplyResult struct {
 	// NewEdges is the number of distinct undirected edges the batch added
@@ -610,18 +448,18 @@ type ApplyResult struct {
 // undirected edge {U,V}. Self-loops and duplicates are dropped. Endpoints
 // must be existing vertices — Apply never grows the vertex set.
 //
-// Apply patches the incremental connectivity state in parallel and
-// invalidates exactly the caches the batch can affect:
+// Apply patches the incremental connectivity state in parallel. The epoch
+// the next query captures inherits every result the batch cannot affect:
 //
-//   - a batch that adds no new edge or arc preserves every cache;
+//   - a batch that adds no new edge or arc keeps every result;
 //   - new undirected edges that merge components advance the census in
-//     O(batch + overlay) and invalidate the CC-derived caches (the complete
-//     CC labels are then materialized from the census, not recomputed) —
-//     edges landing inside one component preserve them;
-//   - any new undirected edge invalidates the 2-connectivity and
-//     degree-structure caches (BiCC, BgCC, APs, bridges, betweenness,
-//     coreness), which are recomputed lazily on next query;
-//   - new directed arcs invalidate the SCC and condensation caches, also
+//     O(batch + overlay), and the CC-derived results (complete CC, largest
+//     component, histogram) are then materialized from it, not recomputed —
+//     edges landing inside one component keep them;
+//   - any new undirected edge drops the 2-connectivity and degree-structure
+//     results (BiCC, BgCC, APs, bridges, betweenness, coreness), which are
+//     recomputed lazily on next query;
+//   - new directed arcs drop the SCC and condensation results, also
 //     recomputed lazily.
 //
 // When the edges inserted since the last full decomposition exceed
@@ -652,15 +490,14 @@ func (e *Engine) applyLocked(batch []Edge) (*ApplyResult, error) {
 		return e.applyUpdatesDynLocked(ups)
 	}
 	if e.inc == nil {
-		// First update: the static pipeline seeds the incremental state from
-		// the raw compute-space labels (min-id canonical there), and the
-		// census takes the same decomposition as its base.
-		cen, _ := e.censusLockedCtx(nil)
-		res := cen.base.res
+		// First update: the incremental state and the census seed from the
+		// current epoch's census, joining its solve if one is in flight.
+		e.cen, _ = e.epochLocked().censusGet(nil)
+		res := e.cen.base.res
 		e.inc = inc.FromLabels(res.Label, res.NumComponents)
-		e.baseEdges = e.undirectedEdgesLocked()
-		e.sinceRebuild = 0
+		e.resetBudget()
 	}
+	e.stale = true
 
 	// Log the batch's genuinely new arcs and undirected edges, checking the
 	// delta's index first and the base graphs after it. Under a reorder the
@@ -693,26 +530,15 @@ func (e *Engine) applyLocked(batch []Edge) (*ApplyResult, error) {
 	res := &ApplyResult{NewEdges: len(newUnd), NewArcs: newArcs}
 	if len(newUnd) == 0 && newArcs == 0 {
 		res.Components = e.inc.ComponentCount()
-		return res, nil // fully duplicate batch: every cache stays valid
+		return res, nil // fully duplicate batch
 	}
 
 	res.Merged = e.inc.Apply(newUnd, e.opt.Threads)
 	e.sinceRebuild += int64(len(newUnd))
-
-	e.cacheGen++
-	if len(newUnd) > 0 {
-		if res.Merged > 0 {
-			e.cen = e.cen.advance(e.inc, newUnd, res.Merged, e.opt.Threads)
-			e.ccRaw, e.ccRes, e.largestCC = nil, nil, nil
-		}
-		e.biccRes, e.bgccRes, e.apOnly, e.brOnly = nil, nil, nil, nil
-		e.betweenness, e.coreness = nil, nil
+	if res.Merged > 0 {
+		e.cen = e.cen.advance(e.inc, newUnd, res.Merged, e.opt.Threads)
 	}
-	if newArcs > 0 {
-		e.sccRes, e.condensation = nil, nil
-	}
-
-	if th := e.opt.rebuildThreshold(); th > 0 && float64(e.sinceRebuild) >= th*float64(e.baseEdges+1) {
+	if e.pastThreshold() {
 		e.rebuildLocked()
 		res.Rebuilt = true
 	}
@@ -758,6 +584,7 @@ func (e *Engine) setLive(k uint64, present bool) {
 // a present one) to the delta.
 func (e *Engine) logArc(u, v V, del bool) {
 	e.arcLog = append(e.arcLog, graph.Change{U: u, V: v, Del: del})
+	e.arcGen++
 	e.setLive(liveKey(u, v), !del)
 }
 
@@ -766,6 +593,7 @@ func (e *Engine) logArc(u, v V, del bool) {
 func (e *Engine) logEdge(u, v V, del bool) {
 	u, v = min(u, v), max(u, v)
 	e.edgeLog = append(e.edgeLog, graph.Change{U: u, V: v, Del: del})
+	e.edgeGen++
 	if !e.directed {
 		e.setLive(liveKey(u, v), !del)
 	}
@@ -849,6 +677,43 @@ func (e *Engine) undirectedEdgesLocked() int64 {
 	return e.undEdges
 }
 
+// baseEdgesAtMost reports whether the base has at most x undirected edges.
+// A directed base that has not counted them decides from |A|/2 ≤ |E| ≤ |A|
+// and counts only when that bound cannot.
+func (e *Engine) baseEdgesAtMost(x int64) bool {
+	if e.undEdges < 0 {
+		if a := e.dir.NumArcs(); a <= x || (a+1)/2 > x {
+			return a <= x
+		}
+	}
+	return e.undirectedEdgesLocked() <= x
+}
+
+// resetBudget starts a new rebuild budget at the current, re-based graph.
+func (e *Engine) resetBudget() {
+	e.baseEdges, e.foldedNet, e.sinceRebuild = e.undEdges, 0, 0
+	if e.directed {
+		e.baseArcs = e.dir.NumArcs()
+	}
+}
+
+// pastThreshold reports whether the undirected edges changed since the last
+// (re)build reach Options.RebuildThreshold times the graph's size then. An
+// uncounted size is decided from the bound baseEdgesAtMost uses; only when
+// that cannot decide is the current base counted, less the net change
+// re-bases have merged into it since.
+func (e *Engine) pastThreshold() bool {
+	th := e.opt.rebuildThreshold()
+	over := func(m int64) bool { return th > 0 && float64(e.sinceRebuild) >= th*float64(m+1) }
+	if e.baseEdges < 0 {
+		if lo, hi := (e.baseArcs+1)/2, e.baseArcs; over(hi) || !over(lo) {
+			return over(hi)
+		}
+		e.baseEdges = e.undirectedEdgesLocked() - e.foldedNet
+	}
+	return over(e.baseEdges)
+}
+
 // toOrig translates a compute-id change log into caller ids.
 func toOrig(perm *graph.Permutation, log []graph.Change) []graph.Change {
 	out := make([]graph.Change, len(log))
@@ -900,16 +765,19 @@ func (e *Engine) rebaseLocked() {
 	if len(e.arcLog) == 0 && len(e.edgeLog) == 0 {
 		return
 	}
-	if e.undEdges >= 0 {
-		// Only effective changes are logged, so the log nets out exactly.
-		for _, c := range e.edgeLog {
-			if c.Del {
-				e.undEdges--
-			} else {
-				e.undEdges++
-			}
+	// Only effective changes are logged, so the log nets out exactly.
+	var net int64
+	for _, c := range e.edgeLog {
+		if c.Del {
+			net--
+		} else {
+			net++
 		}
 	}
+	if e.undEdges >= 0 {
+		e.undEdges += net
+	}
+	e.foldedNet += net
 	th := e.opt.Threads
 	if e.directed {
 		e.dir = e.dir.PatchWithView(e.arcLog, e.edgeLog, th)
@@ -922,6 +790,10 @@ func (e *Engine) rebaseLocked() {
 	}
 	e.memo = new(baseMemo)
 	e.arcLog, e.edgeLog, e.live = nil, nil, nil
+	e.stale = true
+	if e.snap != nil {
+		e.snap = &Snapshot{epoch: e.snap.husk()}
+	}
 }
 
 // foldLargeDeltaLocked re-bases once a log has grown to the size of its
@@ -929,39 +801,25 @@ func (e *Engine) rebaseLocked() {
 // (negative) this fixed rule keeps the delta, and the cost of merging it
 // into every view, bounded by the graph itself.
 func (e *Engine) foldLargeDeltaLocked() {
-	if n := int64(len(e.edgeLog)); n > 0 && n >= e.undirectedEdgesLocked() {
+	if n := int64(len(e.edgeLog)); n > 0 && e.baseEdgesAtMost(n) {
 		e.rebaseLocked()
 	} else if n := int64(len(e.arcLog)); n > 0 && n >= e.dir.NumArcs() {
 		e.rebaseLocked()
 	}
 }
 
-// getReach pops a traversal scratch off the shared pool (or makes one sized
-// for n vertices). Pair with putReach; a bitmap that must outlive the checkout
-// is taken with DetachVisited before the scratch goes back.
-func (e *Engine) getReach(n int) *bfs.ReachScratch {
-	return e.reach.Get(n, e.opt.Threads)
-}
-
-// putReach returns a scratch to the pool for the next query.
-func (e *Engine) putReach(s *bfs.ReachScratch) {
-	e.reach.Put(s)
-}
-
-// rebuildLocked is the fall-back-to-static path: re-base the graph, run the full cc pipeline, and reseed the incremental state and the
-// census from the fresh decomposition. In dynamic mode the forest stays
-// authoritative for future updates; the rebuild re-canonicalizes the cached
-// decomposition through the static pipeline (re-resolving the CC policy
-// chooser against the reshaped graph) and resets the rebuild budget.
+// rebuildLocked is the fall-back-to-static path: re-base the graph, run the
+// full cc pipeline, and reseed the incremental state and the census from the
+// fresh decomposition. In dynamic mode the forest stays authoritative for
+// future updates; the rebuild re-canonicalizes the census through the static
+// pipeline (re-resolving the CC policy chooser against the reshaped graph)
+// and resets the rebuild budget.
 func (e *Engine) rebuildLocked() {
 	e.rebaseLocked()
-	e.cacheGen++
-	e.ccRaw = e.ccSolve(e.base(), nil)
-	e.cen = newCensus(e.ccRaw)
-	e.ccRes, e.largestCC = nil, nil
+	res := e.ccSolve(e.base(), nil)
+	e.cen = newCensus(res)
 	if e.dyn == nil {
-		e.inc = inc.FromLabels(e.ccRaw.Label, e.ccRaw.NumComponents)
+		e.inc = inc.FromLabels(res.Label, res.NumComponents)
 	}
-	e.baseEdges = e.undirectedEdgesLocked()
-	e.sinceRebuild = 0
+	e.resetBudget()
 }

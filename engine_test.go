@@ -335,25 +335,14 @@ func TestFormatLoadersAPI(t *testing.T) {
 	}
 }
 
-// cacheState snapshots which engine caches are filled (set) and their
-// identities (id), so tests can assert exactly which caches an Apply batch
-// preserved versus dropped.
+// cacheState snapshots which results the engine's current epoch holds (set)
+// and their identities (id), so tests can assert exactly which results an
+// Apply batch's next epoch inherited versus dropped.
 func cacheState(e *Engine) (set map[string]bool, id map[string]string) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	set, id = map[string]bool{}, map[string]string{}
-	put := func(k string, v any, nonNil bool) { set[k] = nonNil; id[k] = fmt.Sprintf("%p", v) }
-	put("cc", e.ccRes, e.ccRes != nil)
-	put("largest", e.largestCC, e.largestCC != nil)
-	put("scc", e.sccRes, e.sccRes != nil)
-	put("cond", e.condensation, e.condensation != nil)
-	put("bicc", e.biccRes, e.biccRes != nil)
-	put("bgcc", e.bgccRes, e.bgccRes != nil)
-	put("apOnly", e.apOnly, e.apOnly != nil)
-	put("brOnly", e.brOnly, e.brOnly != nil)
-	put("btw", e.betweenness, e.betweenness != nil)
-	put("core", e.coreness, e.coreness != nil)
-	return set, id
+	ep := e.epochLocked().epoch
+	e.mu.Unlock()
+	return epochCells(ep)
 }
 
 var cacheKeys = []string{"cc", "largest", "scc", "cond", "bicc", "bgcc", "apOnly", "brOnly", "btw", "core"}

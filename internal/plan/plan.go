@@ -93,12 +93,13 @@ func Classify(q Query) (*Plan, error) {
 	case "connected":
 		p.Category = Small
 		p.Steps = []string{
-			"trim check: any trimmable pattern in a larger graph disproves connectivity",
-			"single traversal from a random pivot; compare coverage with |V|",
+			"a census computed already (always, once updates have begun) answers: connected iff one component",
+			"otherwise trim check: any trimmable pattern in a larger graph disproves connectivity",
+			"otherwise a single traversal from a random pivot; compare coverage with |V|",
 		}
 		if q.Alg == WCC {
 			p.Steps = []string{
-				"union-find census over the out-arcs when the CC cell is a union-find cell (auto past 4096 vertices): connected iff one component; builds neither the in-CSR nor the undirected view",
+				"union-find census over the out-arcs when the CC cell is a union-find cell (auto past 4096 vertices), or a census computed already (always, once updates have begun): connected iff one component; builds neither the in-CSR nor the undirected view",
 				"otherwise trim check, then a single traversal of the undirected view from a random pivot",
 			}
 		}

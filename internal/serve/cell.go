@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -28,7 +29,7 @@ type call[T any] struct {
 	val     T
 	err     error
 	waiters int
-	cancel  context.CancelFunc
+	cancel  context.CancelFunc // nil when a waiter that never leaves runs it
 }
 
 // Cell is a lazily computed, singleflighted value: the first Get triggers the
@@ -63,7 +64,8 @@ func (c *Cell[T]) SetStats(st *CellStats) {
 // results are discarded). Get returns ctx.Err() if ctx is done before the
 // shared compute finishes — at once, without starting or joining a compute
 // and without counting a hit or a miss, if ctx is done already and no value
-// is cached. A nil ctx never cancels.
+// is cached. A nil ctx never cancels: a Get with a nil ctx that starts the
+// compute runs it on the caller's goroutine, under a nil context.
 func (c *Cell[T]) Get(ctx context.Context, compute func(context.Context) (T, error)) (T, error) {
 	c.mu.Lock()
 	if c.has {
@@ -90,23 +92,21 @@ func (c *Cell[T]) Get(ctx context.Context, compute func(context.Context) (T, err
 		}
 	}
 	if cl == nil {
-		cctx, cancel := context.WithCancel(context.Background())
-		cl = &call[T]{done: make(chan struct{}), cancel: cancel}
+		cl = &call[T]{done: make(chan struct{})}
 		c.cur = cl
-		go func() {
-			v, err := compute(cctx)
-			c.mu.Lock()
-			cl.val, cl.err = v, err
-			if err == nil && !c.has && !c.dropped {
-				c.has, c.val = true, v
-			}
-			if c.cur == cl {
-				c.cur = nil
-			}
+		if ctx == nil {
+			// This waiter never leaves, so no one can cancel the call: the
+			// caller runs the compute itself, under a nil context, which
+			// spares it a goroutine hand-off and its kernels their
+			// cancellation polls.
+			cl.waiters++
 			c.mu.Unlock()
-			cancel() // release the context's resources
-			close(cl.done)
-		}()
+			c.run(cl, compute, nil)
+			return cl.val, cl.err
+		}
+		var cctx context.Context
+		cctx, cl.cancel = context.WithCancel(context.Background())
+		go c.run(cl, compute, cctx)
 	}
 	cl.waiters++
 	c.mu.Unlock()
@@ -133,6 +133,32 @@ func (c *Cell[T]) Get(ctx context.Context, compute func(context.Context) (T, err
 		var zero T
 		return zero, ctxErr(ctx)
 	}
+}
+
+// errPanicked is the outcome waiters see of a compute that panicked.
+var errPanicked = errors.New("serve: compute panicked")
+
+// run executes one compute attempt under ctx and publishes its outcome to
+// the call's waiters, and to the cell unless it failed or the cell dropped.
+// A compute that panics fails the attempt before the panic goes on up, so a
+// caller that recovers leaves the cell ready for the next Get.
+func (c *Cell[T]) run(cl *call[T], compute func(context.Context) (T, error), ctx context.Context) {
+	cl.err = errPanicked
+	defer func() {
+		c.mu.Lock()
+		if cl.err == nil && !c.has && !c.dropped {
+			c.has, c.val = true, cl.val
+		}
+		if c.cur == cl {
+			c.cur = nil
+		}
+		c.mu.Unlock()
+		if cl.cancel != nil {
+			cl.cancel() // release the context's resources
+		}
+		close(cl.done)
+	}()
+	cl.val, cl.err = compute(ctx)
 }
 
 // Cached is Get's cached branch alone: it returns the cached value and counts

@@ -469,3 +469,48 @@ func TestGateFIFO(t *testing.T) {
 		}
 	}
 }
+
+// TestCellNilCtxComputeInlineAndPanicSafe: a Get with a nil ctx runs its
+// compute on the caller's goroutine, under a nil context; if that compute
+// panics and the caller recovers, a waiter that joined it gets an error and
+// the cell is left free, so the next Get computes instead of hanging.
+func TestCellNilCtxComputeInlineAndPanicSafe(t *testing.T) {
+	var cell Cell[int]
+	var st CellStats
+	cell.SetStats(&st)
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		cell.Get(nil, func(ctx context.Context) (int, error) {
+			if ctx != nil {
+				t.Error("a nil-ctx starter's compute got a context")
+			}
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	joined := make(chan error, 1)
+	go func() {
+		_, err := cell.Get(context.Background(), func(context.Context) (int, error) {
+			return 0, errors.New("the joiner started its own compute")
+		})
+		joined <- err
+	}()
+	for hits, _ := st.Counts(); hits == 0; hits, _ = st.Counts() {
+		time.Sleep(100 * time.Microsecond) // until the joiner joins
+	}
+	close(release)
+	if r := <-panicked; r != "boom" {
+		t.Fatalf("recovered %v, want the compute's panic", r)
+	}
+	if err := <-joined; !errors.Is(err, errPanicked) {
+		t.Fatalf("joined waiter got %v, want errPanicked", err)
+	}
+	v, err := cell.Get(nil, func(context.Context) (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("Get after the panic = (%d, %v), want (7, nil)", v, err)
+	}
+}

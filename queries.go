@@ -3,12 +3,12 @@ package aquila
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"aquila/internal/bfs"
 	"aquila/internal/bgcc"
 	"aquila/internal/bicc"
 	"aquila/internal/cc"
-	"aquila/internal/gen"
 	"aquila/internal/graph"
 	"aquila/internal/scc"
 )
@@ -29,81 +29,87 @@ type BgCCResult = bgcc.Result
 // graphs.
 var ErrNotDirected = errors.New("aquila: SCC queries need a directed graph (use NewDirectedEngine)")
 
-// CC returns the complete connected-components decomposition (computed once,
-// then cached). For directed engines this is the WCC decomposition. After
-// Apply batches, the decomposition is materialized from the engine's census
-// in O(|V|) instead of recomputed by traversal.
-func (e *Engine) CC() *CCResult { return e.ccComplete() }
+// CC returns the complete connected-components decomposition, computed once
+// per epoch (see Snapshot). For directed engines this is the WCC
+// decomposition. After Apply batches, the decomposition is materialized from
+// the engine's census in O(|V|) instead of recomputed by traversal.
+func (e *Engine) CC() *CCResult {
+	res, _ := e.CCContext(nil)
+	return res
+}
 
 // WCC is CC under its directed-graph name: the weakly connected components.
-func (e *Engine) WCC() *CCResult { return e.ccComplete() }
+func (e *Engine) WCC() *CCResult { return e.CC() }
 
-// CCContext is CC with cooperative cancellation: a cold-cache compute polls
-// ctx at chunk boundaries and a cancelled call returns ctx.Err() without
-// caching the partial result (a retry recomputes from scratch). A warm cache
+// CCContext is CC with cooperative cancellation: a cold compute polls ctx at
+// chunk boundaries and a cancelled call returns ctx.Err() without caching
+// the partial result (a retry recomputes from scratch). A warm result
 // answers immediately regardless of ctx. A nil ctx behaves like
 // context.Background.
 func (e *Engine) CCContext(ctx context.Context) (*CCResult, error) {
-	return e.ccCompleteCtx(ctx)
+	return e.current(false).CC(ctx)
 }
 
 // SCCContext is SCC with cooperative cancellation (CCContext semantics).
 func (e *Engine) SCCContext(ctx context.Context) (*SCCResult, error) {
-	if !e.directed {
-		return nil, ErrNotDirected
-	}
-	return e.sccCompleteCtx(ctx)
+	return e.current(true).SCC(ctx)
 }
 
 // BiCCContext is BiCC with cooperative cancellation (CCContext semantics).
 func (e *Engine) BiCCContext(ctx context.Context) (*BiCCResult, error) {
-	return e.biccCompleteCtx(ctx)
+	return e.current(true).BiCC(ctx)
 }
 
 // BgCCContext is BgCC with cooperative cancellation (CCContext semantics).
 func (e *Engine) BgCCContext(ctx context.Context) (*BgCCResult, error) {
-	return e.bgccCompleteCtx(ctx)
+	return e.current(true).BgCC(ctx)
 }
 
 // SCC returns the complete strongly-connected-components decomposition.
-func (e *Engine) SCC() (*SCCResult, error) {
-	if !e.directed {
-		return nil, ErrNotDirected
-	}
-	return e.sccComplete(), nil
-}
+func (e *Engine) SCC() (*SCCResult, error) { return e.SCCContext(nil) }
 
 // BiCC returns the complete biconnected-components decomposition.
-func (e *Engine) BiCC() *BiCCResult { return e.biccComplete() }
+func (e *Engine) BiCC() *BiCCResult {
+	res, _ := e.BiCCContext(nil)
+	return res
+}
 
 // BgCC returns the complete bridgeless-connected-components decomposition.
-func (e *Engine) BgCC() *BgCCResult { return e.bgccComplete() }
+func (e *Engine) BgCC() *BgCCResult {
+	res, _ := e.BgCCContext(nil)
+	return res
+}
+
+// liveCount returns the component count the incremental or dynamic state keeps,
+// or, before the first update, the current epoch to ask instead.
+func (e *Engine) liveCount() (int, *Snapshot) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case e.dyn != nil:
+		return e.dyn.ComponentCount(), nil
+	case e.inc != nil:
+		return e.inc.ComponentCount(), nil
+	}
+	return 0, e.epochLocked()
+}
 
 // CountCC returns the number of connected components. Under incremental
 // updates it reads an O(1) counter maintained by Apply.
 func (e *Engine) CountCC() int {
-	e.mu.Lock()
-	if e.dyn != nil {
-		cnt := e.dyn.ComponentCount()
-		e.mu.Unlock()
-		return cnt
+	cnt, sn := e.liveCount()
+	if sn != nil {
+		cnt, _ = sn.CountCC(nil)
 	}
-	if e.inc != nil {
-		cnt := e.inc.ComponentCount()
-		e.mu.Unlock()
-		return cnt
-	}
-	res := e.ccCompleteLocked()
-	e.mu.Unlock()
-	return res.NumComponents
+	return cnt
 }
 
 // Connected reports whether u and v lie in the same connected component.
-// Before any Apply it reads the cached CC decomposition; once incremental
-// updates have begun it is answered straight from the union-find in
-// near-constant time, without blocking on (or waiting for) writers. In
-// dynamic mode (after the first delete op) it reads the spanning forest in
-// O(log n) under the engine lock. Both endpoints must be existing vertices.
+// Before any Apply it reads the epoch's census; once incremental updates
+// have begun it is answered straight from the union-find in near-constant
+// time, without blocking on (or waiting for) writers. In dynamic mode (after
+// the first delete op) it reads the spanning forest in O(log n) under the
+// engine lock. Both endpoints must be existing vertices.
 func (e *Engine) Connected(u, v V) bool {
 	e.mu.Lock()
 	if e.dyn != nil {
@@ -114,16 +120,19 @@ func (e *Engine) Connected(u, v V) bool {
 		e.mu.Unlock()
 		return c
 	}
-	if e.inc != nil {
-		s := e.inc
-		e.mu.Unlock()
-		// The union-find lives in compute ids; translate the pair on the way
-		// in (mapV is the identity for unreordered engines).
-		return s.Connected(e.mapV(u), e.mapV(v))
+	s := e.inc
+	var sn *Snapshot
+	if s == nil {
+		sn = e.epochLocked()
 	}
-	res := e.ccCompleteLocked()
 	e.mu.Unlock()
-	return res.Label[u] == res.Label[v]
+	if sn != nil {
+		c, _ := sn.Connected(nil, u, v)
+		return c
+	}
+	// The union-find lives in compute ids; translate the pair on the way in
+	// (mapV is the identity for unreordered engines).
+	return s.Connected(e.mapV(u), e.mapV(v))
 }
 
 // CCSizeHistogram maps component size to the number of components of that
@@ -131,22 +140,17 @@ func (e *Engine) Connected(u, v V) bool {
 // updates that is the base's histogram adjusted by the merges since, with no
 // complete decomposition built.
 func (e *Engine) CCSizeHistogram() map[int]int {
-	e.mu.Lock()
-	c, _ := e.censusLockedCtx(nil)
-	e.mu.Unlock()
-	return c.histogram()
+	h, _ := e.current(false).CCSizeHistogram(nil)
+	return h
 }
 
 // IsConnected answers the small-XCC query "is this graph connected?" (§3).
-// With partial computation enabled it first looks for a trimmable pattern —
-// any orphan or isolated pair in a larger graph disproves connectivity
-// immediately — and otherwise runs a single traversal from a randomly chosen
-// vertex. Under incremental updates the component counter answers directly.
-// A directed engine whose census is a union-find cell answers from that
-// census instead: it reads only the out-arcs, where a traversal would first
-// build the undirected view.
+// Under incremental or dynamic updates the component counter answers
+// directly; before them the current epoch runs the §3 plan (see
+// Snapshot.IsConnected): a census computed already, or the trim check and
+// at most one traversal.
 func (e *Engine) IsConnected() bool {
-	ok, _ := e.isConnectedCtx(nil)
+	ok, _ := e.IsConnectedContext(nil)
 	return ok
 }
 
@@ -155,69 +159,11 @@ func (e *Engine) IsConnected() bool {
 // ctx.Err() with no answer (nothing is cached, so a retry recomputes). A nil
 // ctx behaves like context.Background.
 func (e *Engine) IsConnectedContext(ctx context.Context) (bool, error) {
-	return e.isConnectedCtx(ctx)
-}
-
-func (e *Engine) isConnectedCtx(ctx context.Context) (bool, error) {
-	e.mu.Lock()
-	n := e.n
-	if n <= 1 {
-		e.mu.Unlock()
-		return true, nil
+	cnt, sn := e.liveCount()
+	if sn != nil {
+		return sn.IsConnected(ctx)
 	}
-	if e.dyn != nil {
-		cnt := e.dyn.ComponentCount()
-		e.mu.Unlock()
-		return cnt == 1, nil
-	}
-	if e.inc != nil {
-		cnt := e.inc.ComponentCount()
-		e.mu.Unlock()
-		return cnt == 1, nil
-	}
-	if e.ccRaw != nil {
-		// A census computed already answers without a traversal.
-		cnt := e.ccRaw.NumComponents
-		e.mu.Unlock()
-		return cnt == 1, nil
-	}
-	if e.opt.DisablePartial || e.arcCensus(e.base()) {
-		c, err := e.censusLockedCtx(ctx)
-		e.mu.Unlock()
-		if err != nil {
-			return false, err
-		}
-		return c.num == 1, nil
-	}
-	g := e.undirectedOf(e.base()).und
-	e.mu.Unlock()
-	// Trim check: a trimmable pattern in a graph bigger than the pattern is a
-	// separate component.
-	for v := 0; v < n; v++ {
-		if g.Degree(graph.V(v)) == 0 {
-			return false, nil
-		}
-	}
-	for v := 0; v < n && n > 2; v++ {
-		if g.Degree(graph.V(v)) == 1 {
-			u := g.Neighbors(graph.V(v))[0]
-			if g.Degree(u) == 1 {
-				return false, nil
-			}
-		}
-	}
-	// Random pivot (deterministically seeded) + one traversal.
-	rng := gen.NewRNG(uint64(n)*0x9e37 + uint64(g.NumEdges()))
-	pivot := graph.V(rng.Intn(n))
-	rs := e.getReach(n)
-	visited := rs.Reach(bfs.UndirectedAdj(g), pivot, nil,
-		bfs.Options{Threads: e.opt.Threads, Ctx: ctx}, e.opt.Traversal.mode())
-	connected := visited.Count() == n
-	e.putReach(rs)
-	if err := ctxErr(ctx); err != nil {
-		return false, err
-	}
-	return connected, nil
+	return e.n <= 1 || cnt == 1, nil
 }
 
 // IsStronglyConnected answers "is this graph strongly connected?" with
@@ -227,13 +173,16 @@ func (e *Engine) IsStronglyConnected() (bool, error) {
 	if !e.directed {
 		return false, ErrNotDirected
 	}
-	g := e.dirView()
+	sn := e.current(true)
+	gs, _ := sn.directed(nil)
+	g := gs.dir
 	n := g.NumVertices()
 	if n <= 1 {
 		return true, nil
 	}
 	if e.opt.DisablePartial {
-		return e.sccComplete().NumComponents == 1, nil
+		res, _ := sn.SCC(nil)
+		return res.NumComponents == 1, nil
 	}
 	inOff, _ := g.InCSR()
 	for v := 0; v < n; v++ {
@@ -242,8 +191,8 @@ func (e *Engine) IsStronglyConnected() (bool, error) {
 		}
 	}
 	pivot := graph.V(0)
-	rs := e.getReach(n)
-	defer e.putReach(rs)
+	rs := e.reach.Get(n, e.opt.Threads)
+	defer e.reach.Put(rs)
 	fw := rs.Reach(bfs.ForwardAdj(g), pivot, nil,
 		bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
 	if fw.Count() != n {
@@ -272,15 +221,15 @@ type LargestResult struct {
 // Contains reports whether v belongs to the largest component.
 func (l *LargestResult) Contains(v V) bool { return l.contains(v) }
 
-// LargestCC answers the largest-XCC queries (§3): it traverses from the
-// max-degree master pivot and, if the found component is at least as big as
-// everything else combined, stops there — no other component can beat it.
-// Only when the heuristic pivot lands in a minority component does it fall
-// back to the complete computation. Under incremental updates, once a census
-// exists, or on a directed engine whose census is a union-find cell (see
-// IsConnected), the answer comes from the census instead of any traversal.
+// LargestCC answers the largest-XCC queries (§3) on the current epoch (see
+// Snapshot.LargestCC): from the census once updates have begun or a census
+// exists, otherwise by one traversal from the max-degree master pivot that
+// stops if the component it finds is at least as big as everything else
+// combined, falling back to the complete computation only when it is not.
+// A census solved after the epoch's traversal answer takes over here, while
+// a served snapshot keeps its first answer for the epoch.
 func (e *Engine) LargestCC() *LargestResult {
-	res, _ := e.largestCCCtx(nil)
+	res, _ := e.LargestCCContext(nil)
 	return res
 }
 
@@ -289,82 +238,17 @@ func (e *Engine) LargestCC() *LargestResult {
 // ctx at chunk boundaries. A cancelled call returns ctx.Err() and caches
 // nothing. A nil ctx behaves like context.Background.
 func (e *Engine) LargestCCContext(ctx context.Context) (*LargestResult, error) {
-	return e.largestCCCtx(ctx)
-}
-
-func (e *Engine) largestCCCtx(ctx context.Context) (*LargestResult, error) {
-	e.mu.Lock()
-	if e.inc != nil || e.dyn != nil || e.ccRaw != nil || e.arcCensus(e.base()) {
-		c, err := e.censusLockedCtx(ctx)
-		e.mu.Unlock()
-		if err != nil {
-			return nil, err
+	sn := e.current(false)
+	if l, ok := sn.largest.Peek(); ok && l.Partial {
+		if c, ok := sn.cen.Peek(); ok {
+			return e.largestFromCensus(c), nil
 		}
-		return e.largestFromCensus(c), nil
 	}
-	g := e.undirectedOf(e.base()).und
-	e.mu.Unlock()
-	n := g.NumVertices()
-	if !e.opt.DisablePartial && n > 0 {
-		master := g.MaxDegreeVertex()
-		rs := e.getReach(n)
-		visited := rs.Reach(bfs.UndirectedAdj(g), master, nil,
-			bfs.Options{Threads: e.opt.Threads, Ctx: ctx}, e.opt.Traversal.mode())
-		if err := ctxErr(ctx); err != nil {
-			e.putReach(rs)
-			return nil, err
-		}
-		size := visited.Count()
-		if 2*size >= n {
-			// The result keeps visited.Get, so the bitmap must survive the
-			// scratch's next checkout. The traversal ran in compute ids:
-			// membership checks translate in, the pivot translates out.
-			rs.DetachVisited()
-			e.putReach(rs)
-			// Reject out-of-range vertices before touching the permutation
-			// or the bitmap: Contains on an unknown vertex is false, not a
-			// panic (callers like the HTTP front-end pass ids unchecked).
-			contains := func(v V) bool { return int(v) < n && visited.Get(v) }
-			if e.perm != nil {
-				contains = func(v V) bool { return int(v) < n && visited.Get(e.perm.Perm[v]) }
-			}
-			return &LargestResult{
-				Size: size, Pivot: e.unmapV(master), Partial: true,
-				contains: contains,
-			}, nil
-		}
-		e.putReach(rs)
-	}
-	e.mu.Lock()
-	c, err := e.censusLockedCtx(ctx)
-	e.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return e.largestFromCensus(c), nil
+	return sn.LargestCC(ctx)
 }
 
 // InLargestCC reports whether v is in the largest connected component.
-func (e *Engine) InLargestCC(v V) bool {
-	e.mu.Lock()
-	cached := e.largestCC
-	gen := e.cacheGen
-	e.mu.Unlock()
-	if cached == nil {
-		cached = e.LargestCC()
-		e.mu.Lock()
-		// The fill ran outside the lock; a concurrent Apply may have
-		// invalidated the cache in the meantime. Storing the stale fill would
-		// erase that invalidation, so it is kept only if no invalidation
-		// happened (the answer itself is still consistent: it linearizes at
-		// the point the fill read the engine state).
-		if e.cacheGen == gen {
-			e.largestCC = cached
-		}
-		e.mu.Unlock()
-	}
-	return cached.Contains(v)
-}
+func (e *Engine) InLargestCC(v V) bool { return e.LargestCC().Contains(v) }
 
 // LargestSCC answers "how big is the largest SCC / is v in it" with partial
 // computation: trim, then one FW-BW sweep from the master pivot; if the found
@@ -374,14 +258,16 @@ func (e *Engine) LargestSCC() (*LargestResult, error) {
 	if !e.directed {
 		return nil, ErrNotDirected
 	}
-	g := e.dirView()
+	sn := e.current(true)
+	gs, _ := sn.directed(nil)
+	g := gs.dir
 	n := g.NumVertices()
 	if !e.opt.DisablePartial && n > 0 {
 		// One FW-BW from the max-degree pivot. Both halves run through one
 		// scratch: the forward bitmap is detached before the backward sweep
 		// resets the scratch state.
 		master := g.MaxOutDegreeVertex()
-		rs := e.getReach(n)
+		rs := e.reach.Get(n, e.opt.Threads)
 		fw := rs.Reach(bfs.ForwardAdj(g), master, nil,
 			bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
 		rs.DetachVisited()
@@ -398,7 +284,7 @@ func (e *Engine) LargestSCC() (*LargestResult, error) {
 			// LargestCC, the bitmaps are compute-space so membership checks
 			// translate in.
 			rs.DetachVisited()
-			e.putReach(rs)
+			e.reach.Put(rs)
 			return &LargestResult{
 				Size: size, Pivot: e.unmapV(master), Partial: true,
 				contains: func(v V) bool {
@@ -410,9 +296,9 @@ func (e *Engine) LargestSCC() (*LargestResult, error) {
 				},
 			}, nil
 		}
-		e.putReach(rs)
+		e.reach.Put(rs)
 	}
-	res := e.sccComplete()
+	res, _ := sn.SCC(nil)
 	lbl := res.LargestLabel
 	return &LargestResult{
 		Size:  res.LargestSize,
@@ -423,28 +309,13 @@ func (e *Engine) LargestSCC() (*LargestResult, error) {
 	}, nil
 }
 
-// ArticulationPoints answers the AP-only query (§3): with partial computation
-// it runs the workload-reduced AP detection without block bookkeeping and
-// stops checking a vertex once it is proven an AP.
+// ArticulationPoints answers the AP-only query (§3) on the current epoch
+// (see Snapshot.ArticulationPoints): with partial computation it runs the
+// workload-reduced AP detection without block bookkeeping and stops checking
+// a vertex once it is proven an AP.
 func (e *Engine) ArticulationPoints() []V {
-	var isAP []bool
-	if e.opt.DisablePartial {
-		isAP = e.biccComplete().IsAP
-	} else {
-		e.mu.Lock()
-		e.rebaseLocked()
-		if e.apOnly == nil {
-			v := e.undirectedOf(e.base())
-			raw := e.biccSolve(v.und, nil, true)
-			if e.perm != nil {
-				raw = remapBiCC(raw, e.perm, e.eidMap(v), e.opt.Threads)
-			}
-			e.apOnly = raw
-		}
-		isAP = e.apOnly.IsAP
-		e.mu.Unlock()
-	}
-	return apList(isAP)
+	a, _ := e.current(true).ArticulationPoints(nil)
+	return a
 }
 
 // apList lists the flagged vertices in ascending order (nil when none is).
@@ -458,50 +329,19 @@ func apList(isAP []bool) []V {
 	return out
 }
 
-// IsArticulationPoint reports whether v is an articulation point.
+// IsArticulationPoint reports whether v is an articulation point: a binary
+// search of the epoch's cached list, allocation-free once it is warm.
 func (e *Engine) IsArticulationPoint(v V) bool {
-	for _, ap := range e.ArticulationPoints() {
-		if ap == v {
-			return true
-		}
-	}
-	return false
+	a, _ := e.current(true).apList(nil)
+	_, found := slices.BinarySearch(a, v)
+	return found
 }
 
-// Bridges answers the bridge-only query (§3), returning each bridge as an
-// ordered endpoint pair.
+// Bridges answers the bridge-only query (§3) on the current epoch (see
+// Snapshot.Bridges), returning each bridge as an ordered endpoint pair.
 func (e *Engine) Bridges() [][2]V {
-	e.mu.Lock()
-	e.rebaseLocked()
-	// The kernel runs on the compute graph; the cached flags and the reported
-	// endpoints are both in original ids (flags remapped through eidMap).
-	v := e.undirectedOf(e.base())
-	g := v.und
-	if e.perm != nil {
-		g = v.origUnd
-	}
-	var isBridge []bool
-	if e.opt.DisablePartial {
-		if e.bgccRes == nil {
-			raw := bgcc.Run(v.und, e.bgccOptions(false))
-			if e.perm != nil {
-				raw = remapBgCC(raw, e.perm, e.eidMap(v), e.opt.Threads)
-			}
-			e.bgccRes = raw
-		}
-		isBridge = e.bgccRes.IsBridge
-	} else {
-		if e.brOnly == nil {
-			raw := bgcc.Run(v.und, e.bgccOptions(true))
-			if e.perm != nil {
-				raw = remapBgCC(raw, e.perm, e.eidMap(v), e.opt.Threads)
-			}
-			e.brOnly = raw
-		}
-		isBridge = e.brOnly.IsBridge
-	}
-	e.mu.Unlock()
-	return bridgeList(g, isBridge)
+	b, _ := e.current(true).Bridges(nil)
+	return b
 }
 
 // bridgeList returns the endpoints of the flagged edges of g, in dense

@@ -2,8 +2,9 @@ package aquila
 
 // Result remapping for reordered engines. When Options.Reorder relabels the
 // graph, every kernel runs in the relabeled ("compute") id space; the helpers
-// here translate results back to the caller's original ids at cache-fill time,
-// so everything downstream of the caches is space-oblivious.
+// here translate results back to the caller's original ids when an epoch
+// computes them, so everything downstream of the epoch's cells is
+// space-oblivious.
 //
 // Vertex-indexed arrays translate by orig[ov] = raw[Perm[ov]]; label values
 // (which are vertex ids) translate through Inv; edge-indexed arrays translate
@@ -11,7 +12,7 @@ package aquila
 // The remapped labels remain self-representative (label[l] == l), because
 // conjugating a partition by a bijection preserves representatives — but they
 // are NOT min-id canonical, which is why the incremental union-find is always
-// seeded from the raw compute-space labels (see Engine.ccRawLocked).
+// seeded from the raw compute-space labels of the census (see Engine.cen).
 
 import (
 	"aquila/internal/bgcc"

@@ -2,6 +2,7 @@ package aquila
 
 import (
 	"context"
+	"errors"
 	"maps"
 	"runtime"
 	"slices"
@@ -20,60 +21,156 @@ import (
 	"aquila/internal/serve"
 )
 
-// snapState is what a serving Snapshot captures from the engine at publish
-// time: the immutable base graph pointers, the epoch's prefix of the signed
-// delta, and the compute-space connectivity census when it is available
-// cheaply.
+// snapState is what an epoch captures from the engine: the immutable base
+// graph pointers, the epoch's prefix of the signed delta, the connectivity
+// census once updates have begun, and the engine's change counters.
 type snapState struct {
 	base graphSet
 	// arcs and edges are the engine's delta logs as of the epoch, capped
 	// (d[:n:n]) so that the engine's later appends can never reach them.
 	arcs, edges []graph.Change
-	// cen is the epoch's census, or nil when deriving it would cost a
-	// traversal (cold static engine). The object is immutable: Apply advances
+	// cen is the epoch's census, or nil before the first update, when the
+	// epoch solves it on first use. The object is immutable: Apply advances
 	// the engine to a new census but never mutates a published one.
 	cen *census
-	// gen is the engine's cacheGen at capture. A cold epoch hands its solve
-	// back to the engine only while the engine is still at this generation.
-	gen uint64
+	// arcGen and edgeGen are the engine's change counters at capture.
+	arcGen, edgeGen uint64
 }
 
-// snapshotState captures, under e.mu, everything a serving Snapshot needs,
-// in O(1) beyond the census: no graph is built and no delta is copied.
-// Insert-only epochs read the census Apply keeps current; dynamic epochs
-// wrap the forest's labels, an O(|V|) walk only after a batch that merged
-// or split components.
-func (e *Engine) snapshotState() snapState {
+// epoch is the graph as of one write and every result computed on it, each
+// in its own singleflight cell. The engine captures one per write; its own
+// queries and its Server's reach the same epoch through their own Snapshot
+// handles, so no view or result is built twice.
+type epoch struct {
+	eng *Engine
+	st  snapState
+
+	dirView serve.Cell[directedView]
+	undView serve.Cell[undirectedView]
+	cen     serve.Cell[*census]
+	ccRes   serve.Cell[*cc.Result]
+	isConn  serve.Cell[bool]
+	largest serve.Cell[*LargestResult]
+	sccRes  serve.Cell[*scc.Result]
+	biccRes serve.Cell[*bicc.Result]
+	bgccRes serve.Cell[*bgcc.Result]
+	aps     serve.Cell[[]V]
+	bridges serve.Cell[[][2]V]
+	hist    serve.Cell[map[int]int]
+	// Results only the Engine's API asks for.
+	cond serve.Cell[*Condensation]
+	btw  serve.Cell[[]float64]
+	core serve.Cell[[]int32]
+}
+
+// epochLocked returns the engine's handle on its current epoch, capturing a
+// new epoch first when a write or a re-base has happened since the last
+// capture. Capture is O(1) beyond the census: no graph is built and no delta
+// is copied. Insert-only epochs read the census Apply keeps current; dynamic
+// epochs wrap the forest's labels, an O(|V|) walk only after a batch that
+// merged or split components. Called under e.mu.
+func (e *Engine) epochLocked() *Snapshot {
+	if e.snap != nil && !e.stale {
+		return e.snap
+	}
+	if e.dyn != nil && e.cen == nil {
+		e.cen = newCensus(ccResultFromLabels(e.dyn.Labels()))
+	}
+	ep := &epoch{eng: e, st: snapState{
+		base:    e.base(),
+		arcs:    e.arcLog[:len(e.arcLog):len(e.arcLog)],
+		edges:   e.edgeLog[:len(e.edgeLog):len(e.edgeLog)],
+		cen:     e.cen,
+		arcGen:  e.arcGen,
+		edgeGen: e.edgeGen,
+	}}
+	if e.stats != nil {
+		ep.setStats(e.stats)
+	}
+	if ep.st.cen != nil {
+		ep.cen.Seed(ep.st.cen)
+	}
+	// A view with nothing to merge is the base itself. A directed engine's
+	// undirected view may not be built yet, so its cell fills on first use.
+	if len(ep.st.arcs) == 0 {
+		ep.dirView.Seed(ep.st.base.directedView)
+	}
+	if len(ep.st.edges) == 0 && !e.directed {
+		ep.undView.Seed(e.undirectedOf(ep.st.base))
+	}
+	if e.snap != nil {
+		ep.inherit(e.snap.epoch)
+	}
+	e.snap, e.stale = &Snapshot{epoch: ep}, false
+	return e.snap
+}
+
+// current returns the engine's current epoch. Queries that walk adjacency
+// pass rebase to merge the pending delta into the engine's base first, so
+// that their epoch's views are the base itself rather than merged copies.
+func (e *Engine) current(rebase bool) *Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := snapState{
-		base:  e.base(),
-		arcs:  e.arcLog[:len(e.arcLog):len(e.arcLog)],
-		edges: e.edgeLog[:len(e.edgeLog):len(e.edgeLog)],
-		gen:   e.cacheGen,
+	if rebase {
+		e.rebaseLocked()
 	}
-	if e.dyn != nil {
-		st.cen, _ = e.censusLockedCtx(nil)
-	} else {
-		if e.cen == nil && e.ccRaw != nil {
-			e.cen = newCensus(e.ccRaw)
+	return e.epochLocked()
+}
+
+// inherit takes over from prev, the epoch before ep, every result whose
+// input did not change: the SCC results while no arc changed, the
+// 2-connectivity and degree-structure results while no undirected edge
+// changed, and the CC results while the census is the same one. A largest
+// component found by the §3 traversal stays with its epoch, whose census was
+// absent; a census present answers instead.
+func (ep *epoch) inherit(prev *epoch) {
+	if ep.st.arcGen == prev.st.arcGen {
+		keep(&ep.sccRes, &prev.sccRes)
+		keep(&ep.cond, &prev.cond)
+	}
+	if ep.st.edgeGen == prev.st.edgeGen {
+		keep(&ep.biccRes, &prev.biccRes)
+		keep(&ep.bgccRes, &prev.bgccRes)
+		keep(&ep.aps, &prev.aps)
+		keep(&ep.bridges, &prev.bridges)
+		keep(&ep.btw, &prev.btw)
+		keep(&ep.core, &prev.core)
+	}
+	if c, ok := prev.cen.Peek(); ok && c == ep.st.cen {
+		keep(&ep.ccRes, &prev.ccRes)
+		keep(&ep.hist, &prev.hist)
+		if l, ok := prev.largest.Peek(); ok && !l.Partial {
+			ep.largest.Seed(l)
 		}
-		st.cen = e.cen
 	}
-	return st
 }
 
-// adoptColdCensus hands a cold epoch's solve back to the engine, so the
-// first Apply seeds its incremental state from it instead of solving CC a
-// second time. Like the partial fast paths' fills it re-validates first: the
-// engine must still hold the captured graph, with no pending delta, no
-// incremental or dynamic state, and an unchanged cacheGen.
-func (e *Engine) adoptColdCensus(st snapState, c *census) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ccRaw == nil && e.base() == st.base && len(e.edgeLog) == 0 && len(e.arcLog) == 0 &&
-		e.inc == nil && e.dyn == nil && e.cacheGen == st.gen {
-		e.ccRaw, e.cen = c.base.res, c
+// husk returns an epoch that holds ep's change counters, census and every
+// result a successor may inherit, but no graph. A re-base replaces the
+// engine's superseded epoch with it, so the old base is not kept just for
+// inheritance.
+func (ep *epoch) husk() *epoch {
+	c, _ := ep.cen.Peek()
+	h := &epoch{eng: ep.eng, st: snapState{cen: c, arcGen: ep.st.arcGen, edgeGen: ep.st.edgeGen}}
+	keep(&h.cen, &ep.cen)
+	h.inherit(ep)
+	return h
+}
+
+// keep seeds dst with src's value, if src holds one.
+func keep[T any](dst, src *serve.Cell[T]) {
+	if v, ok := src.Peek(); ok {
+		dst.Seed(v)
+	}
+}
+
+// setStats attaches st to the cells the served queries answer from.
+func (ep *epoch) setStats(st *serve.CellStats) {
+	for _, c := range []interface{ SetStats(*serve.CellStats) }{
+		&ep.dirView, &ep.undView, &ep.cen, &ep.ccRes, &ep.isConn, &ep.largest,
+		&ep.sccRes, &ep.biccRes, &ep.bgccRes, &ep.aps, &ep.bridges, &ep.hist,
+	} {
+		c.SetStats(st)
 	}
 }
 
@@ -106,19 +203,24 @@ type ServerConfig struct {
 
 // Server is the concurrent query-serving layer over an Engine (the paper's
 // §7 deployment setting: a stream of connectivity queries racing a stream of
-// edge updates). It adds three things the bare Engine does not have:
+// edge updates). It adds three things to the engine's epochs:
 //
-//   - Epoch snapshots: every query runs against an immutable Snapshot of the
-//     graph. Apply builds the next epoch copy-on-write and publishes it with
-//     one atomic pointer swap, so reads never block writes, writes never
-//     block reads, and no reader ever observes a torn state.
-//   - Singleflight: queries that need the same decomposition on the same
-//     epoch coalesce into one kernel execution whose result fans out to all
-//     waiters; cancellation is waiter-refcounted (the kernel aborts only
-//     when every waiter has left).
+//   - Published epochs: every query runs against an immutable Snapshot of the
+//     graph. Apply publishes the epoch the engine captures right after its
+//     write with one atomic pointer swap, so reads never block writes,
+//     writes never block reads, and no reader ever observes a torn state.
+//     The engine's own queries run on the same epoch, so each result is
+//     computed once for both.
+//   - Singleflight accounting: an epoch's cells coalesce queries that need
+//     the same decomposition into one kernel execution whose result fans out
+//     to all waiters, with waiter-refcounted cancellation (the kernel aborts
+//     only when every waiter has left). The server counts the hits and
+//     misses (SingleflightStats), and DisableSingleflight turns the
+//     coalescing off for its queries.
 //   - Admission control: kernel executions occupy bounded slots with a FIFO
 //     overflow queue, so a query storm degrades into queueing + ErrOverloaded
-//     instead of unbounded thread oversubscription.
+//     instead of unbounded thread oversubscription. Engine calls take no
+//     slot, even on an engine a Server wraps.
 //
 // Once an Engine is wrapped by a Server, route all updates through
 // Server.Apply — direct Engine.Apply calls would bypass epoch publication
@@ -128,8 +230,8 @@ type Server struct {
 	eng  *Engine
 	cfg  ServerConfig
 	gate *serve.Gate
-	// sfStats aggregates hit/miss telemetry from every snapshot's result
-	// cells, across all epochs (see SingleflightStats).
+	// sfStats aggregates hit/miss telemetry from every epoch's result cells
+	// (see SingleflightStats).
 	sfStats serve.CellStats
 
 	// applyMu serializes writers; the snapshot pointer is the only
@@ -138,7 +240,8 @@ type Server struct {
 	cur     atomic.Pointer[Snapshot]
 }
 
-// NewServer wraps e in a serving layer and publishes epoch 0.
+// NewServer wraps e in a serving layer and publishes epoch 0: the engine's
+// current epoch, with whatever it has computed already.
 func NewServer(e *Engine, cfg ServerConfig) *Server {
 	if cfg.MaxInFlight <= 0 {
 		per := parallel.Threads(e.opt.Threads)
@@ -150,38 +253,20 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 		cfg.MaxQueue = 0
 	}
 	s := &Server{eng: e, cfg: cfg, gate: serve.NewGate(cfg.MaxInFlight, cfg.MaxQueue)}
-	s.cur.Store(s.capture(0))
+	e.mu.Lock()
+	e.stats = &s.sfStats
+	sn := e.epochLocked()
+	e.mu.Unlock()
+	sn.setStats(&s.sfStats) // the epoch may predate the server
+	s.cur.Store(&Snapshot{epoch: sn.epoch, srv: s})
 	return s
 }
 
-// capture builds the snapshot for one epoch from the engine's current state.
-func (s *Server) capture(epoch uint64) *Snapshot {
-	st := s.eng.snapshotState()
-	sn := &Snapshot{srv: s, eng: s.eng, epoch: epoch, st: st}
-	for _, c := range []interface{ SetStats(*serve.CellStats) }{
-		&sn.dirView, &sn.undView, &sn.cen, &sn.ccRes, &sn.isConn, &sn.largest,
-		&sn.sccRes, &sn.biccRes, &sn.bgccRes, &sn.aps, &sn.bridges, &sn.hist,
-	} {
-		c.SetStats(&s.sfStats)
-	}
-	if st.cen != nil {
-		sn.cen.Seed(st.cen)
-	}
-	// A view with nothing to merge is the base itself. A directed engine's
-	// undirected view may not be built yet, so its cell fills on first use.
-	if len(st.arcs) == 0 {
-		sn.dirView.Seed(st.base.directedView)
-	}
-	if len(st.edges) == 0 && !s.eng.directed {
-		sn.undView.Seed(s.eng.undirectedOf(st.base))
-	}
-	return sn
-}
-
-// publish makes next the current epoch and releases the views of the epoch
-// it supersedes. Called under applyMu.
-func (s *Server) publish(next *Snapshot) {
-	prev := s.cur.Swap(next)
+// publish makes the epoch the engine captures after a write the current one
+// and releases the views of the epoch it supersedes. Called under applyMu.
+func (s *Server) publish() {
+	prev := s.cur.Load()
+	s.cur.Store(&Snapshot{epoch: s.eng.current(false).epoch, srv: s, seq: prev.seq + 1})
 	prev.dirView.Drop()
 	prev.undView.Drop()
 }
@@ -196,7 +281,7 @@ func (s *Server) Apply(batch []Edge) (*ApplyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.publish(s.capture(s.cur.Load().epoch + 1))
+	s.publish()
 	return res, nil
 }
 
@@ -212,7 +297,7 @@ func (s *Server) ApplyUpdates(batch []Update) (*ApplyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.publish(s.capture(s.cur.Load().epoch + 1))
+	s.publish()
 	return res, nil
 }
 
@@ -223,7 +308,7 @@ func (s *Server) ApplyUpdates(batch []Update) (*ApplyResult, error) {
 func (s *Server) Acquire() *Snapshot { return s.cur.Load() }
 
 // Epoch returns the currently published epoch (0 before the first Apply).
-func (s *Server) Epoch() uint64 { return s.cur.Load().epoch }
+func (s *Server) Epoch() uint64 { return s.cur.Load().seq }
 
 // SingleflightStats returns the cumulative hit and miss counts of the
 // snapshots' singleflight result cells, across every epoch this server has
@@ -327,9 +412,11 @@ func (s *Server) Bridges(ctx context.Context) ([][2]V, error) {
 
 // Snapshot is one epoch's immutable view of the graph. All queries on a
 // snapshot are answered as of its epoch, regardless of concurrent Applies.
-// Decompositions computed on a snapshot are cached on it (singleflighted
-// across concurrent askers), so a pinned snapshot amortizes kernel work over
-// a query storm exactly like the Engine's caches do over sequential queries.
+// It is the one place a query is answered: the Engine's own queries run on
+// the engine's current epoch through the same methods. Each decomposition is
+// computed at most once per epoch and cached on it (singleflighted across
+// concurrent askers), and the epoch after a write starts with every result
+// the write could not change (see Engine.Apply).
 //
 // An epoch holds its graph as the engine's base CSRs plus its prefix of the
 // signed delta. The two views kernels walk — the directed CSRs for SCC, the
@@ -343,38 +430,32 @@ func (s *Server) Bridges(ctx context.Context) ([][2]V, error) {
 // A Snapshot is safe for concurrent use. It holds no locks between calls and
 // never blocks a writer.
 type Snapshot struct {
-	srv   *Server
-	eng   *Engine
-	epoch uint64
-	st    snapState
-
-	dirView serve.Cell[directedView]
-	undView serve.Cell[undirectedView]
-	cen     serve.Cell[*census]
-	ccRes   serve.Cell[*cc.Result]
-	isConn  serve.Cell[bool]
-	largest serve.Cell[*LargestResult]
-	sccRes  serve.Cell[*scc.Result]
-	biccRes serve.Cell[*bicc.Result]
-	bgccRes serve.Cell[*bgcc.Result]
-	aps     serve.Cell[[]V]
-	bridges serve.Cell[[][2]V]
-	hist    serve.Cell[map[int]int]
+	*epoch
+	// srv is the serving layer this handle belongs to, or nil on the
+	// engine's own handle, whose queries take no admission slot and always
+	// coalesce.
+	srv *Server
+	seq uint64
 }
 
 // Epoch identifies the snapshot's position in the update sequence: epoch k
 // reflects exactly the first k Apply batches.
-func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
+func (sn *Snapshot) Epoch() uint64 { return sn.seq }
 
 // NumVertices returns the vertex count (fixed across epochs: Apply never
 // grows the vertex set).
 func (sn *Snapshot) NumVertices() int { return sn.eng.n }
 
+// noSingleflight reports whether the server's ablation knob is on.
+func (sn *Snapshot) noSingleflight() bool {
+	return sn.srv != nil && sn.srv.cfg.DisableSingleflight
+}
+
 // getCell is the dedup point for every lazily computed snapshot value: warm
 // values return immediately; cold ones compute through the cell's
 // singleflight unless the server's ablation knob bypasses it.
 func getCell[T any](sn *Snapshot, ctx context.Context, c *serve.Cell[T], compute func(context.Context) (T, error)) (T, error) {
-	if sn.srv.cfg.DisableSingleflight {
+	if sn.noSingleflight() {
 		if v, ok := c.Peek(); ok {
 			return v, nil
 		}
@@ -386,23 +467,33 @@ func getCell[T any](sn *Snapshot, ctx context.Context, c *serve.Cell[T], compute
 	}
 	// Warm values return from Get's cached branch, so the cell's hit/miss
 	// telemetry sees every lookup exactly once.
-	return c.Get(ctx, compute)
+	v, err := c.Get(ctx, compute)
+	// The admission gate can shed a compute a Server request started; an
+	// engine call that joined it starts its own, which takes no slot.
+	for sn.srv == nil && errors.Is(err, ErrOverloaded) {
+		v, err = c.Get(ctx, compute)
+	}
+	return v, err
 }
 
 // cachedCell is getCell's warm branch alone: it counts a hit exactly when
 // getCell would, and needs no compute closure, so a warm lookup allocates
 // nothing.
 func cachedCell[T any](sn *Snapshot, c *serve.Cell[T]) (T, bool) {
-	if sn.srv.cfg.DisableSingleflight {
+	if sn.noSingleflight() {
 		return c.Peek()
 	}
 	return c.Cached()
 }
 
-// withSlot runs f inside one admission-gate kernel slot. Slots are only ever
-// taken at the leaves (actual kernel executions), never nested, so a slot
-// holder cannot deadlock waiting for another slot.
+// withSlot runs f inside one admission-gate kernel slot; the engine's own
+// handle runs it at once. Slots are only ever taken at the leaves (actual
+// kernel executions), never nested, so a slot holder cannot deadlock waiting
+// for another slot.
 func (sn *Snapshot) withSlot(ctx context.Context, f func() error) error {
+	if sn.srv == nil {
+		return f()
+	}
 	if err := sn.srv.gate.Acquire(ctx); err != nil {
 		return err
 	}
@@ -430,10 +521,11 @@ func (sn *Snapshot) undirected(ctx context.Context) (undirectedView, error) {
 	})
 }
 
-// censusGet returns the epoch's connectivity census. Insert-only and
-// dynamic epochs publish theirs at capture. A cold epoch solves CC once,
-// coalesced across concurrent callers — this is the batching that turns a
-// query storm into one kernel pass — and hands the result to the engine.
+// censusGet returns the epoch's connectivity census. Epochs after the first
+// update hold theirs from capture. A cold epoch solves CC once, coalesced
+// across concurrent callers — this is the batching that turns a query storm
+// into one kernel pass — and the engine's first Apply seeds its incremental
+// state from the same cell.
 func (sn *Snapshot) censusGet(ctx context.Context) (*census, error) {
 	if c, ok := cachedCell(sn, &sn.cen); ok {
 		return c, nil
@@ -448,19 +540,13 @@ func (sn *Snapshot) censusGet(ctx context.Context) (*census, error) {
 func (sn *Snapshot) solveCensus(cctx context.Context) (*census, error) {
 	var res *cc.Result
 	err := sn.withSlot(cctx, func() error {
-		r := sn.eng.ccSolve(sn.st.base, cctx)
-		if err := ctxErr(cctx); err != nil {
-			return err
-		}
-		res = r
-		return nil
+		res = sn.eng.ccSolve(sn.st.base, cctx)
+		return ctxErr(cctx)
 	})
 	if err != nil {
 		return nil, err
 	}
-	c := newCensus(res)
-	sn.eng.adoptColdCensus(sn.st, c)
-	return c, nil
+	return newCensus(res), nil
 }
 
 // Connected reports whether u and v lie in the same connected component as
@@ -515,16 +601,16 @@ func (sn *Snapshot) CCSizeHistogram(ctx context.Context) (map[int]int, error) {
 		}
 		return c.histogram(), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return maps.Clone(h), nil
+	return maps.Clone(h), err
 }
 
-// IsConnected reports whether the graph is connected as of this epoch. With
-// the census present it is O(1). A directed engine whose census is a
-// union-find cell solves the census (Engine.IsConnected); otherwise it runs
-// one partial traversal (§3). Either is coalesced across concurrent callers.
+// IsConnected answers the small-XCC query "is this graph connected?" (§3)
+// as of this epoch. A census present answers in O(1); so does the census
+// under Options.DisablePartial, or on a directed engine whose census is a
+// union-find over the out-arcs, which reads no view. Otherwise a trim check
+// looks for an isolated vertex or pair in a larger graph, which disproves
+// connectivity, and only then does one traversal run from a random pivot.
+// Either is coalesced across concurrent callers.
 func (sn *Snapshot) IsConnected(ctx context.Context) (bool, error) {
 	n := sn.NumVertices()
 	if n <= 1 {
@@ -533,7 +619,7 @@ func (sn *Snapshot) IsConnected(ctx context.Context) (bool, error) {
 	if c, ok := sn.cen.Peek(); ok {
 		return c.num == 1, nil
 	}
-	if sn.eng.arcCensus(sn.st.base) {
+	if sn.eng.opt.DisablePartial || sn.eng.arcCensus(sn.st.base) {
 		c, err := sn.censusGet(ctx)
 		if err != nil {
 			return false, err
@@ -548,6 +634,9 @@ func (sn *Snapshot) IsConnected(ctx context.Context) (bool, error) {
 				return err
 			}
 			g := gs.und
+			if hasTrimmedComponent(g) {
+				return nil
+			}
 			rng := gen.NewRNG(uint64(n)*0x9e37 + uint64(g.NumEdges()))
 			pivot := graph.V(rng.Intn(n))
 			rs := sn.eng.reach.Get(n, sn.eng.opt.Threads)
@@ -561,12 +650,32 @@ func (sn *Snapshot) IsConnected(ctx context.Context) (bool, error) {
 	})
 }
 
-// LargestCC answers the largest-component query for this epoch from the
-// census when it is present, or when the census is a union-find over a
-// directed engine's out-arcs (Engine.LargestCC). Otherwise it runs the §3
-// partial computation: one traversal from the max-degree pivot, falling back
-// to the census solve only when the pivot's component is a minority.
-// Concurrent callers coalesce into one execution.
+// hasTrimmedComponent is §3's trim check: an isolated vertex, or an isolated
+// pair in a graph of more than two vertices, is a component of its own. The
+// sequential degree scan runs first: a pair costs a neighbour lookup per
+// degree-1 vertex.
+func hasTrimmedComponent(g *Undirected) bool {
+	n := g.NumVertices()
+	for v := 0; v < n; v++ {
+		if g.Degree(V(v)) == 0 {
+			return true
+		}
+	}
+	for v := 0; v < n && n > 2; v++ {
+		if g.Degree(V(v)) == 1 && g.Degree(g.Neighbors(V(v))[0]) == 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// LargestCC answers the largest-XCC queries (§3) for this epoch. The census
+// answers when it is present, or when it is a union-find over a directed
+// engine's out-arcs. Otherwise one traversal runs from the max-degree
+// master pivot and, if the component it finds is at least as big as
+// everything else combined, stops there: no other component can beat it.
+// Only when the pivot lands in a minority component does the census solve
+// run. Concurrent callers coalesce into one execution.
 func (sn *Snapshot) LargestCC(ctx context.Context) (*LargestResult, error) {
 	return getCell(sn, ctx, &sn.largest, func(cctx context.Context) (*LargestResult, error) {
 		if c, ok := sn.cen.Peek(); ok {
@@ -591,6 +700,8 @@ func (sn *Snapshot) LargestCC(ctx context.Context) (*LargestResult, error) {
 				}
 				size := visited.Count()
 				if 2*size >= n {
+					// The result keeps the bitmap, so it must survive the
+					// scratch's next checkout.
 					rs.DetachVisited()
 					sn.eng.reach.Put(rs)
 					// Both closures reject out-of-range vertices instead of
@@ -637,8 +748,8 @@ func (sn *Snapshot) SCC(ctx context.Context) (*SCCResult, error) {
 			if err != nil {
 				return err
 			}
-			// Policy-resolved against this snapshot's pinned graph, exactly
-			// like the engine path (auto re-resolves per epoch).
+			// Policy-resolved against this snapshot's pinned graph (auto
+			// re-resolves per epoch).
 			raw := sn.eng.sccSolve(gs.dir, cctx)
 			if err := ctxErr(cctx); err != nil {
 				return err
@@ -657,128 +768,110 @@ func (sn *Snapshot) SCC(ctx context.Context) (*SCCResult, error) {
 // epoch.
 func (sn *Snapshot) BiCC(ctx context.Context) (*BiCCResult, error) {
 	return getCell(sn, ctx, &sn.biccRes, func(cctx context.Context) (*bicc.Result, error) {
-		var res *bicc.Result
-		err := sn.withSlot(cctx, func() error {
-			gs, err := sn.undirected(cctx)
-			if err != nil {
-				return err
-			}
-			// Policy-resolved against this snapshot's pinned graph, exactly
-			// like the engine path (auto re-resolves per epoch).
-			raw := sn.eng.biccSolve(gs.und, cctx, false)
-			if err := ctxErr(cctx); err != nil {
-				return err
-			}
-			if sn.eng.perm != nil {
-				raw = remapBiCC(raw, sn.eng.perm, sn.eng.eidMap(gs), sn.eng.opt.Threads)
-			}
-			res = raw
-			return nil
-		})
-		return res, err
+		return sn.solveBiCC(cctx, false)
 	})
+}
+
+// solveBiCC runs the complete BiCC, or the AP-only plan, on the epoch's
+// undirected view inside one kernel slot, under the policy resolved against
+// that view (auto re-resolves per epoch).
+func (sn *Snapshot) solveBiCC(cctx context.Context, apOnly bool) (res *bicc.Result, err error) {
+	err = sn.withSlot(cctx, func() error {
+		gs, err := sn.undirected(cctx)
+		if err != nil {
+			return err
+		}
+		res = sn.eng.biccSolve(gs.und, cctx, apOnly)
+		if err := ctxErr(cctx); err != nil {
+			return err
+		}
+		if sn.eng.perm != nil {
+			res = remapBiCC(res, sn.eng.perm, sn.eng.eidMap(gs), sn.eng.opt.Threads)
+		}
+		return nil
+	})
+	return res, err
 }
 
 // BgCC returns the complete bridgeless-connected-components decomposition
 // for this epoch.
 func (sn *Snapshot) BgCC(ctx context.Context) (*BgCCResult, error) {
 	return getCell(sn, ctx, &sn.bgccRes, func(cctx context.Context) (*bgcc.Result, error) {
-		var res *bgcc.Result
-		err := sn.withSlot(cctx, func() error {
-			gs, err := sn.undirected(cctx)
-			if err != nil {
-				return err
-			}
-			opt := sn.eng.bgccOptions(false)
-			opt.Ctx = cctx
-			raw := bgcc.Run(gs.und, opt)
-			if err := ctxErr(cctx); err != nil {
-				return err
-			}
-			if sn.eng.perm != nil {
-				raw = remapBgCC(raw, sn.eng.perm, sn.eng.eidMap(gs), sn.eng.opt.Threads)
-			}
-			res = raw
-			return nil
-		})
+		res, _, err := sn.solveBgCC(cctx, false)
 		return res, err
 	})
 }
 
+// solveBgCC runs the complete BgCC, or the bridge-only plan, on the epoch's
+// undirected view inside one kernel slot, and returns the view with it.
+func (sn *Snapshot) solveBgCC(cctx context.Context, bridgeOnly bool) (res *bgcc.Result, gs undirectedView, err error) {
+	err = sn.withSlot(cctx, func() error {
+		if gs, err = sn.undirected(cctx); err != nil {
+			return err
+		}
+		opt := sn.eng.bgccOptions(bridgeOnly)
+		opt.Ctx = cctx
+		res = bgcc.Run(gs.und, opt)
+		if err := ctxErr(cctx); err != nil {
+			return err
+		}
+		if sn.eng.perm != nil {
+			res = remapBgCC(res, sn.eng.perm, sn.eng.eidMap(gs), sn.eng.opt.Threads)
+		}
+		return nil
+	})
+	return res, gs, err
+}
+
 // ArticulationPoints lists the articulation points as of this epoch
-// (original vertex ids, ascending). Like the engine it runs the §3 AP-only
-// plan — the complete BiCC under Options.DisablePartial — in its own cell,
-// once per epoch, and keeps only the list; every caller gets a private copy.
+// (original vertex ids, ascending). Every caller gets a private copy.
 func (sn *Snapshot) ArticulationPoints(ctx context.Context) ([]V, error) {
-	a, err := getCell(sn, ctx, &sn.aps, func(cctx context.Context) ([]V, error) {
+	a, err := sn.apList(ctx)
+	return slices.Clone(a), err
+}
+
+// apList answers the AP-only query (§3) once per epoch, in its own cell, and
+// keeps only the ascending list, which callers must not modify. It runs the
+// workload-reduced AP detection, which keeps no block bookkeeping and stops
+// checking a vertex once it is proven an AP, or the complete BiCC under
+// Options.DisablePartial.
+func (sn *Snapshot) apList(ctx context.Context) ([]V, error) {
+	if a, ok := cachedCell(sn, &sn.aps); ok {
+		return a, nil
+	}
+	return getCell(sn, ctx, &sn.aps, func(cctx context.Context) ([]V, error) {
 		var res *bicc.Result
+		var err error
 		if sn.eng.opt.DisablePartial {
-			r, err := sn.BiCC(cctx)
-			if err != nil {
-				return nil, err
-			}
-			res = r
-		} else if err := sn.withSlot(cctx, func() error {
-			gs, err := sn.undirected(cctx)
-			if err != nil {
-				return err
-			}
-			raw := sn.eng.biccSolve(gs.und, cctx, true)
-			if err := ctxErr(cctx); err != nil {
-				return err
-			}
-			if sn.eng.perm != nil {
-				raw = remapBiCC(raw, sn.eng.perm, sn.eng.eidMap(gs), sn.eng.opt.Threads)
-			}
-			res = raw
-			return nil
-		}); err != nil {
+			res, err = sn.BiCC(cctx)
+		} else {
+			res, err = sn.solveBiCC(cctx, true)
+		}
+		if err != nil {
 			return nil, err
 		}
 		return apList(res.IsAP), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return slices.Clone(a), nil
 }
 
 // Bridges lists the bridges as of this epoch as ordered endpoint pairs in
-// original vertex ids. Like the engine it runs the §3 bridge-only plan — the
-// complete BgCC under Options.DisablePartial — in its own cell, resolves
-// the endpoints inside it and keeps only the list, so a superseded epoch
-// answers from the cell without its graph. Every caller gets a private copy
-// of the list.
+// original vertex ids. It runs the §3 bridge-only plan — the complete BgCC
+// under Options.DisablePartial — in its own cell, resolves the endpoints
+// inside it and keeps only the list, so a superseded epoch answers from the
+// cell without its graph. Every caller gets a private copy of the list.
 func (sn *Snapshot) Bridges(ctx context.Context) ([][2]V, error) {
 	b, err := getCell(sn, ctx, &sn.bridges, func(cctx context.Context) ([][2]V, error) {
 		var res *bgcc.Result
 		var gs undirectedView
+		var err error
 		if sn.eng.opt.DisablePartial {
-			r, err := sn.BgCC(cctx)
-			if err != nil {
-				return nil, err
+			if res, err = sn.BgCC(cctx); err == nil {
+				gs, err = sn.undirected(cctx)
 			}
-			if gs, err = sn.undirected(cctx); err != nil {
-				return nil, err
-			}
-			res = r
-		} else if err := sn.withSlot(cctx, func() error {
-			var err error
-			if gs, err = sn.undirected(cctx); err != nil {
-				return err
-			}
-			opt := sn.eng.bgccOptions(true)
-			opt.Ctx = cctx
-			raw := bgcc.Run(gs.und, opt)
-			if err := ctxErr(cctx); err != nil {
-				return err
-			}
-			if sn.eng.perm != nil {
-				raw = remapBgCC(raw, sn.eng.perm, sn.eng.eidMap(gs), sn.eng.opt.Threads)
-			}
-			res = raw
-			return nil
-		}); err != nil {
+		} else {
+			res, gs, err = sn.solveBgCC(cctx, true)
+		}
+		if err != nil {
 			return nil, err
 		}
 		g := gs.und
@@ -787,8 +880,5 @@ func (sn *Snapshot) Bridges(ctx context.Context) ([][2]V, error) {
 		}
 		return bridgeList(g, res.IsBridge), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return slices.Clone(b), nil
+	return slices.Clone(b), err
 }

@@ -74,13 +74,13 @@ func (e *Engine) Dynamic() bool {
 //   - on directed engines the arc set is authoritative: deleting arc U→V
 //     removes the undirected edge {U,V} only when arc V→U is absent too.
 //
-// Cache invalidation mirrors Apply, extended for deletions: a batch whose
-// net effect merges or splits components invalidates the CC-derived caches
+// Result inheritance mirrors Apply, extended for deletions: a batch whose
+// net effect merges or splits components drops the CC-derived results
 // (re-derived from the forest census, not recomputed by traversal); any
-// structural change invalidates the adjacency-shaped caches (SCC, BiCC,
-// BgCC, APs, bridges, betweenness, coreness), which recompute lazily — at
-// which point the CC/SCC/BiCC policy choosers re-resolve against the
-// reshaped graph. Past Options.RebuildThreshold (counting inserts plus
+// structural change drops the adjacency-shaped results (SCC, BiCC, BgCC,
+// APs, bridges, betweenness, coreness), which recompute lazily — at which
+// point the CC/SCC/BiCC policy choosers re-resolve against the reshaped
+// graph. Past Options.RebuildThreshold (counting inserts plus
 // deletes since the last rebuild) the engine falls back to the static CC
 // pipeline to re-canonicalize, exactly like the insert-only path.
 func (e *Engine) ApplyUpdates(batch []Update) (*ApplyResult, error) {
@@ -156,8 +156,7 @@ func (e *Engine) promoteDynLocked() {
 	}
 	e.dyn = f
 	e.inc = nil
-	e.baseEdges = m
-	e.sinceRebuild = 0
+	e.resetBudget()
 }
 
 // dynFits refuses, before any of it applies, a batch that could take a
@@ -182,6 +181,7 @@ func (e *Engine) applyUpdatesDynLocked(batch []Update) (*ApplyResult, error) {
 	if err := dynFits(e.dyn.NumVertices(), int64(e.dyn.NumEdges()), batch); err != nil {
 		return nil, err
 	}
+	e.stale = true
 	res := &ApplyResult{Dynamic: true}
 	for _, up := range batch {
 		u, v := e.mapPair(up.U, up.V)
@@ -221,21 +221,12 @@ func (e *Engine) applyUpdatesDynLocked(batch []Update) (*ApplyResult, error) {
 		}
 	}
 
-	changedUnd := res.NewEdges+res.DeletedEdges > 0
-	if changedUnd || res.NewArcs+res.DeletedArcs > 0 {
-		e.cacheGen++
-		e.sinceRebuild += int64(res.NewEdges + res.DeletedEdges)
-		if changedUnd {
-			if res.Merged > 0 || res.Split > 0 {
-				e.ccRaw, e.ccRes, e.largestCC, e.cen = nil, nil, nil, nil
-			}
-			e.biccRes, e.bgccRes, e.apOnly, e.brOnly = nil, nil, nil, nil
-			e.betweenness, e.coreness = nil, nil
+	if changed := res.NewEdges + res.DeletedEdges; changed+res.NewArcs+res.DeletedArcs > 0 {
+		e.sinceRebuild += int64(changed)
+		if res.Merged > 0 || res.Split > 0 {
+			e.cen = nil // the next capture re-derives it from the forest
 		}
-		if res.NewArcs+res.DeletedArcs > 0 {
-			e.sccRes, e.condensation = nil, nil
-		}
-		if th := e.opt.rebuildThreshold(); th > 0 && float64(e.sinceRebuild) >= th*float64(e.baseEdges+1) {
+		if e.pastThreshold() {
 			e.rebuildLocked()
 			res.Rebuilt = true
 		}
@@ -247,7 +238,7 @@ func (e *Engine) applyUpdatesDynLocked(batch []Update) (*ApplyResult, error) {
 
 // ccResultFromLabels materializes a cc.Result from a canonical min-id
 // labeling — the dynamic-mode analog of inc.CCResult: the forest census
-// replaces any traversal. Dynamic epochs publish it as a census with an
+// replaces any traversal. Dynamic epochs capture it as a census with an
 // empty overlay. Sizes are counted in a dense array first, so the map sees
 // one insert per component rather than one update per vertex.
 func ccResultFromLabels(label []uint32, num int) *cc.Result {
