@@ -46,14 +46,15 @@ bench:
 # and the forest's bytes per live edge after promotion and churn (B/edge);
 # plus the directed WCC entry against Undirect + Solve (ns/op and B/op);
 # plus the engine's cold partial queries (BenchmarkEngineQueries), which run
-# on the engine's current epoch. The benchmarks the last change moved
-# (BenchmarkEngineQueries and the serving set: ServerThroughput,
-# ApplyUnderReadLoad, ServerApplyPublish) also run, in the same session, on
-# the tree of PARENT exported to a temporary directory (default HEAD~1;
-# PARENT=HEAD compares uncommitted changes with the last commit); their rows
-# carry the name prefix BenchmarkParent/. The snapshot goes to
-# BENCH_PR24.json, stamped by bench2json with the host (goos, goarch, cpu,
-# GOMAXPROCS) and the Go version.
+# on the engine's current epoch; the mmap'd container load also reports
+# resident-KiB, the bytes of the mapping left resident once it returns. The
+# benchmark the last change moved (BenchmarkContainerLoad, whose mmap path
+# now validates window by window and releases each checked window) also
+# runs, in the same session, on the tree of PARENT exported to a temporary
+# directory (default HEAD~1; PARENT=HEAD compares uncommitted changes with
+# the last commit); its rows carry the name prefix BenchmarkParent/. The
+# snapshot goes to BENCH_PR25.json, stamped by bench2json with the host
+# (goos, goarch, cpu, GOMAXPROCS) and the Go version.
 PARENT ?= HEAD~1
 
 bench-json:
@@ -79,11 +80,10 @@ bench-json:
 		./internal/httpd ; \
 	  parent=$$(mktemp -d) && git archive $(PARENT) | tar -x -C $$parent && \
 	  ( cd $$parent && \
-	    go test -bench='ServerThroughput|ApplyUnderReadLoad|ServerApplyPublish' -benchmem -benchtime=5x -run='^$$' . ; \
-	    go test -bench='^BenchmarkEngineQueries$$' -benchmem -benchtime=20x -run='^$$' . ) \
+	    go test -bench='^BenchmarkContainerLoad$$' -benchmem -benchtime=5x -run='^$$' ./internal/bench ) \
 		| sed 's/^Benchmark/BenchmarkParent\//' ; \
 	  rm -rf $$parent ) \
-		| go run ./cmd/bench2json > BENCH_PR24.json
+		| go run ./cmd/bench2json > BENCH_PR25.json
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -135,12 +135,9 @@ func parseLine(line string) (r result, procs int, ok bool) {
 				r.AllocsPerOp = &a
 			}
 		default:
-			// Custom b.ReportMetric units (edges/s, MB/s, ...): keep any
-			// parsable value-unit pair so throughput metrics survive the
-			// conversion.
-			if !strings.Contains(unit, "/") {
-				continue
-			}
+			// Custom b.ReportMetric units (edges/s, MB/s, resident-KiB,
+			// ...): keep any parsable value-unit pair so throughput and
+			// size metrics survive the conversion.
 			if v, err := strconv.ParseFloat(val, 64); err == nil {
 				if r.Extra == nil {
 					r.Extra = map[string]float64{}

@@ -14,7 +14,7 @@ func TestConvertStampsHost(t *testing.T) {
 goarch: amd64
 pkg: aquila
 cpu: Intel(R) Xeon(R) Processor
-BenchmarkDynamicApply/Promote-2   	       3	  71005969 ns/op	        84.82 B/edge	10432602 B/op	     109 allocs/op
+BenchmarkDynamicApply/Promote-2   	       3	  71005969 ns/op	        84.82 B/edge	10432602 B/op	     109 allocs/op	        12.00 resident-KiB
 PASS
 ok  	aquila	4.034s
 `
@@ -31,7 +31,8 @@ ok  	aquila	4.034s
 	}
 	r := snap.Results[0]
 	if r.Name != "BenchmarkDynamicApply/Promote" || r.Iterations != 3 || r.NsPerOp != 71005969 ||
-		*r.BytesPerOp != 10432602 || *r.AllocsPerOp != 109 || r.Extra["B/edge"] != 84.82 {
+		*r.BytesPerOp != 10432602 || *r.AllocsPerOp != 109 || r.Extra["B/edge"] != 84.82 ||
+		r.Extra["resident-KiB"] != 12 {
 		t.Fatalf("result = %+v", r)
 	}
 }

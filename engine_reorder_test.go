@@ -353,3 +353,15 @@ func TestEngineLargestCCContainsOutOfRange(t *testing.T) {
 		}
 	}
 }
+
+// TestReorderedDirectedEngineLeavesInCSRUnbuilt checks that a reordered
+// directed engine keeps the caller's graph, as origDir, without an in-CSR.
+func TestReorderedDirectedEngineLeavesInCSRUnbuilt(t *testing.T) {
+	for name, mode := range reorderModes {
+		g := gen.Random(5000, 20000, 4)
+		NewDirectedEngine(g, Options{Reorder: mode})
+		if g.InBuilt() {
+			t.Errorf("%s: constructing the engine built the caller graph's in-CSR", name)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -519,5 +520,131 @@ func TestRebaseDropsSupersededBase(t *testing.T) {
 	}
 	if err := verify.SameBoolSet(e.BiCC().IsAP, serialdfs.APs(e.Undirected()), "AP"); err != nil {
 		t.Errorf("BiCC after the re-base: %v", err)
+	}
+}
+
+// TestStrongQueriesStayWithTheirEpoch pins where LargestSCC and
+// IsStronglyConnected answer from: a decomposition the epoch holds answers
+// both with O(1) allocations, a partial answer is computed once per epoch
+// and inherited while no arc changes, and an arc added by Apply recomputes.
+func TestStrongQueriesStayWithTheirEpoch(t *testing.T) {
+	const n = 3000
+	// A directed path with random forward chords: every SCC is a singleton,
+	// vertex 0 has no in-arc, and the arc n-1 → 0 makes it one SCC.
+	rng := rand.New(rand.NewSource(5))
+	var arcs []Edge
+	for v := 0; v+1 < n; v++ {
+		arcs = append(arcs, Edge{U: V(v), V: V(v + 1)})
+		if u := rng.Intn(n); u > v {
+			arcs = append(arcs, Edge{U: V(v), V: V(u)})
+		}
+	}
+	e := NewDirectedEngine(graph.BuildDirected(n, arcs), Options{Threads: 2, RebuildThreshold: -1})
+
+	l1, err := e.LargestSCC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sweep finds a singleton, so the answer comes from the complete
+	// decomposition, which the epoch then holds.
+	if l1.Partial || l1.Size != 1 {
+		t.Fatalf("a path's LargestSCC: size %d, partial %v", l1.Size, l1.Partial)
+	}
+	e.mu.Lock()
+	_, solved := e.snap.sccRes.Peek()
+	e.mu.Unlock()
+	if !solved {
+		t.Fatal("an inconclusive sweep left no SCC decomposition in the epoch")
+	}
+	if ok, _ := e.IsStronglyConnected(); ok {
+		t.Fatal("a path is not strongly connected")
+	}
+
+	if _, err := e.Apply([]Edge{{U: n - 1, V: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	// Every vertex now has in- and out-arcs, so the answer needs the sweeps;
+	// each takes this scratch from the pool and leaves its visited set in it.
+	sentinel := bfs.NewReachScratch(n, 2)
+	e.reach.Put(sentinel)
+	if ok, _ := e.IsStronglyConnected(); !ok {
+		t.Fatal("a path closed into a cycle is strongly connected")
+	}
+	if rs := e.reach.Get(n, 2); rs != sentinel || rs.DetachVisited().Count() != n {
+		t.Fatal("IsStronglyConnected did not sweep after the new arc")
+	}
+	idle := bfs.NewReachScratch(n, 2)
+	e.reach.Put(idle)
+	if ok, _ := e.IsStronglyConnected(); !ok {
+		t.Fatal("repeated IsStronglyConnected changed its answer")
+	}
+	if rs := e.reach.Get(n, 2); rs != idle || rs.DetachVisited().Count() != 0 {
+		t.Fatal("a repeated IsStronglyConnected swept again")
+	}
+	l3, _ := e.LargestSCC()
+	if l3 == l1 || !l3.Partial || l3.Size != n {
+		t.Fatalf("after the new arc: size %d, partial %v, recomputed %v", l3.Size, l3.Partial, l3 != l1)
+	}
+	if l4, _ := e.LargestSCC(); l4 != l3 {
+		t.Fatal("a repeated LargestSCC swept again")
+	}
+	// A batch that adds no arc still starts a new epoch, which inherits
+	// both answers.
+	e.mu.Lock()
+	before := e.snap
+	e.mu.Unlock()
+	if _, err := e.Apply([]Edge{{U: 0, V: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if l5, _ := e.LargestSCC(); l5 != l3 {
+		t.Fatal("an epoch with the same arcs did not inherit the partial LargestSCC")
+	}
+	e.mu.Lock()
+	after := e.snap
+	e.mu.Unlock()
+	if after == before {
+		t.Fatal("the batch started no new epoch")
+	}
+	if _, ok := after.strong.Peek(); !ok {
+		t.Fatal("an epoch with the same arcs did not inherit IsStronglyConnected")
+	}
+
+	res, err := e.SCC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l *LargestResult
+	var strong bool
+	if a := testing.AllocsPerRun(20, func() {
+		l, _ = e.LargestSCC()
+		strong, _ = e.IsStronglyConnected()
+	}); a > 4 {
+		t.Fatalf("LargestSCC and IsStronglyConnected after SCC() allocate %.0f times per call pair", a)
+	}
+	if l.Partial || l.Size != res.LargestSize || strong != (res.NumComponents == 1) {
+		t.Fatalf("after SCC(): size %d (want %d), partial %v, strong %v", l.Size, res.LargestSize, l.Partial, strong)
+	}
+	for v := 0; v < n; v++ {
+		if l.Contains(V(v)) != (res.Label[v] == res.LargestLabel) {
+			t.Fatalf("Contains(%d) disagrees with the decomposition", v)
+		}
+	}
+
+	// On a fresh engine whose epoch holds the decomposition first, neither
+	// query sweeps.
+	f := NewDirectedEngine(graph.BuildDirected(n, append(arcs, Edge{U: n - 1, V: 0})), Options{Threads: 2})
+	if _, err := f.SCC(); err != nil {
+		t.Fatal(err)
+	}
+	idle = bfs.NewReachScratch(n, 2)
+	f.reach.Put(idle)
+	if ok, _ := f.IsStronglyConnected(); !ok {
+		t.Fatal("a cycle is strongly connected")
+	}
+	if l, _ := f.LargestSCC(); l.Partial || l.Size != n {
+		t.Fatalf("LargestSCC after SCC(): size %d, partial %v", l.Size, l.Partial)
+	}
+	if rs := f.reach.Get(n, 2); rs != idle || rs.DetachVisited().Count() != 0 {
+		t.Fatal("a query swept although the epoch held the decomposition")
 	}
 }

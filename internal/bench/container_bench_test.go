@@ -64,7 +64,9 @@ func containerBenchInput(b *testing.B) (aqg, v1 []byte, path string) {
 }
 
 // BenchmarkContainerLoad is the ingestion ladder on the ~1M-edge benchmark
-// graph: every sub-benchmark ends with a queryable *graph.Directed.
+// graph: every sub-benchmark ends with a queryable *graph.Directed. The mmap
+// path also reports resident-KiB, the bytes of the mapping the process holds
+// once a load returns, where the host reports it (Linux).
 func BenchmarkContainerLoad(b *testing.B) {
 	edges, _ := buildBenchInput(b)
 	aqg, v1, path := containerBenchInput(b)
@@ -72,6 +74,8 @@ func BenchmarkContainerLoad(b *testing.B) {
 
 	b.Run("mmap", func(b *testing.B) {
 		b.SetBytes(int64(len(aqg)))
+		var resident int64
+		var reported bool
 		for i := 0; i < b.N; i++ {
 			c, err := graph.LoadContainer(path)
 			if err != nil {
@@ -80,9 +84,17 @@ func BenchmarkContainerLoad(b *testing.B) {
 			if c.Directed == nil {
 				b.Fatal("no directed graph in container")
 			}
+			if i == b.N-1 {
+				b.StopTimer()
+				resident, reported = c.Resident()
+				b.StartTimer()
+			}
 			c.Release()
 		}
 		reportEdgesPerSec(b, len(edges))
+		if reported {
+			b.ReportMetric(float64(resident)/1024, "resident-KiB")
+		}
 	})
 	b.Run("stream-v2", func(b *testing.B) {
 		b.SetBytes(int64(len(aqg)))

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"os"
+	"sort"
 	"sync/atomic"
 	"unsafe"
 
@@ -21,9 +22,9 @@ import (
 // v2 container persists everything a graph carries — the in-CSR for directed
 // graphs, the mate-slot and edge-id indexes for undirected ones — so
 // LoadContainer can alias the graph's slices directly onto the file mapping
-// after a bounded validation pass. Both undirected indexes are the canonical
-// ones the cursor pass (walkEdges) derives from the CSR; the loader checks
-// them and keeps only the edge ids.
+// after one validation pass over every section. Both undirected indexes are
+// the canonical ones the cursor pass (walkEdges) derives from the CSR; the
+// loader checks them and keeps only the edge ids.
 //
 // Layout (all fixed-width fields little-endian):
 //
@@ -81,6 +82,16 @@ type Container struct {
 // Mapped reports whether the container's slices alias an mmap'd file (true)
 // or live on the Go heap via the streaming reader (false).
 func (c *Container) Mapped() bool { return c.mapping != nil }
+
+// Resident reports how many bytes of the container's mapping the process
+// holds in memory. ok is false for a heap-backed container, and on hosts
+// that do not report it (it reads /proc/self/smaps on Linux).
+func (c *Container) Resident() (size int64, ok bool) {
+	if c.mapping == nil {
+		return 0, false
+	}
+	return mappingRSS(c.mapping)
+}
 
 // Release unmaps the file backing the container's slices, if any, and drops
 // the graph pointers. The graphs obtained from this container must not be
@@ -262,9 +273,7 @@ func (cw *containerWriter) int64Section(i int, v []int64) {
 		return
 	}
 	if hostLittleEndian {
-		if len(v) > 0 {
-			_, cw.err = cw.bw.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8))
-		}
+		_, cw.err = cw.bw.Write(int64Bytes(v))
 	} else {
 		var buf [8]byte
 		for _, x := range v {
@@ -283,9 +292,7 @@ func (cw *containerWriter) vSection(i int, v []V) {
 		return
 	}
 	if hostLittleEndian {
-		if len(v) > 0 {
-			_, cw.err = cw.bw.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*4))
-		}
+		_, cw.err = cw.bw.Write(vBytes(v))
 	} else {
 		var buf [4]byte
 		for _, x := range v {
@@ -370,11 +377,14 @@ func allZero(b []byte) bool {
 
 // LoadContainer opens an .aqg container with zero copy where possible: on
 // supported (unix, little-endian) hosts the file is mmap'd and the graph's
-// CSR slices alias the mapping directly after a bounded validation pass —
-// no parsing, no rebuild, O(1) heap allocation. Call the returned container's
-// Release to unmap once the graph is no longer needed. On hosts without mmap
-// (or on big-endian machines, or when mapping fails) it falls back to the
-// streaming ReadContainer, which heap-allocates the slices.
+// CSR slices alias the mapping directly after one validation pass over every
+// section — no parsing, no rebuild, O(1) heap allocation. On Linux the pass
+// hands each checked window's pages back to the page cache, so the process
+// keeps resident only the header page and whatever later reads fault back
+// in. The file must stay unchanged while it is mapped. Call the returned
+// container's Release to unmap once the graph is no longer needed. On hosts
+// without mmap (or on big-endian machines, or when mapping fails) it falls
+// back to the streaming ReadContainer, which heap-allocates the slices.
 func LoadContainer(path string) (*Container, error) {
 	if hostLittleEndian {
 		if data, err := mmapFile(path); err == nil {
@@ -416,17 +426,51 @@ func containerFromMapping(data []byte) (*Container, error) {
 		pos = s.off + s.size
 	}
 	sec := func(i int) []byte { s := h.sec[i]; return data[s.off : s.off+s.size] }
+	rel := pageReleaser{data}
 	var c *Container
 	if h.undirected() {
 		c, err = h.assembleUndirected(aliasInt64(sec(0)), aliasV(sec(1)), aliasInt64(sec(2)), aliasInt64(sec(3)))
 	} else {
-		c, err = h.assembleDirected(aliasInt64(sec(0)), aliasV(sec(1)), aliasInt64(sec(2)), aliasV(sec(3)))
+		c, err = h.assembleDirected(aliasInt64(sec(0)), aliasV(sec(1)), aliasInt64(sec(2)), aliasV(sec(3)), rel)
 	}
 	if err != nil {
 		return nil, err
 	}
+	// Every section passed: release what the windows could not, namely the
+	// pages sections share and the whole of an undirected container, whose
+	// index walk reads rows out of order.
+	rel.release(data, aqgHeaderSize, len(data))
 	c.mapping = data
 	return c, nil
+}
+
+// pageReleaser hands checked ranges of a container mapping back to the page
+// cache (releasePages), so a load does not keep the file resident. The pages
+// stay in the page cache and fault back in on the next read; the mapping is
+// shared and read-only, so what a read sees does not change. The zero value,
+// used for heap-backed containers, releases nothing.
+type pageReleaser struct{ data []byte }
+
+// pageSize is the granularity of releasePages.
+var pageSize = os.Getpagesize()
+
+// release drops the pages of sec, a section of the mapping whose bytes
+// below hi the caller has checked, from the page holding sec[lo] up to the
+// page holding sec[hi]. Neither a page sec shares with the bytes before it
+// nor the page holding sec[hi] is dropped, unless hi ends the file.
+func (r pageReleaser) release(sec []byte, lo, hi int) {
+	if r.data == nil || lo >= hi {
+		return
+	}
+	s := int(uintptr(unsafe.Pointer(unsafe.SliceData(sec))) - uintptr(unsafe.Pointer(unsafe.SliceData(r.data))))
+	a := max((s+lo)&^(pageSize-1), (s+pageSize-1)&^(pageSize-1))
+	b := s + hi
+	if b != len(r.data) {
+		b &^= pageSize - 1
+	}
+	if a < b {
+		releasePages(r.data[a:b])
+	}
 }
 
 // ReadContainer deserializes an .aqg container from a stream — the portable
@@ -513,7 +557,7 @@ func ReadContainer(r io.Reader) (*Container, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err = h.assembleDirected(s0, s1, inOff, inAdj)
+		c, err = h.assembleDirected(s0, s1, inOff, inAdj, pageReleaser{})
 		if err != nil {
 			return nil, err
 		}
@@ -528,17 +572,17 @@ func ReadContainer(r io.Reader) (*Container, error) {
 
 // assembleDirected validates both CSRs — each canonical, and the in-CSR the
 // transpose of the out-CSR, which Undirect's merge relies on — and wraps
-// them in a Directed graph.
-func (h *aqgHeader) assembleDirected(outOff []int64, outAdj []V, inOff []int64, inAdj []V) (*Container, error) {
+// them in a Directed graph. rel releases each window once it passed.
+func (h *aqgHeader) assembleDirected(outOff []int64, outAdj []V, inOff []int64, inAdj []V, rel pageReleaser) (*Container, error) {
 	// Both arc sets are duplicate-free and equally sized, so equal keyed
 	// multiset hashes mean equal sets (a mismatch slips through with
 	// probability ~2⁻⁶⁴ under the per-load random key).
 	key := rand.Uint64()
-	outHash, err := validateCSR(h.n, outOff, outAdj, "out", key, false)
+	outHash, err := validateCSR(h.n, outOff, outAdj, "out", key, false, rel)
 	if err != nil {
 		return nil, err
 	}
-	inHash, err := validateCSR(h.n, inOff, inAdj, "in", key, true)
+	inHash, err := validateCSR(h.n, inOff, inAdj, "in", key, true, rel)
 	if err != nil {
 		return nil, err
 	}
@@ -551,9 +595,10 @@ func (h *aqgHeader) assembleDirected(outOff []int64, outAdj []V, inOff []int64, 
 
 // assembleUndirected validates the CSR plus the mate/eid indexes and wraps
 // them in an Undirected graph that keeps the edge ids (the mate slots are
-// only checked).
+// only checked). The index walk reads rows out of order, so nothing is
+// released before it passed.
 func (h *aqgHeader) assembleUndirected(off []int64, adj []V, mate, eid []int64) (*Container, error) {
-	if _, err := validateCSR(h.n, off, adj, "adjacency", 0, false); err != nil {
+	if _, err := validateCSR(h.n, off, adj, "adjacency", 0, false, pageReleaser{}); err != nil {
 		return nil, err
 	}
 	if err := validateUndirectedIndex(off, adj, mate, eid); err != nil {
@@ -564,14 +609,26 @@ func (h *aqgHeader) assembleUndirected(off []int64, adj []V, mate, eid []int64) 
 	return &Container{Undirected: g}, nil
 }
 
-// validateCSR is the bounded load-time validation pass over one CSR: offsets
+// ingestWindow bounds the bytes of each section one validation window
+// covers, in whole vertices; a vertex whose row is larger is a window of its
+// own. A window's pages are released once it passed, so a load keeps at most
+// a few windows of the mapping resident whatever the graph's size. Tests
+// shrink it.
+var ingestWindow = 4 << 20
+
+// validateCSR is the load-time validation pass over one CSR: offsets
 // monotone from 0 to len(adj), every target in range, every segment strictly
 // increasing (sorted, deduplicated) with no self-loops — exactly the
 // invariants the builders emit and the binary-search query paths (HasArc,
 // EdgeIDOf) rely on. The same scan returns the CSR's keyed arc-set hash: the
 // wrapping sum of a 64-bit mix of every arc u→v (v→u for an in-CSR, so a CSR
-// and its transpose hash alike). It is vertex-parallel and allocates O(1).
-func validateCSR(n int64, off []int64, adj []V, what string, key uint64, in bool) (uint64, error) {
+// and its transpose hash alike).
+//
+// It runs window by window (ingestWindow). The offsets are checked up to one
+// window ahead, a window ends at the last checked offset whose rows fit the
+// budget, and its rows are checked in vertex-parallel blocks; then rel
+// releases the window's offsets and adjacency. It allocates O(1).
+func validateCSR(n int64, off []int64, adj []V, what string, key uint64, in bool, rel pageReleaser) (uint64, error) {
 	if int64(len(off)) != n+1 {
 		return 0, fmt.Errorf("graph: container %s offsets length %d, want %d", what, len(off), n+1)
 	}
@@ -583,17 +640,21 @@ func validateCSR(n int64, off []int64, adj []V, what string, key uint64, in bool
 	}
 	var badOff, badTarget, badOrder atomic.Bool
 	var sum atomic.Uint64
-	parallel.ForBlocks(0, int(n), parallel.Threads(0), func(ulo, uhi, _ int) {
-		var h uint64
-		for u := ulo; u < uhi; u++ {
-			lo, hi := off[u], off[u+1]
-			if lo < 0 || lo > hi || hi > int64(len(adj)) {
+	th := parallel.Threads(0)
+	checkOffsets := func(lo, hi, _ int) {
+		for u := lo; u < hi; u++ {
+			if off[u+1] < off[u] || off[u+1] > int64(len(adj)) {
 				badOff.Store(true)
 				return
 			}
+		}
+	}
+	checkRows := func(ulo, uhi, _ int) {
+		var h uint64
+		for u := ulo; u < uhi; u++ {
 			var prev V
 			first := true
-			for _, v := range adj[lo:hi] {
+			for _, v := range adj[off[u]:off[u+1]] {
 				if int64(v) >= n || v == V(u) {
 					badTarget.Store(true)
 					return
@@ -614,14 +675,32 @@ func validateCSR(n int64, off []int64, adj []V, what string, key uint64, in bool
 			}
 		}
 		sum.Add(h)
-	})
-	switch {
-	case badOff.Load():
-		return 0, fmt.Errorf("graph: container %s offsets not monotone", what)
-	case badTarget.Load():
-		return 0, fmt.Errorf("graph: container %s adjacency target out of range", what)
-	case badOrder.Load():
-		return 0, fmt.Errorf("graph: container %s adjacency segment not strictly increasing", what)
+	}
+	maxRows, maxSlots := max(ingestWindow/8, 1), int64(max(ingestWindow/4, 1))
+	checked := 0 // off[:checked+1] is monotone and within [0, len(adj)]
+	for lo := 0; lo < int(n); {
+		if ahead := min(int(n), lo+maxRows); checked < ahead {
+			parallel.ForBlocks(checked, ahead, th, checkOffsets)
+			if badOff.Load() {
+				return 0, fmt.Errorf("graph: container %s offsets not monotone", what)
+			}
+			checked = ahead
+		}
+		hi := lo + max(1, sort.Search(checked-lo, func(i int) bool { return off[lo+1+i]-off[lo] > maxSlots }))
+		parallel.ForBlocks(lo, hi, th, checkRows)
+		switch {
+		case badTarget.Load():
+			return 0, fmt.Errorf("graph: container %s adjacency target out of range", what)
+		case badOrder.Load():
+			return 0, fmt.Errorf("graph: container %s adjacency segment not strictly increasing", what)
+		}
+		offEnd := hi
+		if hi == int(n) {
+			offEnd++
+		}
+		rel.release(int64Bytes(off), 8*lo, 8*offEnd)
+		rel.release(vBytes(adj), 4*int(off[lo]), 4*int(off[hi]))
+		lo = hi
 	}
 	return sum.Load(), nil
 }
@@ -642,6 +721,17 @@ func validateUndirectedIndex(off []int64, adj []V, mate, eid []int64) error {
 		return fmt.Errorf("graph: container adjacency asymmetric or mate/edge-id index not canonical")
 	}
 	return nil
+}
+
+// int64Bytes views v's memory as bytes (little-endian on the hosts that
+// alias or write it directly).
+func int64Bytes(v []int64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8)
+}
+
+// vBytes views v's memory as bytes.
+func vBytes(v []V) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*4)
 }
 
 // aliasInt64 reinterprets an 8-byte-aligned little-endian section of the

@@ -433,3 +433,121 @@ func TestBinaryFormatSniff(t *testing.T) {
 		}
 	}
 }
+
+// withWindow shrinks the validation window to bytes for the rest of the test.
+func withWindow(t testing.TB, bytes int) {
+	old := ingestWindow
+	ingestWindow = bytes
+	t.Cleanup(func() { ingestWindow = old })
+}
+
+// TestContainerCorruptRejectedInWindows reruns the corrupt-input table with
+// windows of a few vertices, so most mutations land away from the first
+// window and many rows are windows of their own.
+func TestContainerCorruptRejectedInWindows(t *testing.T) {
+	withWindow(t, 32)
+	TestContainerCorruptRejected(t)
+}
+
+// TestContainerWindowEdgesRejected places defects at window edges and checks
+// that both loaders reject each with the message one window spanning the
+// whole graph gives. Every vertex u of the fixture has arcs to u+1..u+3
+// (mod n), so a 32-byte window holds two vertices (8 arc slots fit two rows
+// of 3) and starts at every even vertex.
+func TestContainerWindowEdgesRejected(t *testing.T) {
+	const n, d = 64, 3
+	var edges []Edge
+	for u := 0; u < n; u++ {
+		for k := 1; k <= d; k++ {
+			edges = append(edges, Edge{V(u), V((u + k) % n)})
+		}
+	}
+	g := BuildDirected(n, edges)
+	var buf bytes.Buffer
+	if err := WriteContainer(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	h, err := parseAqgHeader(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inOff, inAdj := g.InCSR()
+	offAt := func(sec int, i int64) int64 { return h.sec[sec].off + 8*i }
+	adjAt := func(sec int, i int64) int64 { return h.sec[sec].off + 4*i }
+	put64s := func(at int64, vs ...uint64) []byte {
+		mut := bytes.Clone(buf.Bytes())
+		for i, v := range vs {
+			binary.LittleEndian.PutUint64(mut[at+8*int64(i):], v)
+		}
+		return mut
+	}
+	put32s := func(at int64, vs ...uint32) []byte {
+		mut := bytes.Clone(buf.Bytes())
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(mut[at+4*int64(i):], v)
+		}
+		return mut
+	}
+	const first = 20 // a window's first vertex
+	last := g.outOff[n-1]
+	cases := []struct {
+		name, want string
+		data       []byte
+	}{
+		{"offset above its successor at a window's first vertex", "out offsets not monotone",
+			put64s(offAt(0, first), uint64(g.outOff[first+1]+1))},
+		{"offset shifted at a window's first vertex", "out adjacency segment not strictly increasing",
+			put64s(offAt(0, first), uint64(g.outOff[first]+1))},
+		{"in-offset above its successor at a window's first vertex", "in offsets not monotone",
+			put64s(offAt(2, first), uint64(inOff[first+1]+1))},
+		// Far beyond the first window's checked offsets; a boundary
+		// chosen from unchecked offsets would slice a row backwards.
+		{"offset dropping to 0 beyond the first window", "out offsets not monotone",
+			put64s(offAt(0, n/2+1), 0)},
+		// Monotone among themselves, so only their bound rejects them
+		// before a window reaches their rows.
+		{"offsets past the adjacency from a window's first vertex on", "out offsets not monotone",
+			put64s(offAt(0, first), n*d+1, n*d+1, n*d+1, n*d+1, n*d+1)},
+		{"unsorted row in the last window", "out adjacency segment not strictly increasing",
+			put32s(adjAt(1, last), uint32(g.outAdj[last+1]), uint32(g.outAdj[last]))},
+		{"target out of range in the last window", "out adjacency target out of range",
+			put32s(adjAt(1, last+d-1), n)},
+		// Vertex first's in-row lists first-3..first-1; listing first-4
+		// instead keeps it canonical but is an arc the out-CSR lacks.
+		{"transpose mismatch confined to one window", "in-CSR is not the transpose of the out-CSR",
+			put32s(adjAt(3, inOff[first]), uint32(inAdj[inOff[first]]-1))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			errs := make(map[string]string)
+			for _, w := range []int{ingestWindow, 32} {
+				withWindow(t, w)
+				if _, err := ReadContainer(bytes.NewReader(tc.data)); err == nil {
+					t.Fatalf("ReadContainer accepted corrupt input (window %d)", w)
+				} else {
+					errs[err.Error()] = "ReadContainer"
+				}
+				c, err := LoadContainer(writeTempContainer(t, tc.data))
+				if err == nil {
+					c.Release()
+					t.Fatalf("LoadContainer accepted corrupt input (window %d)", w)
+				}
+				errs[err.Error()] = "LoadContainer"
+			}
+			if len(errs) != 1 {
+				t.Fatalf("window size or loader changed the message: %v", errs)
+			}
+			for msg := range errs {
+				if msg != "graph: container "+tc.want {
+					t.Fatalf("got %q, want %q", msg, tc.want)
+				}
+			}
+		})
+	}
+	for _, w := range []int{ingestWindow, 32} {
+		withWindow(t, w)
+		if _, err := ReadContainer(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("pristine container rejected (window %d): %v", w, err)
+		}
+	}
+}

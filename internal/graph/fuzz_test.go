@@ -125,7 +125,10 @@ func FuzzParallelBuildParity(f *testing.F) {
 // FuzzContainerRoundTrip hammers the .aqg v2 container reader with mutated
 // container bytes: it must never panic, and whenever it accepts input the
 // loaded graph must re-serialize to the exact bytes it was read from (the
-// container is canonical, so accept implies byte-identity).
+// container is canonical, so accept implies byte-identity). Every input also
+// goes through LoadContainer from a file, validated in windows of a few
+// vertices: it must accept exactly what ReadContainer accepts, with equal
+// CSRs.
 func FuzzContainerRoundTrip(f *testing.F) {
 	var dir, und bytes.Buffer
 	if err := WriteContainer(&dir, BuildDirected(5, []Edge{{0, 1}, {1, 2}, {2, 0}, {3, 4}})); err != nil {
@@ -139,18 +142,28 @@ func FuzzContainerRoundTrip(f *testing.F) {
 	f.Add(dir.Bytes()[:aqgHeaderSize])
 	f.Add([]byte{})
 	f.Add([]byte("AQG2\x1aCSR then trailing junk instead of a header"))
+	window := ingestWindow
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return
 		}
 		c, err := ReadContainer(bytes.NewReader(data))
+		ingestWindow = 16
+		mc, merr := LoadContainer(writeTempContainer(t, data))
+		ingestWindow = window
+		if (err == nil) != (merr == nil) {
+			t.Fatalf("ReadContainer error %v, LoadContainer error %v", err, merr)
+		}
 		if err != nil {
 			return
 		}
+		defer mc.Release()
 		var again bytes.Buffer
 		if c.Undirected != nil {
+			sameUndirected(t, c.Undirected, mc.Undirected)
 			err = WriteUndirectedContainer(&again, c.Undirected)
 		} else {
+			sameDirected(t, c.Directed, mc.Directed)
 			// Undirect merges the out- and in-CSR; an accepted pair must
 			// be consistent enough for it to finish without panicking.
 			Undirect(c.Directed)

@@ -40,14 +40,28 @@ func DegreeOrder(g *Undirected, threads int) *Permutation {
 }
 
 // DegreeOrderDirected is DegreeOrder for directed graphs, ranking by
-// out-degree + in-degree (total touch count across both CSRs).
+// out-degree + in-degree (total touch count across both CSRs). It counts the
+// in-degrees from the out-arcs unless g has built its in-CSR, and builds
+// nothing into g.
 func DegreeOrderDirected(g *Directed, threads int) *Permutation {
-	return degreeOrder(g.n, totalDegree(g), threads)
+	var inOff []int64
+	if c := g.in.p.Load(); c != nil {
+		inOff = c.off
+	} else {
+		inOff = make([]int64, g.n+1)
+		for _, v := range g.outAdj {
+			inOff[v+1]++
+		}
+		for v := 0; v < g.n; v++ {
+			inOff[v+1] += inOff[v]
+		}
+	}
+	return degreeOrder(g.n, totalDegree(g, inOff), threads)
 }
 
-// totalDegree returns u's out-degree + in-degree as a function of u.
-func totalDegree(g *Directed) func(V) int64 {
-	inOff, _ := g.InCSR()
+// totalDegree returns u's out-degree + in-degree as a function of u, given
+// g's in-offsets.
+func totalDegree(g *Directed, inOff []int64) func(V) int64 {
 	return func(u V) int64 { return (g.outOff[u+1] - g.outOff[u]) + (inOff[u+1] - inOff[u]) }
 }
 
@@ -121,11 +135,19 @@ func BFSOrder(g *Undirected, threads int) *Permutation {
 
 // BFSOrderDirected is BFSOrder over a directed graph's underlying undirected
 // structure: the traversal follows both out- and in-arcs so a weakly
-// connected component stays contiguous in the layout.
+// connected component stays contiguous in the layout. It reads g's in-CSR if
+// g has built it, and otherwise a transpose of its own that it drops, so g
+// keeps no in-CSR it did not hold.
 func BFSOrderDirected(g *Directed, threads int) *Permutation {
 	n := g.n
-	inOff, inAdj := g.InCSR()
-	seeds := degreeOrder(n, totalDegree(g), threads).Inv
+	var inOff []int64
+	var inAdj []V
+	if c := g.in.p.Load(); c != nil {
+		inOff, inAdj = c.off, c.adj
+	} else {
+		inOff, inAdj = transposeCSR(g.outOff, g.outAdj, buildThreads(threads, len(g.outAdj)))
+	}
+	seeds := degreeOrder(n, totalDegree(g, inOff), threads).Inv
 	inv := make([]V, 0, n)
 	visited := make([]bool, n)
 	queue := make([]V, 0, n)

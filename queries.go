@@ -168,41 +168,48 @@ func (e *Engine) IsConnectedContext(ctx context.Context) (bool, error) {
 
 // IsStronglyConnected answers "is this graph strongly connected?" with
 // partial computation: any size-1-trimmable vertex disproves it; otherwise
-// one forward and one backward traversal from a pivot decide it.
+// one forward and one backward traversal from a pivot decide it. An SCC
+// decomposition the epoch holds answers instead, and the answer stays with
+// the epoch's successors until an arc changes.
 func (e *Engine) IsStronglyConnected() (bool, error) {
 	if !e.directed {
 		return false, ErrNotDirected
 	}
 	sn := e.current(true)
-	gs, _ := sn.directed(nil)
-	g := gs.dir
-	n := g.NumVertices()
-	if n <= 1 {
-		return true, nil
-	}
-	if e.opt.DisablePartial {
-		res, _ := sn.SCC(nil)
+	if res, ok := sn.sccRes.Peek(); ok && sn.NumVertices() > 1 {
 		return res.NumComponents == 1, nil
 	}
-	inOff, _ := g.InCSR()
-	for v := 0; v < n; v++ {
-		if inOff[v+1] == inOff[v] || g.OutDegree(graph.V(v)) == 0 {
+	return getCell(sn, nil, &sn.strong, func(context.Context) (bool, error) {
+		gs, _ := sn.directed(nil)
+		g := gs.dir
+		n := g.NumVertices()
+		if n <= 1 {
+			return true, nil
+		}
+		if e.opt.DisablePartial {
+			res, _ := sn.SCC(nil)
+			return res.NumComponents == 1, nil
+		}
+		inOff, _ := g.InCSR()
+		for v := 0; v < n; v++ {
+			if inOff[v+1] == inOff[v] || g.OutDegree(graph.V(v)) == 0 {
+				return false, nil
+			}
+		}
+		pivot := graph.V(0)
+		rs := e.reach.Get(n, e.opt.Threads)
+		defer e.reach.Put(rs)
+		fw := rs.Reach(bfs.ForwardAdj(g), pivot, nil,
+			bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
+		if fw.Count() != n {
 			return false, nil
 		}
-	}
-	pivot := graph.V(0)
-	rs := e.reach.Get(n, e.opt.Threads)
-	defer e.reach.Put(rs)
-	fw := rs.Reach(bfs.ForwardAdj(g), pivot, nil,
-		bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
-	if fw.Count() != n {
-		return false, nil
-	}
-	// The forward count is consumed, so the same scratch (and bitmap) can
-	// carry the backward sweep.
-	bw := rs.Reach(bfs.BackwardAdj(g), pivot, nil,
-		bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
-	return bw.Count() == n, nil
+		// The forward count is consumed, so the same scratch (and bitmap)
+		// can carry the backward sweep.
+		bw := rs.Reach(bfs.BackwardAdj(g), pivot, nil,
+			bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
+		return bw.Count() == n, nil
+	})
 }
 
 // LargestResult describes the largest connected component.
@@ -253,52 +260,64 @@ func (e *Engine) InLargestCC(v V) bool { return e.LargestCC().Contains(v) }
 // LargestSCC answers "how big is the largest SCC / is v in it" with partial
 // computation: trim, then one FW-BW sweep from the master pivot; if the found
 // SCC is at least as large as the remaining unassigned vertices it must be
-// the largest.
+// the largest. An SCC decomposition the epoch holds answers instead (as the
+// census does for LargestCC), and a partial answer stays with the epoch's
+// successors until an arc changes.
 func (e *Engine) LargestSCC() (*LargestResult, error) {
 	if !e.directed {
 		return nil, ErrNotDirected
 	}
 	sn := e.current(true)
-	gs, _ := sn.directed(nil)
-	g := gs.dir
-	n := g.NumVertices()
-	if !e.opt.DisablePartial && n > 0 {
-		// One FW-BW from the max-degree pivot. Both halves run through one
-		// scratch: the forward bitmap is detached before the backward sweep
-		// resets the scratch state.
-		master := g.MaxOutDegreeVertex()
-		rs := e.reach.Get(n, e.opt.Threads)
-		fw := rs.Reach(bfs.ForwardAdj(g), master, nil,
-			bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
-		rs.DetachVisited()
-		bw := rs.Reach(bfs.BackwardAdj(g), master, nil,
-			bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
-		size := 0
-		for v := 0; v < n; v++ {
-			if fw.Get(V(v)) && bw.Get(V(v)) {
-				size++
-			}
-		}
-		if 2*size >= n {
-			// Both bitmaps escape into the result's contains closure; like
-			// LargestCC, the bitmaps are compute-space so membership checks
-			// translate in.
-			rs.DetachVisited()
-			e.reach.Put(rs)
-			return &LargestResult{
-				Size: size, Pivot: e.unmapV(master), Partial: true,
-				contains: func(v V) bool {
-					if int(v) >= n {
-						return false
-					}
-					v = e.mapV(v)
-					return fw.Get(v) && bw.Get(v)
-				},
-			}, nil
-		}
-		e.reach.Put(rs)
+	if res, ok := sn.sccRes.Peek(); ok {
+		return largestFromSCC(res), nil
 	}
-	res, _ := sn.SCC(nil)
+	return getCell(sn, nil, &sn.largestSCC, func(context.Context) (*LargestResult, error) {
+		gs, _ := sn.directed(nil)
+		g := gs.dir
+		n := g.NumVertices()
+		if !e.opt.DisablePartial && n > 0 {
+			// One FW-BW from the max-degree pivot. Both halves run through
+			// one scratch: the forward bitmap is detached before the
+			// backward sweep resets the scratch state.
+			master := g.MaxOutDegreeVertex()
+			rs := e.reach.Get(n, e.opt.Threads)
+			fw := rs.Reach(bfs.ForwardAdj(g), master, nil,
+				bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
+			rs.DetachVisited()
+			bw := rs.Reach(bfs.BackwardAdj(g), master, nil,
+				bfs.Options{Threads: e.opt.Threads}, e.opt.Traversal.mode())
+			size := 0
+			for v := 0; v < n; v++ {
+				if fw.Get(V(v)) && bw.Get(V(v)) {
+					size++
+				}
+			}
+			if 2*size >= n {
+				// Both bitmaps escape into the result's contains closure;
+				// like LargestCC, the bitmaps are compute-space so
+				// membership checks translate in.
+				rs.DetachVisited()
+				e.reach.Put(rs)
+				return &LargestResult{
+					Size: size, Pivot: e.unmapV(master), Partial: true,
+					contains: func(v V) bool {
+						if int(v) >= n {
+							return false
+						}
+						v = e.mapV(v)
+						return fw.Get(v) && bw.Get(v)
+					},
+				}, nil
+			}
+			e.reach.Put(rs)
+		}
+		res, _ := sn.SCC(nil)
+		return largestFromSCC(res), nil
+	})
+}
+
+// largestFromSCC answers LargestSCC from a complete decomposition.
+func largestFromSCC(res *SCCResult) *LargestResult {
 	lbl := res.LargestLabel
 	return &LargestResult{
 		Size:  res.LargestSize,
@@ -306,7 +325,7 @@ func (e *Engine) LargestSCC() (*LargestResult, error) {
 		contains: func(v V) bool {
 			return int(v) < len(res.Label) && res.Label[v] == lbl
 		},
-	}, nil
+	}
 }
 
 // ArticulationPoints answers the AP-only query (§3) on the current epoch

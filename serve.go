@@ -58,9 +58,11 @@ type epoch struct {
 	bridges serve.Cell[[][2]V]
 	hist    serve.Cell[map[int]int]
 	// Results only the Engine's API asks for.
-	cond serve.Cell[*Condensation]
-	btw  serve.Cell[[]float64]
-	core serve.Cell[[]int32]
+	cond       serve.Cell[*Condensation]
+	btw        serve.Cell[[]float64]
+	core       serve.Cell[[]int32]
+	strong     serve.Cell[bool]
+	largestSCC serve.Cell[*LargestResult]
 }
 
 // epochLocked returns the engine's handle on its current epoch, capturing a
@@ -118,15 +120,17 @@ func (e *Engine) current(rebase bool) *Snapshot {
 }
 
 // inherit takes over from prev, the epoch before ep, every result whose
-// input did not change: the SCC results while no arc changed, the
-// 2-connectivity and degree-structure results while no undirected edge
-// changed, and the CC results while the census is the same one. A largest
-// component found by the §3 traversal stays with its epoch, whose census was
-// absent; a census present answers instead.
+// input did not change: the SCC results, partial ones included, while no arc
+// changed, the 2-connectivity and degree-structure results while no
+// undirected edge changed, and the CC results while the census is the same
+// one. A largest component found by the §3 traversal stays with its epoch,
+// whose census was absent; a census present answers instead.
 func (ep *epoch) inherit(prev *epoch) {
 	if ep.st.arcGen == prev.st.arcGen {
 		keep(&ep.sccRes, &prev.sccRes)
 		keep(&ep.cond, &prev.cond)
+		keep(&ep.strong, &prev.strong)
+		keep(&ep.largestSCC, &prev.largestSCC)
 	}
 	if ep.st.edgeGen == prev.st.edgeGen {
 		keep(&ep.biccRes, &prev.biccRes)
