@@ -33,12 +33,12 @@ bench:
 # throughput in edges/s, reorder ablation), the PR 4 serving set (reader
 # throughput with/without singleflight, Apply latency under read load),
 # the PR 5 HTTP front-end throughput, the PR 6 CC algorithm-matrix sweep,
-# the PR 7 SCC algorithm-matrix sweep (coloring vs multireach vs fwbw per
-# directed graph class, plus the probe-fed auto), the PR 8 BiCC
+# the SCC algorithm-matrix sweep (coloring vs multireach per directed
+# graph class, plus the probe-fed auto), the BiCC
 # algorithm-matrix sweep (constrained vs skeleton per undirected graph
 # class, plus the depth-probe-fed auto), the PR 9 dynamic-apply
 # cut-vs-rebuild crossover, and the PR 10 binary-container ingestion
-# ladder (mmap vs streamed v2 vs legacy v1 vs text parse+build), the PR 12
+# ladder (mmap vs streamed v2 vs text parse+build), the
 # merge-based Undirect throughput (arcs/s), and the PR 13 first-use edge-id
 # cursor pass (ids/s), plus the text boot path through cli.LoadDirected
 # (edges/s), and the PR 17 merging insert-only publish (ns/op and B/op at
@@ -48,13 +48,14 @@ bench:
 # plus the engine's cold partial queries (BenchmarkEngineQueries), which run
 # on the engine's current epoch; the mmap'd container load also reports
 # resident-KiB, the bytes of the mapping left resident once it returns. The
-# benchmark the last change moved (BenchmarkContainerLoad, whose mmap path
-# now validates window by window and releases each checked window) also
-# runs, in the same session, on the tree of PARENT exported to a temporary
-# directory (default HEAD~1; PARENT=HEAD compares uncommitted changes with
-# the last commit); its rows carry the name prefix BenchmarkParent/. The
-# snapshot goes to BENCH_PR25.json, stamped by bench2json with the host
-# (goos, goarch, cpu, GOMAXPROCS) and the Go version.
+# benchmarks the last change moved (BenchmarkCCMatrix and BenchmarkSCCMatrix,
+# whose matrices shrank to the cells that win; every auto pick must stay the
+# same) also run, in the same session, on the tree of PARENT exported to a
+# temporary directory (default HEAD~1; PARENT=HEAD compares uncommitted
+# changes with the last commit); its rows carry the name prefix
+# BenchmarkParent/. The snapshot goes to BENCH_PR26.json, stamped by
+# bench2json with the host (goos, goarch, cpu, GOMAXPROCS) and the Go
+# version.
 PARENT ?= HEAD~1
 
 bench-json:
@@ -80,10 +81,10 @@ bench-json:
 		./internal/httpd ; \
 	  parent=$$(mktemp -d) && git archive $(PARENT) | tar -x -C $$parent && \
 	  ( cd $$parent && \
-	    go test -bench='^BenchmarkContainerLoad$$' -benchmem -benchtime=5x -run='^$$' ./internal/bench ) \
+	    go test -bench='^Benchmark(CC|SCC)Matrix$$' -benchmem -benchtime=3x -run='^$$' ./internal/bench ) \
 		| sed 's/^Benchmark/BenchmarkParent\//' ; \
 	  rm -rf $$parent ) \
-		| go run ./cmd/bench2json > BENCH_PR25.json
+		| go run ./cmd/bench2json > BENCH_PR26.json
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:
@@ -97,7 +98,6 @@ fuzz:
 	go test -fuzz=FuzzReadEdgeList$$ -fuzztime=30s ./internal/graph
 	go test -fuzz=FuzzReadEdgeListParity -fuzztime=30s ./internal/graph
 	go test -fuzz=FuzzParallelBuildParity -fuzztime=30s ./internal/graph
-	go test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/graph
 	go test -fuzz=FuzzContainerRoundTrip -fuzztime=30s -fuzzminimizetime=10x ./internal/graph
 	go test -fuzz=FuzzBiCCMatchesOracle -fuzztime=30s ./internal/bicc
 	go test -fuzz=FuzzBiCCPolicyMatchesOracle -fuzztime=30s ./internal/bicc

@@ -158,14 +158,5 @@ func WriteUndirectedContainer(w io.Writer, g *Undirected) error {
 }
 
 // BinaryFormat sniffs the leading bytes of a graph file: 2 for an .aqg v2
-// container, 1 for the legacy v1 binary CSR, 0 for anything else.
+// container, 0 for anything else.
 func BinaryFormat(head []byte) int { return graph.BinaryFormat(head) }
-
-// ReadBinary reads the legacy v1 binary CSR format (WriteBinary's output).
-// New files should use the v2 container (WriteContainer/LoadContainer); this
-// reader stays for compatibility with existing dumps.
-func ReadBinary(r io.Reader) (*Directed, error) { return graph.ReadBinary(r) }
-
-// WriteBinary writes the legacy v1 binary CSR format. Superseded by
-// WriteContainer, which also persists the in-CSR and supports mmap loading.
-func WriteBinary(w io.Writer, g *Directed) error { return graph.WriteBinary(w, g) }

@@ -86,8 +86,7 @@ func writeGraph(g *graph.Directed, path, format string) error {
 	switch format {
 	case "bin", "aqg":
 		// Binary output is the .aqg v2 container: versioned, page-aligned,
-		// mmap-able, and readable by every command's auto-detecting loader
-		// (legacy v1 files remain readable, just no longer written).
+		// mmap-able, and readable by every command's auto-detecting loader.
 		return graph.WriteContainer(f, g)
 	default:
 		return graph.WriteEdgeList(f, g)

@@ -97,8 +97,8 @@ func main() {
 
 func obtain(path, kind string, scale int, seed uint64, threads int) (*aquila.Directed, error) {
 	if path != "" {
-		// The shared loader auto-detects .aqg containers (mmap'd), legacy v1
-		// binaries, and the text formats, so any aquila-gen output verifies.
+		// The shared loader auto-detects .aqg containers (mmap'd) and the
+		// text formats, so any aquila-gen output verifies.
 		lg, err := cli.LoadDirected(path, threads)
 		if err != nil {
 			return nil, err

@@ -58,7 +58,7 @@ func main() {
 		rebuild    = flag.Float64("rebuild-threshold", 0, "delta/base edge ratio forcing a static rebuild (0 = default 0.25, <0 = never)")
 		threads    = flag.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
 		ccPolicy   = flag.String("cc-policy", "auto", "CC algorithm matrix cell: auto, pipeline, or sampling+finish (e.g. afforest+uf-async); see the cc-policy query")
-		sccPolicy  = flag.String("scc-policy", "auto", "SCC algorithm matrix cell: auto, coloring, multireach, or fwbw; see the scc-policy query")
+		sccPolicy  = flag.String("scc-policy", "auto", "SCC algorithm matrix cell: auto, coloring, or multireach; see the scc-policy query")
 		biccPolicy = flag.String("bicc-policy", "auto", "BiCC algorithm matrix cell: auto, constrained, or skeleton; see the bicc-policy query")
 		reorder    = flag.String("reorder", "none", "cache-aware vertex reordering: none, degree, bfs")
 		noPartial  = flag.Bool("no-partial", false, "disable query transformation (always complete computation)")
@@ -227,8 +227,7 @@ func saveContainer(g *aquila.Directed, path string) error {
 // obtainGraph loads or generates the input and reports how long the parse
 // and CSR-build phases took (generators count as build; parse is then zero).
 // File loading goes through cli.LoadDirected, which auto-detects .aqg v2
-// containers (mmap'd), legacy v1 binaries, and the text formats by content
-// and extension.
+// containers (mmap'd) and the text formats by content and extension.
 func obtainGraph(path, kind string, scale int, seed uint64, threads int) (*aquila.Directed, time.Duration, time.Duration, error) {
 	if path != "" {
 		lg, err := cli.LoadDirected(path, threads)

@@ -58,7 +58,7 @@ func main() {
 		grace      = flag.Duration("grace", 15*time.Second, "drain window for in-flight requests on shutdown")
 		quiet      = flag.Bool("quiet", false, "suppress per-request access logs")
 		ccPolicy   = flag.String("cc-policy", "auto", "CC algorithm matrix cell: auto, pipeline, or sampling+finish (e.g. afforest+uf-async)")
-		sccPolicy  = flag.String("scc-policy", "auto", "SCC algorithm matrix cell: auto, coloring, multireach, or fwbw")
+		sccPolicy  = flag.String("scc-policy", "auto", "SCC algorithm matrix cell: auto, coloring, or multireach")
 		biccPolicy = flag.String("bicc-policy", "auto", "BiCC algorithm matrix cell: auto, constrained, or skeleton")
 	)
 	flag.Parse()

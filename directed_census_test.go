@@ -148,7 +148,7 @@ func TestDirectedCensusNeverUndirects(t *testing.T) {
 				SmallMaxSize: 6, Isolated: 200, MutualFrac: 0.5, Seed: 31})
 		}, Options{Threads: 2, RebuildThreshold: 0.05}},
 		{"explicit", func() *Directed { return gen.Random(700, 900, 32) },
-			Options{Threads: 2, CCPolicy: "kout+uf-rem", RebuildThreshold: 0.05}},
+			Options{Threads: 2, CCPolicy: "afforest+uf-async", RebuildThreshold: 0.05}},
 	}
 	for _, c := range cases {
 		for _, viaServer := range []bool{false, true} {

@@ -249,23 +249,31 @@ func (e *Engine) ccOptions() cc.Options {
 	}
 }
 
-// resolveCCPolicy maps Options.CCPolicy onto a concrete matrix cell for base
-// graph b. Explicit specs parse to their cell; "auto", "" and unparseable
-// specs run the adaptive chooser: over an undirected base's degree
-// statistics, or, for a directed base, over its vertex count alone
-// (cc.ChooseDirectedPolicy), so resolving reads no adjacency. Resolution is
-// per graph, not per engine: Apply can reshape the graph enough to change
-// the auto cell, and re-bases resolve afresh.
-func (e *Engine) resolveCCPolicy(b graphSet) cc.Policy {
-	if s := e.opt.CCPolicy; s != "" && s != "auto" {
-		if pol, err := cc.ParsePolicy(s); err == nil {
+// resolvePolicy maps a policy spec onto a concrete matrix cell: an explicit
+// spec parses to its cell; "auto", "" and unparseable specs take the
+// adaptive chooser's pick. Resolution is per graph, not per engine: Apply
+// can reshape the graph enough to change the auto cell, and re-bases and
+// serving snapshots resolve against their own graph.
+func resolvePolicy[P any](spec string, parse func(string) (P, error), choose func() P) P {
+	if spec != "" && spec != "auto" {
+		if pol, err := parse(spec); err == nil {
 			return pol
 		}
 	}
-	if b.dir != nil {
-		return cc.ChooseDirectedPolicy(b.dir.NumVertices())
-	}
-	return cc.ChoosePolicy(stats.CheapUndirected(b.und))
+	return choose()
+}
+
+// resolveCCPolicy maps Options.CCPolicy onto a concrete matrix cell for base
+// graph b. The chooser reads an undirected base's degree statistics, or, for
+// a directed base, its vertex count alone (cc.ChooseDirectedPolicy), so
+// resolving reads no adjacency.
+func (e *Engine) resolveCCPolicy(b graphSet) cc.Policy {
+	return resolvePolicy(e.opt.CCPolicy, cc.ParsePolicy, func() cc.Policy {
+		if b.dir != nil {
+			return cc.ChooseDirectedPolicy(b.dir.NumVertices())
+		}
+		return cc.ChoosePolicy(stats.CheapUndirected(b.und))
+	})
 }
 
 // ccSolve runs the complete CC decomposition of base graph b under the
@@ -302,18 +310,12 @@ func (e *Engine) CCPolicy() string {
 	return e.resolveCCPolicy(e.base()).String()
 }
 
-// resolveSCCPolicy maps Options.SCCPolicy onto a concrete matrix cell for g.
-// Explicit specs parse to their cell; "auto", "" and unparseable specs run
-// the adaptive chooser over the directed-graph probe. Resolution is per
-// graph, not per engine: Apply can reshape the graph enough to change the
-// auto cell, and serving snapshots resolve against their own pinned graph.
+// resolveSCCPolicy maps Options.SCCPolicy onto a concrete matrix cell for g;
+// the chooser reads the directed-graph probe.
 func (e *Engine) resolveSCCPolicy(g *Directed) scc.Policy {
-	if s := e.opt.SCCPolicy; s != "" && s != "auto" {
-		if pol, err := scc.ParsePolicy(s); err == nil {
-			return pol
-		}
-	}
-	return scc.ChoosePolicy(stats.ProbeDirected(g, e.opt.Threads))
+	return resolvePolicy(e.opt.SCCPolicy, scc.ParsePolicy, func() scc.Policy {
+		return scc.ChoosePolicy(stats.ProbeDirected(g, e.opt.Threads))
+	})
 }
 
 // sccSolve runs the complete SCC decomposition of g under the engine's
@@ -360,17 +362,11 @@ func (e *Engine) biccOptions(apOnly bool) bicc.Options {
 }
 
 // resolveBiCCPolicy maps Options.BiCCPolicy onto a concrete matrix cell for
-// g. Explicit specs parse to their cell; "auto", "" and unparseable specs
-// run the adaptive chooser over the undirected probe. Resolution is per
-// graph, not per engine: Apply can reshape the graph enough to change the
-// auto cell, and serving snapshots resolve against their own pinned graph.
+// g; the chooser reads the undirected probe.
 func (e *Engine) resolveBiCCPolicy(g *Undirected) bicc.Policy {
-	if s := e.opt.BiCCPolicy; s != "" && s != "auto" {
-		if pol, err := bicc.ParsePolicy(s); err == nil {
-			return pol
-		}
-	}
-	return bicc.ChoosePolicy(stats.ProbeUndirected(g))
+	return resolvePolicy(e.opt.BiCCPolicy, bicc.ParsePolicy, func() bicc.Policy {
+		return bicc.ChoosePolicy(stats.ProbeUndirected(g))
+	})
 }
 
 // biccSolve runs the BiCC decomposition (or the AP-only partial query) of g

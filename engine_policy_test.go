@@ -13,12 +13,13 @@ import (
 )
 
 func TestValidateCCPolicy(t *testing.T) {
-	for _, ok := range []string{"", "auto", "pipeline", "afforest+uf-async", "none+labelprop", "bfs+hybrid-bfs", "kout+uf-rem"} {
+	for _, ok := range []string{"", "auto", "pipeline", "afforest+uf-async", "none+hybrid-bfs", "none+uf-rem", "afforest+uf-rem"} {
 		if err := ValidateCCPolicy(ok); err != nil {
 			t.Errorf("ValidateCCPolicy(%q): %v", ok, err)
 		}
 	}
-	for _, bad := range []string{"afforest", "bogus+uf-rem", "afforest+bogus", "auto+auto"} {
+	for _, bad := range []string{"afforest", "bogus+uf-rem", "afforest+bogus", "auto+auto",
+		"kout+uf-rem", "bfs+uf-async", "none+labelprop", "afforest+lp", "afforest+hybrid-bfs"} {
 		if err := ValidateCCPolicy(bad); err == nil {
 			t.Errorf("ValidateCCPolicy(%q) accepted", bad)
 		}
@@ -76,12 +77,14 @@ func TestEngineCCPolicyAuto(t *testing.T) {
 // adaptive fallback rather than panic or wedge.
 func TestEngineCCPolicyInvalidDegradesToAuto(t *testing.T) {
 	g := gen.RandomUndirected(800, 2000, 41)
-	e := NewEngine(g, Options{Threads: 2, CCPolicy: "not-a-cell"})
-	if err := verify.SamePartition(e.CC().Label, serialdfs.CC(g)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cc.ParsePolicy(e.CCPolicy()); err != nil {
-		t.Fatalf("fallback CCPolicy() = %q not parseable: %v", e.CCPolicy(), err)
+	for _, spec := range []string{"not-a-cell", "kout+uf-rem"} {
+		e := NewEngine(g, Options{Threads: 2, CCPolicy: spec})
+		if err := verify.SamePartition(e.CC().Label, serialdfs.CC(g)); err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if _, err := cc.ParsePolicy(e.CCPolicy()); err != nil {
+			t.Fatalf("%s: fallback CCPolicy() = %q not parseable: %v", spec, e.CCPolicy(), err)
+		}
 	}
 }
 
@@ -104,11 +107,12 @@ func TestEngineCCPolicyIncrementalSeed(t *testing.T) {
 // TestEngineCCPolicyCancellation mirrors the kernel cancellation tables for
 // explicit matrix cells: pre-cancelled contexts surface context.Canceled from
 // CCContext, nothing partial is cached, and the clean retry matches the
-// oracle — for a union-find cell, a label-prop cell, and auto.
+// oracle — for union-find cells, the pipeline, auto, and two retired specs,
+// which the engine degrades to auto.
 func TestEngineCCPolicyCancellation(t *testing.T) {
 	g := gen.RandomUndirected(2000, 6000, 47)
 	truth := serialdfs.CC(g)
-	for _, spec := range []string{"afforest+uf-async", "none+labelprop", "bfs+hybrid-bfs", "auto"} {
+	for _, spec := range []string{"afforest+uf-async", "none+uf-rem", "pipeline", "auto", "none+labelprop", "bfs+hybrid-bfs"} {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {
 			e := NewEngine(g, Options{Threads: 2, CCPolicy: spec})

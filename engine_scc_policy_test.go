@@ -18,12 +18,12 @@ import (
 )
 
 func TestValidateSCCPolicy(t *testing.T) {
-	for _, ok := range []string{"", "auto", "coloring", "pipeline", "multireach", "fwbw"} {
+	for _, ok := range []string{"", "auto", "coloring", "pipeline", "multireach"} {
 		if err := ValidateSCCPolicy(ok); err != nil {
 			t.Errorf("ValidateSCCPolicy(%q): %v", ok, err)
 		}
 	}
-	for _, bad := range []string{"color", "multi-reach", "tarjan", "auto+auto"} {
+	for _, bad := range []string{"color", "multi-reach", "tarjan", "auto+auto", "fwbw"} {
 		if err := ValidateSCCPolicy(bad); err == nil {
 			t.Errorf("ValidateSCCPolicy(%q) accepted", bad)
 		}
@@ -140,9 +140,9 @@ func TestEngineSCCPolicyApply(t *testing.T) {
 }
 
 // TestEngineSCCPolicyCancellation mirrors the kernel cancellation tables at
-// the engine level for each cell and auto: pre-cancelled contexts surface
-// context.Canceled, nothing partial is cached, and the retry matches the
-// oracle.
+// the engine level for each cell, auto, and the retired fwbw spec, which the
+// engine degrades to auto: pre-cancelled contexts surface context.Canceled,
+// nothing partial is cached, and the retry matches the oracle.
 func TestEngineSCCPolicyCancellation(t *testing.T) {
 	g := gen.Rings(gen.RingsConfig{Rings: 60, MinSize: 2, MaxSize: 25, ExtraChords: 1, Seed: 89})
 	truth := serialdfs.SCC(g)

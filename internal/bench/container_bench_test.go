@@ -1,10 +1,9 @@
 package bench
 
-// Binary-container ingestion benchmarks (the PR 10 .aqg v2 format). The four
+// Binary-container ingestion benchmarks (the .aqg v2 format). The three
 // sub-benchmarks load the same ~1M-edge R-MAT graph through every ingestion
-// path so BENCH_PR10.json captures the whole ladder: mmap'd container load,
-// streamed container read, legacy v1 binary read, and text parse + CSR build.
-// The acceptance bar is mmap >= 10x faster than text parse+build.
+// path: mmap'd container load, streamed container read, and text parse + CSR
+// build. The acceptance bar is mmap >= 10x faster than text parse+build.
 
 import (
 	"bytes"
@@ -19,12 +18,11 @@ import (
 var containerBenchOnce struct {
 	sync.Once
 	aqg  []byte // the benchmark graph as an .aqg v2 container
-	v1   []byte // the same graph as a legacy v1 binary
 	path string // the container written to disk, for the mmap path
 	err  error
 }
 
-func containerBenchInput(b *testing.B) (aqg, v1 []byte, path string) {
+func containerBenchInput(b *testing.B) (aqg []byte, path string) {
 	b.Helper()
 	edges, n := buildBenchInput(b)
 	containerBenchOnce.Do(func() {
@@ -34,11 +32,6 @@ func containerBenchInput(b *testing.B) (aqg, v1 []byte, path string) {
 			return
 		}
 		containerBenchOnce.aqg = append([]byte(nil), buf.Bytes()...)
-		buf.Reset()
-		if containerBenchOnce.err = graph.WriteBinary(&buf, g); containerBenchOnce.err != nil {
-			return
-		}
-		containerBenchOnce.v1 = append([]byte(nil), buf.Bytes()...)
 		// The mmap path needs a real file; park it alongside the build
 		// products rather than a t.TempDir so every sub-benchmark reuses it.
 		f, err := os.CreateTemp("", "aquila-bench-*.aqg")
@@ -60,7 +53,7 @@ func containerBenchInput(b *testing.B) (aqg, v1 []byte, path string) {
 	if containerBenchOnce.err != nil {
 		b.Fatal(containerBenchOnce.err)
 	}
-	return containerBenchOnce.aqg, containerBenchOnce.v1, containerBenchOnce.path
+	return containerBenchOnce.aqg, containerBenchOnce.path
 }
 
 // BenchmarkContainerLoad is the ingestion ladder on the ~1M-edge benchmark
@@ -69,7 +62,7 @@ func containerBenchInput(b *testing.B) (aqg, v1 []byte, path string) {
 // once a load returns, where the host reports it (Linux).
 func BenchmarkContainerLoad(b *testing.B) {
 	edges, _ := buildBenchInput(b)
-	aqg, v1, path := containerBenchInput(b)
+	aqg, path := containerBenchInput(b)
 	text := buildBenchOnce.text
 
 	b.Run("mmap", func(b *testing.B) {
@@ -105,15 +98,6 @@ func BenchmarkContainerLoad(b *testing.B) {
 		}
 		reportEdgesPerSec(b, len(edges))
 	})
-	b.Run("legacy-v1", func(b *testing.B) {
-		b.SetBytes(int64(len(v1)))
-		for i := 0; i < b.N; i++ {
-			if _, err := graph.ReadBinary(bytes.NewReader(v1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportEdgesPerSec(b, len(edges))
-	})
 	b.Run("text-parse-build", func(b *testing.B) {
 		b.SetBytes(int64(len(text)))
 		for i := 0; i < b.N; i++ {
@@ -127,7 +111,7 @@ func BenchmarkContainerLoad(b *testing.B) {
 	})
 }
 
-// BenchmarkContainerWrite measures serialization, v2 container vs legacy v1.
+// BenchmarkContainerWrite measures v2 container serialization.
 func BenchmarkContainerWrite(b *testing.B) {
 	edges, n := buildBenchInput(b)
 	g := graph.BuildDirected(n, edges)
@@ -138,19 +122,6 @@ func BenchmarkContainerWrite(b *testing.B) {
 				b.Fatal(err)
 			}
 			if err := graph.WriteContainer(f, g); err != nil {
-				b.Fatal(err)
-			}
-			f.Close()
-		}
-		reportEdgesPerSec(b, len(edges))
-	})
-	b.Run("legacy-v1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f, err := os.Create(filepath.Join(b.TempDir(), "g.bin"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := graph.WriteBinary(f, g); err != nil {
 				b.Fatal(err)
 			}
 			f.Close()

@@ -93,7 +93,7 @@ func TestChoosePolicyTotal(t *testing.T) {
 		{},
 		{Cheap: stats.Cheap{Vertices: -5, Edges: -7}, Depth: -3},
 		{Cheap: stats.Cheap{Vertices: 1 << 30, Edges: 1 << 40, AvgDeg: nan, Skew: nan}},
-		{Cheap: stats.Cheap{Vertices: 10, Edges: 5, Density: 1e308, AvgDeg: -1e308}, DepthCapped: true},
+		{Cheap: stats.Cheap{Vertices: 10, Edges: 5, Skew: 1e308, AvgDeg: -1e308}, DepthCapped: true},
 	} {
 		pol := ChoosePolicy(pr)
 		if err := pol.Valid(); err != nil {

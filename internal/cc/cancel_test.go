@@ -44,9 +44,9 @@ func cancelCtx(m cancelMode) (context.Context, context.CancelFunc) {
 	}
 }
 
-// TestMatrixCancellation: every cell × every cancellation mode × p ∈ {1, 4},
-// through both entries: Solve on an undirected graph and SolveDirected on a
-// directed one. A cancelled solve returns (possibly partial — never
+// TestMatrixCancellation: every row of matrixRows × every cancellation mode
+// × p ∈ {1, 4}, through both entries: Solve on an undirected graph and
+// SolveDirected on a directed one. A cancelled solve returns (possibly partial — never
 // consulted), and the immediate clean re-run must match the serial oracle,
 // proving no shared state survived the cancelled attempt.
 func TestMatrixCancellation(t *testing.T) {
@@ -60,11 +60,11 @@ func TestMatrixCancellation(t *testing.T) {
 		{"undirected", func(pol Policy, opt Options) *Result { return Solve(g, pol, opt) }, serialdfs.CC(g)},
 		{"directed", func(pol Policy, opt Options) *Result { return SolveDirected(d, pol, opt) }, serialdfs.WCC(d)},
 	}
-	for _, pol := range Policies() {
+	for _, row := range matrixRows(t) {
 		for _, mode := range []cancelMode{preCancelled, midFlight, deadline} {
 			for _, p := range []int{1, 4} {
-				pol, mode, p := pol, mode, p
-				t.Run(fmt.Sprintf("%v/%v/p=%d", pol, mode, p), func(t *testing.T) {
+				pol, mode, p := row.pol, mode, p
+				t.Run(fmt.Sprintf("%s/%v/p=%d", row.name, mode, p), func(t *testing.T) {
 					for _, en := range entries {
 						ctx, cancel := cancelCtx(mode)
 						if mode == midFlight {

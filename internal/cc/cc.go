@@ -1,15 +1,17 @@
 // Package cc implements Aquila's connected-components computation as a
-// ConnectIt-style algorithm matrix: a Policy picks one {sampling strategy} ×
-// {finish algorithm} cell, Solve runs it, and ChoosePolicy picks the cell
-// adaptively from cheap graph statistics. The paper's own pipeline (§6.2:
-// trim the trivial patterns, enhanced data-parallel BFS for the single large
-// component, task-parallel label-propagation sweep for the many small ones)
-// survives unchanged as the {SampleNone, FinishEnhancedBFS} cell, which Run
-// still executes. WCC is the same computation over the undirected view of a
-// directed graph (graph.Undirect, paper §6.1). SolveDirected computes it
-// without that view for the union-find cells: every undirected edge is an
-// arc in its source's out-row, so a union-find over the out-arcs alone is a
-// complete WCC, and a directed graph's census needs only its out-CSR.
+// small ConnectIt-style algorithm matrix: a Policy picks one cell, Solve runs
+// it, and ChoosePolicy picks the cell adaptively from cheap graph
+// statistics. The paper's own pipeline (§6.2: trim the trivial patterns,
+// enhanced data-parallel BFS for the single large component, task-parallel
+// label-propagation sweep for the many small ones) survives unchanged as the
+// {SampleNone, FinishEnhancedBFS} cell, which Run still executes. The other
+// four cells are {no sampling, Afforest sampling} × {CAS union-find, Rem's
+// union-find}: the only cells that were ever fastest on a benchmark class.
+// WCC is the same computation over the undirected view of a directed graph
+// (graph.Undirect, paper §6.1). SolveDirected computes it without that view
+// for the union-find cells: every undirected edge is an arc in its source's
+// out-row, so a union-find over the out-arcs alone is a complete WCC, and a
+// directed graph's census needs only its out-CSR.
 package cc
 
 import (
@@ -26,8 +28,7 @@ import (
 )
 
 // Options selects threads and the ablation toggles measured in Fig. 10.
-// NoTrim, NoAdaptive and Mode only shape the pipeline cell (and Mode the
-// BFS-based sampling/finish phases); the pure union-find and label-prop
+// NoTrim, NoAdaptive and Mode only shape the pipeline cell; the union-find
 // cells have no trims or mode switches to ablate.
 type Options struct {
 	// Threads is the worker count (0 = GOMAXPROCS).
@@ -52,7 +53,7 @@ type Stats struct {
 	// (pipeline cell only).
 	TrimmedOrphans, TrimmedPairs int
 	// LargestByBFS is the size of the component computed data-parallel by
-	// the enhanced-BFS phase (pipeline and hybrid-BFS cells).
+	// the enhanced-BFS phase (pipeline cell only).
 	LargestByBFS int
 	// SmallByLP is the number of vertices swept by label propagation
 	// (pipeline cell only).
@@ -60,10 +61,9 @@ type Stats struct {
 	// SampleMerges is the number of component merges the sampling phase
 	// performed (0 for SampleNone).
 	SampleMerges int
-	// FinishRows is the number of adjacency rows the finish phase scanned;
-	// rows skipped as internal to the provisional largest component (or
-	// already covered by the hybrid BFS) are the work sampling saved.
-	// Label-propagation finishes do not row-skip and report 0.
+	// FinishRows is the number of adjacency rows the union-find finish
+	// scanned; rows skipped as internal to the provisional largest component
+	// are the work sampling saved. The pipeline cell reports 0.
 	FinishRows int
 }
 
@@ -99,7 +99,11 @@ func Solve(g *graph.Undirected, pol Policy, opt Options) *Result {
 	if pol.Valid() != nil {
 		pol = PolicyPipeline
 	}
-	return solve(undirectedRows(g), pol, opt)
+	if pol == PolicyPipeline {
+		return runPipeline(g, opt)
+	}
+	off, adj := g.CSR()
+	return runMatrix(rows{n: g.NumVertices(), off: off, adj: adj}, pol, opt)
 }
 
 // SolveDirected computes the weakly connected components of d: the labels
@@ -107,8 +111,8 @@ func Solve(g *graph.Undirected, pol Policy, opt Options) *Result {
 // (Policy.UnionFind) run on d's out-CSR alone, the same loops undirected CC
 // runs, so neither the in-CSR nor the undirected view is built. Each edge is
 // then stored at one endpoint only, so the finish skips no row:
-// Stats.FinishRows is |V|. The other cells walk undirected adjacency and run
-// on d's undirected view, which the first of them builds
+// Stats.FinishRows is |V|. The pipeline walks undirected adjacency and runs
+// on d's undirected view, which its first run builds
 // (graph.Directed.Undirected). An invalid policy falls back to the pipeline
 // cell, as in Solve.
 func SolveDirected(d *graph.Directed, pol Policy, opt Options) *Result {
@@ -116,51 +120,33 @@ func SolveDirected(d *graph.Directed, pol Policy, opt Options) *Result {
 		return Solve(d.Undirected(opt.Threads), pol, opt)
 	}
 	off, adj := d.OutCSR()
-	return solve(rows{n: d.NumVertices(), off: off, adj: adj, oneEnd: true}, pol, opt)
+	return runMatrix(rows{n: d.NumVertices(), off: off, adj: adj, oneEnd: true}, pol, opt)
 }
 
-// rows is the adjacency a matrix cell reads: row v is adj[off[v]:off[v+1]].
-// An undirected graph stores each edge in both endpoints' rows. With oneEnd
-// set each edge sits in one endpoint's row only (a directed graph's
-// out-arcs), so no row may be skipped as internal to the provisional largest
-// component: an arc u→v with u inside it is stored in u's row alone. und is
-// the graph the traversal cells (the pipeline, hybrid-BFS, label
-// propagation, BFS sampling) walk, nil with oneEnd, which reaches only the
-// union-find cells.
+// rows is the adjacency a union-find cell reads: row v is
+// adj[off[v]:off[v+1]]. An undirected graph stores each edge in both
+// endpoints' rows. With oneEnd set each edge sits in one endpoint's row only
+// (a directed graph's out-arcs), so no row may be skipped as internal to the
+// provisional largest component: an arc u→v with u inside it is stored in
+// u's row alone.
 type rows struct {
 	n      int
 	off    []int64
 	adj    []graph.V
 	oneEnd bool
-	und    *graph.Undirected
-}
-
-func undirectedRows(g *graph.Undirected) rows {
-	off, adj := g.CSR()
-	return rows{n: g.NumVertices(), off: off, adj: adj, und: g}
-}
-
-// solve runs a valid cell over r.
-func solve(r rows, pol Policy, opt Options) *Result {
-	res := &Result{Label: make([]uint32, r.n), Policy: pol}
-	for i := range res.Label {
-		res.Label[i] = graph.NoVertex
-	}
-	if r.n == 0 {
-		res.Sizes = map[uint32]int{}
-		return res
-	}
-	if pol.Sampling == SampleNone && pol.Finish == FinishEnhancedBFS {
-		runPipeline(r.und, res, opt)
-		return res
-	}
-	runMatrix(r, pol, res, opt)
-	return res
 }
 
 // runPipeline is the original adaptive pipeline: trim, master BFS, LP sweep.
-func runPipeline(g *graph.Undirected, res *Result, opt Options) {
+func runPipeline(g *graph.Undirected, opt Options) *Result {
 	n := g.NumVertices()
+	res := &Result{Label: make([]uint32, n), Policy: PolicyPipeline}
+	for i := range res.Label {
+		res.Label[i] = graph.NoVertex
+	}
+	if n == 0 {
+		res.Sizes = map[uint32]int{}
+		return res
+	}
 	p := parallel.Threads(opt.Threads)
 	done := parallel.Done(opt.Ctx)
 
@@ -182,7 +168,7 @@ func runPipeline(g *graph.Undirected, res *Result, opt Options) {
 			func(v graph.V) bool { return res.Label[v] == graph.NoVertex },
 			bfs.Options{Threads: p, Ctx: opt.Ctx}, opt.Mode)
 		if parallel.Stopped(done) {
-			return // partial: caller checks opt.Ctx.Err() and discards
+			return res // partial: caller checks opt.Ctx.Err() and discards
 		}
 		_, res.Stats.LargestByBFS = labelVisited(visited, res.Label, p)
 	}
@@ -195,10 +181,11 @@ func runPipeline(g *graph.Undirected, res *Result, opt Options) {
 	if parallel.Stopped(done) {
 		// Unlabeled vertices would crash the census; the cancelled caller
 		// discards the result anyway.
-		return
+		return res
 	}
 
 	res.summarize(n, p)
+	return res
 }
 
 // lpSweep labels every still-unassigned vertex by min-label propagation over
@@ -322,17 +309,18 @@ func labelVisited(visited *bitmap.Atomic, label []uint32, p int) (uint32, int) {
 	return minID, int(count)
 }
 
-// runMatrix executes a non-pipeline cell: sampling phase into a concurrent
-// union-find, finish phase over the remaining rows, flatten, census.
-func runMatrix(r rows, pol Policy, res *Result, opt Options) {
+// runMatrix executes a union-find cell: sampling phase into a concurrent
+// union-find, union-find finish over the remaining rows, flatten, census.
+func runMatrix(r rows, pol Policy, opt Options) *Result {
 	n := r.n
+	res := &Result{Label: make([]uint32, n), Policy: pol}
 	p := parallel.Threads(opt.Threads)
 	done := parallel.Done(opt.Ctx)
 	uf := unionfind.NewConcurrent(n)
 
-	largest, haveLargest := runSampling(r, pol, uf, res, p, opt)
+	largest, haveLargest := runSampling(r, pol, uf, res, p, done)
 	if parallel.Stopped(done) {
-		return // partial: caller checks opt.Ctx.Err() and discards
+		return res // partial: caller checks opt.Ctx.Err() and discards
 	}
 
 	// skip reports rows whose edges the finish phase may ignore: everything
@@ -343,29 +331,14 @@ func runMatrix(r rows, pol Policy, res *Result, opt Options) {
 	if haveLargest && !r.oneEnd {
 		skip = func(v graph.V) bool { return uf.Find(uint32(v)) == uf.Find(largest) }
 	}
-
-	switch pol.Finish {
-	case FinishLabelProp:
-		// Flatten the sampled partition into the labels, then propagate to
-		// the fixed point. Label propagation scans every row regardless —
-		// sampling still pays by starting labels closer to the fixed point.
-		flattenLabels(uf, res.Label, p)
-		lp.MinLabelCCDone(r.und, res.Label, nil, p, done)
-	case FinishUFAsync:
-		res.Stats.FinishRows = finishUF(r, uf, skip, false, p, done)
-	case FinishUFRem:
-		res.Stats.FinishRows = finishUF(r, uf, skip, true, p, done)
-	case FinishEnhancedBFS:
-		finishHybridBFS(r, uf, skip, res, p, opt)
-	}
+	res.Stats.FinishRows = finishUF(r, uf, skip, pol.Finish == FinishUFRem, p, done)
 	if parallel.Stopped(done) {
-		return
+		return res
 	}
 
-	if pol.Finish != FinishLabelProp {
-		flattenLabels(uf, res.Label, p)
-	}
+	flattenLabels(uf, res.Label, p)
 	res.summarize(n, p)
+	return res
 }
 
 // flattenLabels writes the union-find's canonical minimum-id labels into

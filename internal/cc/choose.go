@@ -19,8 +19,6 @@ const (
 	// chooseForestAvgDeg: below ~2 the graph is forest-like — components are
 	// tiny, no largest component exists, sampling is pure overhead.
 	chooseForestAvgDeg = 2.0
-	// chooseDense: density at which one BFS covers nearly everything.
-	chooseDense = 0.25
 )
 
 // ChoosePolicy maps cheap O(|V|) graph statistics onto a matrix cell — the
@@ -42,13 +40,9 @@ func ChoosePolicy(cs stats.Cheap) Policy {
 		// Social-tail shape: hubs dominate, the giant component holds most
 		// edges — Afforest's skip buys the most here.
 		return Policy{Sampling: SampleAfforest, Finish: FinishUFAsync}
-	case cs.Density >= chooseDense:
-		// Dense mesh: one BFS covers nearly the whole graph, and its reached
-		// set makes the skip exact.
-		return Policy{Sampling: SampleBFS, Finish: FinishUFAsync}
 	default:
-		// Mid-density, mildly skewed: sample, then let Rem's splicing sweep
-		// the remainder.
+		// Mid-density or dense, mildly skewed: sample, then let Rem's
+		// splicing sweep the remainder.
 		return Policy{Sampling: SampleAfforest, Finish: FinishUFRem}
 	}
 }

@@ -14,19 +14,6 @@ import (
 	"aquila/internal/graph"
 )
 
-// ufCells are the cells whose finish phase hammers the concurrent union-find
-// from every worker at once (the pipeline and labelprop cells exercise other
-// machinery, covered by their own suites).
-func ufCells() []Policy {
-	var out []Policy
-	for _, pol := range Policies() {
-		if pol.Finish == FinishUFAsync || pol.Finish == FinishUFRem {
-			out = append(out, pol)
-		}
-	}
-	return out
-}
-
 // TestUFCellsConcurrentHammer repeatedly solves a hub-skewed graph with 8
 // workers through every union-find cell: maximal contention on the giant
 // component's root, exact min-id agreement with the oracle every time.
@@ -37,7 +24,7 @@ func TestUFCellsConcurrentHammer(t *testing.T) {
 	}))
 	want := serialdfs.CC(g)
 	for iter := 0; iter < 5; iter++ {
-		for _, pol := range ufCells() {
+		for _, pol := range unionFindCells() {
 			res := Solve(g, pol, Options{Threads: 8})
 			for v := range want {
 				if res.Label[v] != want[v] {

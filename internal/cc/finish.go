@@ -1,9 +1,7 @@
 package cc
 
 import (
-	"aquila/internal/bfs"
 	"aquila/internal/graph"
-	"aquila/internal/parallel"
 	"aquila/internal/unionfind"
 )
 
@@ -32,32 +30,4 @@ func finishUF(r rows, uf *unionfind.Concurrent, skip func(graph.V) bool, rem boo
 		}
 		return scanned
 	})
-}
-
-// finishHybridBFS is the enhanced-BFS finish behind a sampling phase: the
-// data-parallel BFS from the max-degree pivot covers the (true) giant
-// component in one traversal, its reached set is folded into the union-find,
-// and a CAS union-find sweep picks up the rows outside both the reached set
-// and the provisional largest component. Every edge with both endpoints
-// inside the reached set is already unioned (a full-component BFS has no
-// half-covered edges), so skipping those rows loses nothing.
-func finishHybridBFS(r rows, uf *unionfind.Concurrent, skip func(graph.V) bool, res *Result, p int, opt Options) {
-	g, n := r.und, r.n
-	done := parallel.Done(opt.Ctx)
-	rs := bfs.NewReachScratch(n, p)
-	master := g.MaxDegreeVertex()
-	visited := rs.Reach(bfs.UndirectedAdj(g), master, nil,
-		bfs.Options{Threads: p, Ctx: opt.Ctx}, opt.Mode)
-	if parallel.Stopped(done) {
-		return
-	}
-	res.Stats.LargestByBFS = visited.Count()
-	uniteVisited(visited.Get, uf, uint32(master), n, p, done)
-	if parallel.Stopped(done) {
-		return
-	}
-	sweep := func(v graph.V) bool {
-		return visited.Get(uint32(v)) || (skip != nil && skip(v))
-	}
-	res.Stats.FinishRows = finishUF(r, uf, sweep, false, p, done)
 }

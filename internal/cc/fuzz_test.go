@@ -21,7 +21,7 @@ func FuzzCCPolicyMatchesOracle(f *testing.F) {
 	f.Add([]byte{8, 0, 1, 0, 1, 1, 2, 2, 3}) // chain, pipeline cell
 	f.Add([]byte{16, 11, 4, 0, 1, 5, 9, 9, 5})
 	f.Add([]byte{60, 5, 2, 1, 2, 3, 4, 5, 6, 1, 6, 0, 0})
-	f.Add([]byte{4, 15, 3, 0, 0, 1, 1, 2, 2, 3, 3}) // self-loops, last cell
+	f.Add([]byte{4, 4, 3, 0, 0, 1, 1, 2, 2, 3, 3}) // self-loops, last cell
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return

@@ -7,26 +7,16 @@ import (
 
 // Sampling names the first axis of the CC algorithm matrix: the cheap
 // pre-pass that unions a subgraph of the edges so the finish phase can skip
-// most of the work (ConnectIt's sampling strategies; Afforest is Sutton et
-// al.'s subgraph sampling).
+// most of the work (Afforest is Sutton et al.'s subgraph sampling).
 type Sampling uint8
 
 const (
 	// SampleNone skips the sampling phase: the finish algorithm sees every
 	// edge.
 	SampleNone Sampling = iota
-	// SampleKOut unions each vertex with k pseudo-randomly chosen neighbors,
-	// then identifies the provisional largest component so the finish phase
-	// can skip its internal edges.
-	SampleKOut
-	// SampleBFS runs one enhanced BFS from the max-degree vertex and unions
-	// the reached set — the paper's data-parallel large-component phase,
-	// recast as a sampling strategy whose provisional largest component is
-	// exact.
-	SampleBFS
-	// SampleAfforest is Afforest subgraph sampling: k rounds of "union each
-	// vertex with its next neighbor", then provisional-largest detection by
-	// frequency sampling.
+	// SampleAfforest is Afforest subgraph sampling: afforestRounds rounds of
+	// "union each vertex with its next neighbor", then provisional-largest
+	// detection by frequency sampling.
 	SampleAfforest
 
 	numSampling = iota
@@ -36,10 +26,6 @@ func (s Sampling) String() string {
 	switch s {
 	case SampleNone:
 		return "none"
-	case SampleKOut:
-		return "kout"
-	case SampleBFS:
-		return "bfs"
 	case SampleAfforest:
 		return "afforest"
 	default:
@@ -48,22 +34,18 @@ func (s Sampling) String() string {
 }
 
 // Finish names the second axis: the algorithm that completes the partial
-// partition left by sampling into the full CC decomposition. Every finish
-// skips adjacency rows of vertices inside the provisional largest component
-// where the algorithm allows it (edges internal to that component are the
-// bulk of a skewed graph and are already unioned).
+// partition left by sampling into the full CC decomposition. The union-find
+// finishes skip adjacency rows of vertices inside the provisional largest
+// component (edges internal to that component are the bulk of a skewed graph
+// and are already unioned).
 type Finish uint8
 
 const (
 	// FinishEnhancedBFS is the classic Aquila pipeline phase: enhanced BFS
 	// from the max-degree pivot for the giant component, then a sweep for the
-	// rest. With SampleNone this cell IS the original trim+BFS+LP pipeline,
-	// unchanged; after sampling it unions the BFS-reached set into the
-	// union-find and sweeps only rows outside (reached ∪ provisional-largest).
+	// rest. It runs only unsampled, as the pipeline cell: the original
+	// trim+BFS+LP pipeline, unchanged.
 	FinishEnhancedBFS Finish = iota
-	// FinishLabelProp completes by min-label propagation seeded from the
-	// sampled partition (pure parallel label propagation when unsampled).
-	FinishLabelProp
 	// FinishUFAsync unions every remaining edge through the lock-free CAS
 	// union-find (unionfind.Concurrent.Unite), all workers asynchronous.
 	FinishUFAsync
@@ -79,8 +61,6 @@ func (f Finish) String() string {
 	switch f {
 	case FinishEnhancedBFS:
 		return "hybrid-bfs"
-	case FinishLabelProp:
-		return "labelprop"
 	case FinishUFAsync:
 		return "uf-async"
 	case FinishUFRem:
@@ -96,14 +76,7 @@ func (f Finish) String() string {
 type Policy struct {
 	Sampling Sampling
 	Finish   Finish
-	// SampleK is the per-vertex neighbor budget of the KOut and Afforest
-	// sampling phases; 0 means DefaultSampleK. Ignored by None and BFS.
-	SampleK int
 }
-
-// DefaultSampleK is the neighbor budget used when Policy.SampleK is 0 — two
-// rounds, the Afforest paper's sweet spot.
-const DefaultSampleK = 2
 
 // PolicyPipeline is the named cell for the original trim+BFS+LP pipeline.
 var PolicyPipeline = Policy{Sampling: SampleNone, Finish: FinishEnhancedBFS}
@@ -112,7 +85,8 @@ func (p Policy) String() string {
 	return p.Sampling.String() + "+" + p.Finish.String()
 }
 
-// Valid reports whether the policy names a real matrix cell.
+// Valid reports whether the policy names a real matrix cell: the pipeline,
+// or a union-find finish behind either sampling.
 func (p Policy) Valid() error {
 	if p.Sampling >= numSampling {
 		return fmt.Errorf("cc: unknown sampling strategy %d", p.Sampling)
@@ -120,42 +94,34 @@ func (p Policy) Valid() error {
 	if p.Finish >= numFinish {
 		return fmt.Errorf("cc: unknown finish algorithm %d", p.Finish)
 	}
-	if p.SampleK < 0 {
-		return fmt.Errorf("cc: negative SampleK %d", p.SampleK)
+	if p.Finish == FinishEnhancedBFS && p.Sampling != SampleNone {
+		return fmt.Errorf("cc: %v: the hybrid-bfs finish runs only unsampled, as the pipeline", p)
 	}
 	return nil
 }
 
-// UnionFind reports whether the cell is one of the six union-find cells:
-// sampling none, kout or afforest, finished by uf-async or uf-rem. These
-// cells union edges in any order, so SolveDirected runs them on a directed
-// graph's out-arcs alone; the others traverse undirected adjacency.
+// UnionFind reports whether the cell is one of the four union-find cells:
+// every cell but the pipeline. These cells union edges in any order, so
+// SolveDirected runs them on a directed graph's out-arcs alone; the
+// pipeline traverses undirected adjacency.
 func (p Policy) UnionFind() bool {
-	return p.Sampling != SampleBFS && (p.Finish == FinishUFAsync || p.Finish == FinishUFRem)
+	return p.Finish == FinishUFAsync || p.Finish == FinishUFRem
 }
 
-// sampleK resolves the effective neighbor budget.
-func (p Policy) sampleK() int {
-	if p.SampleK <= 0 {
-		return DefaultSampleK
-	}
-	return p.SampleK
-}
-
-// Policies enumerates every cell of the matrix (all Sampling × Finish
-// combinations, default SampleK), in a fixed order: the matrix harness, the
-// fuzzer and the benchmark sweep all iterate this.
+// Policies enumerates every cell of the matrix in a fixed order: the
+// pipeline, then {none, afforest} × {uf-async, uf-rem}. The matrix harness,
+// the fuzzer and the benchmark sweep all iterate this.
 func Policies() []Policy {
-	out := make([]Policy, 0, numSampling*numFinish)
+	out := append(make([]Policy, 0, 1+numSampling*(numFinish-1)), PolicyPipeline)
 	for s := Sampling(0); s < numSampling; s++ {
-		for f := Finish(0); f < numFinish; f++ {
+		for f := FinishUFAsync; f < numFinish; f++ {
 			out = append(out, Policy{Sampling: s, Finish: f})
 		}
 	}
 	return out
 }
 
-// ParsePolicy parses a policy spec of the form "sampling+finish" (e.g.
+// ParsePolicy parses a policy spec: a cell's String() (e.g.
 // "afforest+uf-async"), or the alias "pipeline" for the classic cell. It is
 // the single validator behind every user-facing -cc-policy surface; "auto"
 // is not a cell and is handled by callers before parsing.
@@ -163,34 +129,15 @@ func ParsePolicy(s string) (Policy, error) {
 	if s == "pipeline" {
 		return PolicyPipeline, nil
 	}
-	parts := strings.Split(s, "+")
-	if len(parts) != 2 {
-		return Policy{}, fmt.Errorf("cc: policy %q: want \"sampling+finish\" (e.g. %q) or \"pipeline\"", s, "afforest+uf-async")
+	cells := Policies()
+	for _, pol := range cells {
+		if s == pol.String() {
+			return pol, nil
+		}
 	}
-	var p Policy
-	switch parts[0] {
-	case "none":
-		p.Sampling = SampleNone
-	case "kout":
-		p.Sampling = SampleKOut
-	case "bfs":
-		p.Sampling = SampleBFS
-	case "afforest":
-		p.Sampling = SampleAfforest
-	default:
-		return Policy{}, fmt.Errorf("cc: unknown sampling %q (want none, kout, bfs, afforest)", parts[0])
+	names := []string{"pipeline"}
+	for _, pol := range cells[1:] {
+		names = append(names, pol.String())
 	}
-	switch parts[1] {
-	case "hybrid-bfs":
-		p.Finish = FinishEnhancedBFS
-	case "labelprop", "lp":
-		p.Finish = FinishLabelProp
-	case "uf-async":
-		p.Finish = FinishUFAsync
-	case "uf-rem":
-		p.Finish = FinishUFRem
-	default:
-		return Policy{}, fmt.Errorf("cc: unknown finish %q (want hybrid-bfs, labelprop, uf-async, uf-rem)", parts[1])
-	}
-	return p, nil
+	return Policy{}, fmt.Errorf("cc: unknown policy %q (want %s)", s, strings.Join(names, ", "))
 }

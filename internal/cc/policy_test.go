@@ -1,6 +1,8 @@
 package cc
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,8 +11,16 @@ import (
 
 func TestPoliciesEnumeratesFullMatrix(t *testing.T) {
 	all := Policies()
-	if len(all) != int(numSampling)*int(numFinish) {
-		t.Fatalf("Policies() = %d cells, want %d", len(all), int(numSampling)*int(numFinish))
+	var names []string
+	for _, pol := range all {
+		names = append(names, pol.String())
+	}
+	want := []string{"none+hybrid-bfs", "none+uf-async", "none+uf-rem", "afforest+uf-async", "afforest+uf-rem"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("Policies() = %v, want %v", names, want)
+	}
+	if err := (Policy{Sampling: SampleAfforest, Finish: FinishEnhancedBFS}).Valid(); err == nil {
+		t.Error("afforest+hybrid-bfs accepted as a cell")
 	}
 	seen := map[Policy]bool{}
 	for _, pol := range all {
@@ -51,15 +61,20 @@ func TestParsePolicyAliases(t *testing.T) {
 	if pol, err := ParsePolicy("pipeline"); err != nil || pol != PolicyPipeline {
 		t.Errorf("pipeline alias: %v, %v", pol, err)
 	}
-	if pol, err := ParsePolicy("none+lp"); err != nil || pol.Finish != FinishLabelProp {
-		t.Errorf("lp alias: %v, %v", pol, err)
-	}
 }
 
 func TestParsePolicyErrors(t *testing.T) {
-	for _, bad := range []string{"", "auto", "afforest", "afforest+nope", "nope+uf-async", "a+b+c", "afforest+uf-async+x"} {
-		if _, err := ParsePolicy(bad); err == nil {
+	for _, bad := range []string{
+		"", "auto", "afforest", "afforest+nope", "nope+uf-async", "a+b+c", "afforest+uf-async+x",
+		"kout+uf-async", "kout+uf-rem", "kout+hybrid-bfs", "kout+labelprop",
+		"bfs+uf-async", "bfs+uf-rem", "bfs+hybrid-bfs", "bfs+labelprop",
+		"none+labelprop", "none+lp", "afforest+labelprop", "afforest+lp", "afforest+hybrid-bfs",
+	} {
+		_, err := ParsePolicy(bad)
+		if err == nil {
 			t.Errorf("ParsePolicy(%q) accepted", bad)
+		} else if !strings.Contains(err.Error(), "afforest+uf-rem") {
+			t.Errorf("ParsePolicy(%q): %v does not name the valid cells", bad, err)
 		}
 	}
 }
@@ -71,10 +86,10 @@ func TestPolicyValid(t *testing.T) {
 	if err := (Policy{Finish: numFinish}).Valid(); err == nil {
 		t.Error("out-of-range finish accepted")
 	}
-	if err := (Policy{SampleK: -1}).Valid(); err == nil {
-		t.Error("negative SampleK accepted")
+	if err := (Policy{Sampling: SampleAfforest, Finish: FinishEnhancedBFS}).Valid(); err == nil {
+		t.Error("sampled hybrid-bfs accepted")
 	}
-	if err := (Policy{Sampling: SampleAfforest, Finish: FinishUFRem, SampleK: 4}).Valid(); err != nil {
+	if err := (Policy{Sampling: SampleAfforest, Finish: FinishUFRem}).Valid(); err != nil {
 		t.Errorf("valid cell rejected: %v", err)
 	}
 }
@@ -84,10 +99,10 @@ func TestPolicyValid(t *testing.T) {
 // (negative counts, NaN-free but absurd ratios) and hand-picked NaN/Inf
 // poison — maps to a valid, runnable cell.
 func TestChoosePolicyTotal(t *testing.T) {
-	f := func(vertices int, edges int64, avgDeg, density, skew float64, maxDeg, isolated int) bool {
+	f := func(vertices int, edges int64, avgDeg, skew float64, maxDeg, isolated int) bool {
 		cs := stats.Cheap{
 			Vertices: vertices, Edges: edges, AvgDeg: avgDeg,
-			Density: density, MaxDeg: maxDeg, Skew: skew, Isolated: isolated,
+			MaxDeg: maxDeg, Skew: skew, Isolated: isolated,
 		}
 		return ChoosePolicy(cs).Valid() == nil
 	}
@@ -99,8 +114,8 @@ func TestChoosePolicyTotal(t *testing.T) {
 	for _, cs := range []stats.Cheap{
 		{},
 		{Vertices: -5, Edges: -7},
-		{Vertices: 1 << 30, Edges: 1 << 40, AvgDeg: nan, Density: nan, Skew: nan},
-		{Vertices: 10, Edges: 5, AvgDeg: 1e308, Density: 1e308, Skew: 1e308},
+		{Vertices: 1 << 30, Edges: 1 << 40, AvgDeg: nan, Skew: nan},
+		{Vertices: 10, Edges: 5, AvgDeg: 1e308, Skew: 1e308},
 	} {
 		pol := ChoosePolicy(cs)
 		if err := pol.Valid(); err != nil {
@@ -117,13 +132,19 @@ func TestChoosePolicyShapes(t *testing.T) {
 	if tiny != PolicyPipeline {
 		t.Errorf("tiny graph: %v, want pipeline", tiny)
 	}
-	social := ChoosePolicy(stats.Cheap{Vertices: 1 << 20, Edges: 8 << 20, AvgDeg: 16, Skew: 500, Density: 1e-5})
+	social := ChoosePolicy(stats.Cheap{Vertices: 1 << 20, Edges: 8 << 20, AvgDeg: 16, Skew: 500})
 	if social.Sampling == SampleNone {
 		t.Errorf("hub-skewed graph chose no sampling: %v", social)
 	}
-	forest := ChoosePolicy(stats.Cheap{Vertices: 1 << 20, Edges: 1 << 19, AvgDeg: 1, Skew: 4, Density: 1e-6})
+	forest := ChoosePolicy(stats.Cheap{Vertices: 1 << 20, Edges: 1 << 19, AvgDeg: 1, Skew: 4})
 	if forest.Sampling != SampleNone {
 		t.Errorf("forest-like graph chose sampling: %v", forest)
+	}
+	// A dense mesh (5000 vertices, density ~0.27) has no branch of its own:
+	// it samples, and Rem's unite sweeps the rows outside the giant.
+	dense := ChoosePolicy(stats.Cheap{Vertices: 5000, Edges: 3420000, AvgDeg: 1368, Skew: 1.1})
+	if want := (Policy{Sampling: SampleAfforest, Finish: FinishUFRem}); dense != want {
+		t.Errorf("dense graph: %v, want %v", dense, want)
 	}
 }
 

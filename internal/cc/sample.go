@@ -1,8 +1,6 @@
 package cc
 
 import (
-	"aquila/internal/bfs"
-	"aquila/internal/graph"
 	"aquila/internal/parallel"
 	"aquila/internal/unionfind"
 )
@@ -16,80 +14,39 @@ const sampleChunk = 1024
 // Finds pin down the dominant component with overwhelming probability).
 const largestSampleSize = 1024
 
+// afforestRounds is the number of Afforest sampling rounds — two, the
+// Afforest paper's sweet spot.
+const afforestRounds = 2
+
 // runSampling executes the policy's sampling phase into uf and returns the
 // root of the provisional largest component (valid only when ok). SampleNone
-// returns no largest; the other strategies union a subgraph of the edges and
-// then locate the component the finish phase should skip.
-func runSampling(rw rows, pol Policy, uf *unionfind.Concurrent, res *Result, p int, opt Options) (largest uint32, ok bool) {
-	done := parallel.Done(opt.Ctx)
-	switch pol.Sampling {
-	case SampleNone:
+// returns no largest; Afforest unions a subgraph of the edges and then
+// locates the component the finish phase should skip.
+func runSampling(rw rows, pol Policy, uf *unionfind.Concurrent, res *Result, p int, done <-chan struct{}) (largest uint32, ok bool) {
+	if pol.Sampling == SampleNone {
 		return 0, false
-
-	case SampleKOut:
-		// Union each vertex with k pseudo-randomly drawn neighbors. The draw
-		// is a deterministic hash of (vertex, round) so runs are reproducible
-		// and no RNG state is shared across workers.
-		k := pol.sampleK()
-		off, adj := rw.off, rw.adj
-		res.Stats.SampleMerges = forEachVertexChunk(rw.n, p, done, func(lo, hi int) int {
-			merges := 0
-			for v := lo; v < hi; v++ {
-				nb := adj[off[v]:off[v+1]]
-				if len(nb) == 0 {
-					continue
-				}
-				for r := 0; r < k; r++ {
-					u := nb[int(mix64(uint64(v)<<32|uint64(r))%uint64(len(nb)))]
-					if _, merged := uf.Unite(uint32(v), uint32(u)); merged {
-						merges++
-					}
-				}
-			}
-			return merges
-		})
-
-	case SampleAfforest:
-		// Afforest subgraph sampling: k rounds of "union each vertex with
-		// its next neighbor". Processing neighbor r of every vertex per
-		// round (rather than k neighbors of one vertex at a time) is what
-		// lets the giant component coalesce across rounds.
-		k := pol.sampleK()
-		off, adj := rw.off, rw.adj
-		merges := 0
-		for r := 0; r < k; r++ {
-			if parallel.Stopped(done) {
-				return 0, false
-			}
-			r := r
-			merges += forEachVertexChunk(rw.n, p, done, func(lo, hi int) int {
-				m := 0
-				for v := lo; v < hi; v++ {
-					if i := off[v] + int64(r); i < off[v+1] {
-						if _, merged := uf.Unite(uint32(v), uint32(adj[i])); merged {
-							m++
-						}
-					}
-				}
-				return m
-			})
-		}
-		res.Stats.SampleMerges = merges
-
-	case SampleBFS:
-		// One enhanced BFS from the max-degree pivot covers its entire
-		// component; uniting the reached set makes the provisional largest
-		// exact (for that pivot's component).
-		g, n := rw.und, rw.n
-		rs := bfs.NewReachScratch(n, p)
-		master := g.MaxDegreeVertex()
-		visited := rs.Reach(bfs.UndirectedAdj(g), master, nil,
-			bfs.Options{Threads: p, Ctx: opt.Ctx}, opt.Mode)
+	}
+	// Afforest subgraph sampling: afforestRounds rounds of "union each
+	// vertex with its next neighbor". Processing neighbor r of every vertex
+	// per round (rather than every sampled neighbor of one vertex at a time)
+	// is what lets the giant component coalesce across rounds.
+	off, adj := rw.off, rw.adj
+	for r := 0; r < afforestRounds; r++ {
 		if parallel.Stopped(done) {
 			return 0, false
 		}
-		res.Stats.SampleMerges = uniteVisited(visited.Get, uf, uint32(master), n, p, done)
-		return uf.Find(uint32(master)), !parallel.Stopped(done)
+		r := r
+		res.Stats.SampleMerges += forEachVertexChunk(rw.n, p, done, func(lo, hi int) int {
+			m := 0
+			for v := lo; v < hi; v++ {
+				if i := off[v] + int64(r); i < off[v+1] {
+					if _, merged := uf.Unite(uint32(v), uint32(adj[i])); merged {
+						m++
+					}
+				}
+			}
+			return m
+		})
 	}
 	if parallel.Stopped(done) {
 		return 0, false
@@ -113,22 +70,6 @@ func forEachVertexChunk(n, p int, done <-chan struct{}, body func(lo, hi int) in
 		total += s
 	}
 	return total
-}
-
-// uniteVisited unions every vertex the predicate marks with the given root,
-// returning the number of merges performed.
-func uniteVisited(in func(graph.V) bool, uf *unionfind.Concurrent, root uint32, n, p int, done <-chan struct{}) int {
-	return forEachVertexChunk(n, p, done, func(lo, hi int) int {
-		merges := 0
-		for v := lo; v < hi; v++ {
-			if in(graph.V(v)) {
-				if _, merged := uf.Unite(uint32(v), root); merged {
-					merges++
-				}
-			}
-		}
-		return merges
-	})
 }
 
 // mostFrequentRoot samples up to largestSampleSize vertices and returns the

@@ -39,7 +39,6 @@ func (lg *LoadedGraph) Release() error {
 //
 //   - .aqg v2 containers (magic "AQG2\x1aCSR") are mmap'd via LoadContainer —
 //     zero parse, zero rebuild; gzip-wrapped containers stream-decode.
-//   - legacy v1 binaries (WriteBinary) stream through ReadBinary.
 //   - anything else parses as text by extension: MatrixMarket (.mtx), METIS
 //     (.metis/.graph), else a whitespace edge list; .gz unwraps transparently.
 //
@@ -73,12 +72,10 @@ func LoadDirected(path string, threads int) (*LoadedGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Re-sniff through the (possibly decompressed) stream: a .aqg.gz or a
-	// piped v1 dump announces itself by magic, not by file name.
+	// Re-sniff through the (possibly decompressed) stream: a .aqg.gz
+	// announces itself by magic, not by file name.
 	br := bufio.NewReaderSize(r, 1<<16)
-	inner, _ := br.Peek(8)
-	switch aquila.BinaryFormat(inner) {
-	case 2:
+	if inner, _ := br.Peek(8); aquila.BinaryFormat(inner) == 2 {
 		start := time.Now()
 		c, err := aquila.ReadContainer(br)
 		if err != nil {
@@ -88,13 +85,6 @@ func LoadDirected(path string, threads int) (*LoadedGraph, error) {
 			return nil, fmt.Errorf("%s is an undirected .aqg container; this command needs a directed graph", path)
 		}
 		return &LoadedGraph{Graph: c.Directed, ParseDur: time.Since(start)}, nil
-	case 1:
-		start := time.Now()
-		g, err := aquila.ReadBinary(br)
-		if err != nil {
-			return nil, err
-		}
-		return &LoadedGraph{Graph: g, ParseDur: time.Since(start)}, nil
 	}
 
 	parseStart := time.Now()

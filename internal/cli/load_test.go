@@ -2,6 +2,7 @@ package cli
 
 import (
 	"compress/gzip"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,12 +29,13 @@ func writeVia(t *testing.T, path string, g *aquila.Directed, write func(f *os.Fi
 
 // TestLoadDirectedFormatParity is the regression test for the "aquila-gen bin
 // files unreadable by other commands" bug: the same graph persisted as a text
-// edge list, a legacy v1 binary, an .aqg v2 container, and a gzip-wrapped
-// container must load through LoadDirected and answer every query class
-// identically, at one and two loader threads.
+// edge list, an .aqg v2 container, and a gzip-wrapped container must load
+// through LoadDirected and answer every query class identically, at one and
+// two loader threads. A dump in the retired v1 binary layout (magic, vertex
+// count, arc count, out-CSR) is no format at all: it must be refused.
 func TestLoadDirectedFormatParity(t *testing.T) {
 	// Anchor the highest vertex id with an edge: a plain edge list cannot
-	// represent trailing isolated vertices, and parity needs all four files
+	// represent trailing isolated vertices, and parity needs all three files
 	// to describe the same graph.
 	edges, n := gen.RMATEdges(10, 16, 7)
 	edges = append(edges, graph.Edge{U: graph.V(n - 1), V: 0})
@@ -43,7 +45,15 @@ func TestLoadDirectedFormatParity(t *testing.T) {
 	txt := filepath.Join(dir, "g.txt")
 	writeVia(t, txt, g, func(f *os.File) error { return graph.WriteEdgeList(f, g) })
 	v1 := filepath.Join(dir, "g.bin")
-	writeVia(t, v1, g, func(f *os.File) error { return aquila.WriteBinary(f, g) })
+	writeVia(t, v1, g, func(f *os.File) error {
+		off, adj := g.OutCSR()
+		for _, section := range []any{[]int64{0x41515543, int64(n), int64(len(adj))}, off, adj} {
+			if err := binary.Write(f, binary.LittleEndian, section); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	aqg := filepath.Join(dir, "g.aqg")
 	writeVia(t, aqg, g, func(f *os.File) error { return aquila.WriteContainer(f, g) })
 	aqgz := filepath.Join(dir, "g.aqg.gz")
@@ -69,7 +79,10 @@ func TestLoadDirectedFormatParity(t *testing.T) {
 	}
 
 	for _, threads := range []int{1, 2} {
-		for _, path := range []string{txt, v1, aqg, aqgz} {
+		if lg, err := LoadDirected(v1, threads); err == nil || lg != nil {
+			t.Fatalf("LoadDirected(v1 dump, %d) = %v, %v; want an error and no graph", threads, lg, err)
+		}
+		for _, path := range []string{txt, aqg, aqgz} {
 			lg, err := LoadDirected(path, threads)
 			if err != nil {
 				t.Fatalf("LoadDirected(%s, %d): %v", path, threads, err)

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -17,14 +16,12 @@ import (
 
 // This file implements the .aqg v2 binary graph container: a versioned,
 // page-aligned, mmap-able CSR snapshot that loads with zero parse and zero
-// rebuild work. Unlike the legacy v1 format (WriteBinary/ReadBinary), which
-// stored only the out-CSR and forced every loader to reconstruct the rest, a
-// v2 container persists everything a graph carries — the in-CSR for directed
-// graphs, the mate-slot and edge-id indexes for undirected ones — so
-// LoadContainer can alias the graph's slices directly onto the file mapping
-// after one validation pass over every section. Both undirected indexes are
-// the canonical ones the cursor pass (walkEdges) derives from the CSR; the
-// loader checks them and keeps only the edge ids.
+// rebuild work. A container persists everything a graph carries — the
+// in-CSR for directed graphs, the mate-slot and edge-id indexes for
+// undirected ones — so LoadContainer can alias the graph's slices directly
+// onto the file mapping after one validation pass over every section. Both
+// undirected indexes are the canonical ones the cursor pass (walkEdges)
+// derives from the CSR; the loader checks them and keeps only the edge ids.
 //
 // Layout (all fixed-width fields little-endian):
 //
@@ -152,20 +149,12 @@ func (h *aqgHeader) payloadEnd() int64 {
 func align8(x int64) int64 { return (x + 7) &^ 7 }
 
 // BinaryFormat inspects the leading bytes of a graph file and reports which
-// binary container they announce: 2 for an .aqg v2 container, 1 for the
-// legacy v1 WriteBinary format, 0 for anything else (text formats included).
-// Fewer than 8 bytes of head always report 0.
+// binary container they announce: 2 for an .aqg v2 container, 0 for
+// anything else (text formats included). Fewer than 8 bytes of head always
+// report 0.
 func BinaryFormat(head []byte) int {
-	if len(head) < 8 {
-		return 0
-	}
-	if string(head[:8]) == aqgMagic {
+	if len(head) >= 8 && string(head[:8]) == aqgMagic {
 		return 2
-	}
-	var v1 [8]byte
-	binary.LittleEndian.PutUint64(v1[:], binMagic)
-	if bytes.Equal(head[:8], v1[:]) {
-		return 1
 	}
 	return 0
 }

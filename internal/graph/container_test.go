@@ -331,68 +331,6 @@ func TestLoadContainerAllocO1(t *testing.T) {
 	}
 }
 
-// TestReadBinaryAllocBudget is the regression test for the v1 reader's
-// edge-list re-expansion: loading must allocate ~1× the final CSR footprint,
-// not the ~3×+ the old expand-and-rebuild path paid.
-func TestReadBinaryAllocBudget(t *testing.T) {
-	n, m := 1<<15, 1<<19
-	g := BuildDirected(n, testEdges(n, m, 7))
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	// Final footprint: two offset arrays, two adjacency arrays.
-	csrBytes := uint64(16*(g.n+1)) + uint64(8*g.NumArcs())
-
-	var got *Directed
-	var err error
-	alloc := totalAlloc(func() {
-		got, err = ReadBinary(bytes.NewReader(data))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDirected(t, g, got)
-	if budget := csrBytes + csrBytes/2; alloc > budget { // 1.5× — edge-list expansion alone would blow this
-		t.Fatalf("ReadBinary allocated %d bytes for a %d-byte CSR (%.1fx), budget %d",
-			alloc, csrBytes, float64(alloc)/float64(csrBytes), budget)
-	}
-}
-
-// TestReadBinaryNonCanonical pins the compat path: a hand-built v1 file with
-// unsorted, duplicated and self-looped segments still loads, normalized
-// through the builder exactly as the old reader did.
-func TestReadBinaryNonCanonical(t *testing.T) {
-	// n=3; vertex 0 -> [2 1 1 0], vertex 1 -> [], vertex 2 -> [0].
-	var buf bytes.Buffer
-	w := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf.Write(b[:])
-	}
-	w(binMagic)
-	w(3) // n
-	w(5) // m
-	for _, off := range []uint64{0, 4, 4, 5} {
-		w(off)
-	}
-	for _, v := range []uint32{2, 1, 1, 0} {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		buf.Write(b[:])
-	}
-	var b [4]byte
-	buf.Write(b[:]) // vertex 2 -> 0
-	g, err := ReadBinary(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := BuildDirected(3, []Edge{{0, 2}, {0, 1}, {0, 1}, {0, 0}, {2, 0}})
-	sameDirected(t, want, g)
-}
-
 // TestDegreeHistogramOverflowGuard forces the int64 histogram fallback (by
 // shrinking the guard limit) and checks the parallel builders still produce
 // output identical to the serial baselines.
@@ -414,23 +352,84 @@ func TestDegreeHistogramOverflowGuard(t *testing.T) {
 // command loaders.
 func TestBinaryFormatSniff(t *testing.T) {
 	g := BuildDirected(4, []Edge{{0, 1}, {1, 2}})
-	var v1, v2 bytes.Buffer
-	if err := WriteBinary(&v1, g); err != nil {
-		t.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := WriteContainer(&v2, g); err != nil {
 		t.Fatal(err)
 	}
 	if got := BinaryFormat(v2.Bytes()); got != 2 {
 		t.Errorf("v2 head sniffed as %d", got)
 	}
-	if got := BinaryFormat(v1.Bytes()); got != 1 {
-		t.Errorf("v1 head sniffed as %d", got)
-	}
 	for _, text := range []string{"", "0 1\n", "# comment\n", "AQG2 but not really"} {
 		if got := BinaryFormat([]byte(text)); got != 0 {
 			t.Errorf("text %q sniffed as %d", text, got)
 		}
+	}
+}
+
+// legacyV1Dump is g in the retired v1 binary layout: the "AQUC" magic, the
+// vertex and arc counts, then the out-CSR, all little-endian int64 but the
+// uint32 targets. No loader reads it any more.
+func legacyV1Dump(t testing.TB, g *Directed) []byte {
+	var buf bytes.Buffer
+	off, adj := g.OutCSR()
+	for _, section := range []any{[]int64{0x41515543, int64(g.NumVertices()), int64(len(adj))}, off, adj} {
+		if err := binary.Write(&buf, binary.LittleEndian, section); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestBinaryRejectsGarbage: the binary loaders refuse bytes that are no .aqg
+// container, garbage or a v1 dump, and the format sniff the command loaders
+// dispatch on sends neither to them.
+func TestBinaryRejectsGarbage(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"garbage": []byte("not a graph at all........."),
+		"v1":      legacyV1Dump(t, BuildDirected(6, []Edge{{0, 1}, {1, 2}, {2, 3}, {5, 0}, {3, 5}, {4, 4}})),
+	} {
+		if got := BinaryFormat(data); got != 0 {
+			t.Errorf("%s sniffed as %d", name, got)
+		}
+		if _, err := ReadContainer(bytes.NewReader(data)); err == nil {
+			t.Errorf("ReadContainer accepted %s", name)
+		}
+		if c, err := LoadContainer(writeTempContainer(t, data)); err == nil {
+			c.Release()
+			t.Errorf("LoadContainer accepted %s", name)
+		}
+	}
+}
+
+// TestReadBinaryAllocBudget bounds the heap the stream reader of the binary
+// format allocates: ReadContainer reads each section once, into the slice the
+// graph keeps, so a directed container costs its two CSRs and little more. A
+// reader that staged the file or rebuilt the graph from an edge list would
+// blow the 1.5× budget.
+func TestReadBinaryAllocBudget(t *testing.T) {
+	n, m := 1<<15, 1<<19
+	g := BuildDirected(n, testEdges(n, m, 7))
+	var buf bytes.Buffer
+	if err := WriteContainer(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+
+	// Final footprint: two offset arrays, two adjacency arrays.
+	csrBytes := uint64(16*(n+1)) + uint64(8*g.NumArcs())
+
+	var c *Container
+	var err error
+	alloc := totalAlloc(func() {
+		c, err = ReadContainer(bytes.NewReader(data))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDirected(t, g, c.Directed)
+	if budget := csrBytes + csrBytes/2; alloc > budget {
+		t.Fatalf("ReadContainer allocated %d bytes for a %d-byte CSR (%.1fx), budget %d",
+			alloc, csrBytes, float64(alloc)/float64(csrBytes), budget)
 	}
 }
 

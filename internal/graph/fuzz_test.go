@@ -178,28 +178,33 @@ func FuzzContainerRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary hammers the binary loader: arbitrary bytes must either error
-// out or produce a structurally valid graph, never panic.
+// FuzzReadBinary feeds arbitrary bytes to the loaders the way the command
+// loaders dispatch them: a head BinaryFormat reports as .aqg to
+// ReadContainer, anything else to the edge-list parser. Neither may panic,
+// and bytes that open with the retired v1 binary magic must never load. The
+// first seed and the checked-in corpus are v1 dumps.
 func FuzzReadBinary(f *testing.F) {
-	var valid bytes.Buffer
-	g := BuildDirected(3, []Edge{{0, 1}, {1, 2}})
-	if err := WriteBinary(&valid, g); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
+	f.Add(legacyV1Dump(f, BuildDirected(3, []Edge{{0, 1}, {1, 2}})))
 	f.Add([]byte{})
 	f.Add([]byte("garbage data that is not a graph"))
+	var aqg bytes.Buffer
+	if err := WriteContainer(&aqg, BuildDirected(3, []Edge{{0, 1}, {1, 2}})); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(aqg.Bytes())
+	v1Magic := []byte("CUQA\x00\x00\x00\x00") // 0x41515543, little-endian int64
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
+		if len(data) > 1<<20 {
 			return
 		}
-		for u := 0; u < g.NumVertices(); u++ {
-			for _, v := range g.Out(V(u)) {
-				if int(v) >= g.NumVertices() {
-					t.Fatalf("accepted adjacency out of range")
-				}
-			}
+		var err error
+		if BinaryFormat(data) == 2 {
+			_, err = ReadContainer(bytes.NewReader(data))
+		} else {
+			_, _, err = ParseEdgeListBytes(data, 2)
+		}
+		if err == nil && bytes.HasPrefix(data, v1Magic) {
+			t.Fatal("a v1 dump loaded")
 		}
 	})
 }

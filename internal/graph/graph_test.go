@@ -208,39 +208,6 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := BuildDirected(6, []Edge{{0, 1}, {1, 2}, {2, 3}, {5, 0}, {3, 5}, {4, 4}})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices() != g.NumVertices() || g2.NumArcs() != g.NumArcs() {
-		t.Fatalf("shape mismatch: %d/%d vs %d/%d",
-			g2.NumVertices(), g2.NumArcs(), g.NumVertices(), g.NumArcs())
-	}
-	for u := 0; u < g.NumVertices(); u++ {
-		a, b := g.Out(V(u)), g2.Out(V(u))
-		if len(a) != len(b) {
-			t.Fatalf("Out(%d) length mismatch", u)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("Out(%d)[%d] mismatch", u, i)
-			}
-		}
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph at all........."))); err == nil {
-		t.Errorf("want error for garbage input")
-	}
-}
-
 // Property: for any random edge set, the undirected builder produces a
 // symmetric, sorted, deduplicated CSR whose derived mate index is involutive.
 func TestUndirectedBuilderProperties(t *testing.T) {

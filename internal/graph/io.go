@@ -360,107 +360,7 @@ func WriteEdgeList(w io.Writer, g *Directed) error {
 	return bw.Flush()
 }
 
-const binMagic = 0x41515543 // "AQUC"
-
-// WriteBinary serializes a directed graph in the legacy v1 little-endian
-// format (magic, n, arc count, out-CSR only). Superseded by the .aqg v2
-// container (WriteContainer), which also persists the in-CSR and is
-// mmap-able; WriteBinary is kept so existing v1 files remain reproducible
-// and the compat reader stays testable.
-func WriteBinary(w io.Writer, g *Directed) error {
-	bw := bufio.NewWriter(w)
-	hdr := []int64{binMagic, int64(g.n), int64(len(g.outAdj))}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outOff); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outAdj); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserializes a directed graph written by WriteBinary (the
-// legacy v1 format, which stores only the out-CSR). It constructs the graph
-// in place with ~1× the final footprint: the offsets and adjacency are read
-// into exactly-sized arrays and the in-CSR is derived by the builder's
-// transpose (transposeCSR) — no intermediate []Edge expansion and no re-sort
-// through the builder, which the old reader paid (~3× peak memory) on every
-// load.
-//
-// Files whose segments are not canonical (sorted, deduplicated, loop-free —
-// everything WriteBinary emits is) keep the old semantics: they are
-// normalized through the builder path, at the old path's memory cost.
-func ReadBinary(r io.Reader) (*Directed, error) {
-	br := bufio.NewReader(r)
-	var hdr [24]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	magic := int64(binary.LittleEndian.Uint64(hdr[0:8]))
-	n := int64(binary.LittleEndian.Uint64(hdr[8:16]))
-	m := int64(binary.LittleEndian.Uint64(hdr[16:24]))
-	if magic != binMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", magic)
-	}
-	if n < 0 || m < 0 || n >= int64(NoVertex) {
-		return nil, fmt.Errorf("graph: implausible size in header (n=%d, m=%d)", n, m)
-	}
-	off, err := readInt64Section(br, n+1, "offsets")
-	if err != nil {
-		return nil, err
-	}
-	if off[0] != 0 {
-		return nil, fmt.Errorf("graph: corrupt offset array (must start at 0)")
-	}
-	for u := int64(0); u < n; u++ {
-		if off[u] > off[u+1] || off[u+1] > m {
-			return nil, fmt.Errorf("graph: corrupt offset array")
-		}
-	}
-	if off[n] != m {
-		return nil, fmt.Errorf("graph: corrupt offset array")
-	}
-	adj, err := readVSection(br, m, "adjacency")
-	if err != nil {
-		return nil, err
-	}
-	canonical := true
-	for u := int64(0); u < n; u++ {
-		var prev V
-		first := true
-		for _, v := range adj[off[u]:off[u+1]] {
-			if int64(v) >= n {
-				return nil, fmt.Errorf("graph: adjacency target out of range")
-			}
-			if v == V(u) || (!first && v <= prev) {
-				canonical = false
-			}
-			prev, first = v, false
-		}
-	}
-	if !canonical {
-		// Non-canonical segments (unsorted, duplicated, or self-looped) never
-		// come from WriteBinary; normalize them through the builder exactly as
-		// the old reader did.
-		edges := make([]Edge, 0, m)
-		for u := int64(0); u < n; u++ {
-			for _, v := range adj[off[u]:off[u+1]] {
-				edges = append(edges, Edge{V(u), v})
-			}
-		}
-		return BuildDirected(int(n), edges), nil
-	}
-	inOff, inAdj := transposeCSR(off, adj, buildThreads(0, int(m)))
-	return (&Directed{n: int(n), outOff: off, outAdj: adj}).withIn(inOff, inAdj), nil
-}
-
-// Section readers shared by the v1 reader and the v2 streaming container
-// loader. Plausibly-sized sections are allocated exactly once (the ~1×
+// Section readers of the v2 streaming container loader. Plausibly-sized sections are allocated exactly once (the ~1×
 // memory property); only absurd header claims beyond maxExactSection fall
 // back to growth tracking delivered bytes, so a corrupt header cannot force
 // a huge allocation before the missing data is noticed. Decoding goes

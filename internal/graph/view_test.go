@@ -89,17 +89,14 @@ func TestDirectedInMemo(t *testing.T) {
 	}
 }
 
-// TestInCSRBuiltOnLoad: the loaders that read or derive the in-CSR anyway —
-// the .aqg container (which checks it is the transpose) and the v1 binary —
-// hand it over built, equal to the serial builder's.
+// TestInCSRBuiltOnLoad: the .aqg container loaders read the in-CSR anyway
+// (and check it is the transpose), so they hand it over built, equal to the
+// serial builder's.
 func TestInCSRBuiltOnLoad(t *testing.T) {
 	edges := testEdges(500, 3000, 9)
 	want := BuildDirectedSerial(500, edges)
-	var aqg, v1 bytes.Buffer
+	var aqg bytes.Buffer
 	if err := WriteContainer(&aqg, BuildDirected(500, edges)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(&v1, BuildDirected(500, edges)); err != nil {
 		t.Fatal(err)
 	}
 	c, err := LoadContainer(writeTempContainer(t, aqg.Bytes()))
@@ -111,11 +108,7 @@ func TestInCSRBuiltOnLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := ReadBinary(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, g := range map[string]*Directed{"mapped": c.Directed, "streamed": streamed.Directed, "v1": bin} {
+	for name, g := range map[string]*Directed{"mapped": c.Directed, "streamed": streamed.Directed} {
 		if !g.InBuilt() {
 			t.Fatalf("%s: the load left the in-CSR unbuilt", name)
 		}

@@ -43,24 +43,37 @@ func cancelCtx(m cancelMode) (context.Context, context.CancelFunc) {
 	}
 }
 
-// TestMatrixCancellation: every cell × every cancellation mode × p ∈ {1, 4}.
+// TestMatrixCancellation: every cell, and the retired fwbw row, × every
+// cancellation mode × p ∈ {1, 4}.
 // A cancelled Solve returns (possibly partial — never consulted), and the
 // immediate clean re-run must match the serial oracle, proving no shared
 // state survived the cancelled attempt.
 func TestMatrixCancellation(t *testing.T) {
 	g := gen.Rings(gen.RingsConfig{Rings: 120, MinSize: 2, MaxSize: 24, ExtraChords: 1, Seed: 17})
 	want := serialdfs.SCC(g)
+	type row struct {
+		name       string
+		pol        Policy
+		noAdaptive bool
+	}
+	var rows []row
 	for _, pol := range Policies() {
+		rows = append(rows, row{name: pol.String(), pol: pol})
+	}
+	// The retired fwbw cell was the coloring cell under Options.NoAdaptive;
+	// its rows keep the name and run that repeated-FW-BW loop.
+	rows = append(rows, row{name: "fwbw", pol: PolicyColoring, noAdaptive: true})
+	for _, r := range rows {
 		for _, mode := range []cancelMode{preCancelled, midFlight, deadline} {
 			for _, p := range []int{1, 4} {
-				pol, mode, p := pol, mode, p
-				t.Run(fmt.Sprintf("%v/%v/p=%d", pol, mode, p), func(t *testing.T) {
+				pol, mode, p := r.pol, mode, p
+				t.Run(fmt.Sprintf("%s/%v/p=%d", r.name, mode, p), func(t *testing.T) {
 					ctx, cancel := cancelCtx(mode)
 					defer cancel()
 					if mode == midFlight {
 						returned := make(chan struct{})
 						go func() {
-							Solve(g, pol, Options{Threads: p, Ctx: ctx})
+							Solve(g, pol, Options{Threads: p, Ctx: ctx, NoAdaptive: r.noAdaptive})
 							close(returned)
 						}()
 						time.Sleep(200 * time.Microsecond)
@@ -74,13 +87,13 @@ func TestMatrixCancellation(t *testing.T) {
 						// Pre-cancelled / expired deadline: Solve must return
 						// promptly; the result is partial by contract and
 						// discarded here.
-						Solve(g, pol, Options{Threads: p, Ctx: ctx})
+						Solve(g, pol, Options{Threads: p, Ctx: ctx, NoAdaptive: r.noAdaptive})
 						if ctx.Err() == nil {
 							t.Fatalf("ctx.Err() = nil for mode %v", mode)
 						}
 					}
 					// Clean retry: exact min-id oracle labels.
-					res := Solve(g, pol, Options{Threads: p})
+					res := Solve(g, pol, Options{Threads: p, NoAdaptive: r.noAdaptive})
 					for v := range want {
 						if res.Label[v] != want[v] {
 							t.Fatalf("p=%d: retry after %v diverged at vertex %d", p, mode, v)

@@ -15,7 +15,8 @@ const (
 	// coloring method (forward max-label propagation + one backward BFS per
 	// color root) for the remainder. The Fig. 10 ablation toggles
 	// (Options.NoTrim, Options.NoAdaptive) keep their exact meaning inside
-	// this cell.
+	// this cell: NoAdaptive runs the BFS-only baseline, repeated FW-BW from
+	// the highest-degree live pivot, in place of the coloring tail.
 	TailColoring Tail = iota
 	// TailMultiReach resolves the remainder with batched multi-source
 	// reachability (Wang et al., PPoPP '23): each round runs simultaneous
@@ -24,11 +25,6 @@ const (
 	// pivot-intersection SCC, and refines the survivors' subproblems by
 	// their reachability pattern.
 	TailMultiReach
-	// TailFWBW is the BFS-only baseline as an explicit cell: repeated FW-BW
-	// from the highest-degree live pivot (what Options.NoAdaptive toggles
-	// inside the coloring cell, promoted to a nameable policy for the
-	// ablation harness).
-	TailFWBW
 
 	numTail = iota
 )
@@ -39,8 +35,6 @@ func (t Tail) String() string {
 		return "coloring"
 	case TailMultiReach:
 		return "multireach"
-	case TailFWBW:
-		return "fwbw"
 	default:
 		return fmt.Sprintf("tail(%d)", uint8(t))
 	}
@@ -78,8 +72,8 @@ func Policies() []Policy {
 	return out
 }
 
-// ParsePolicy parses a policy spec: "coloring" (alias "pipeline"),
-// "multireach", or "fwbw". It is the single validator behind every
+// ParsePolicy parses a policy spec: "coloring" (alias "pipeline") or
+// "multireach". It is the single validator behind every
 // user-facing -scc-policy surface; "auto" is not a cell and is handled by
 // callers before parsing.
 func ParsePolicy(s string) (Policy, error) {
@@ -88,9 +82,7 @@ func ParsePolicy(s string) (Policy, error) {
 		return PolicyColoring, nil
 	case "multireach":
 		return PolicyMultiReach, nil
-	case "fwbw":
-		return Policy{Tail: TailFWBW}, nil
 	default:
-		return Policy{}, fmt.Errorf("scc: unknown policy %q (want coloring, multireach, fwbw, or the alias pipeline)", s)
+		return Policy{}, fmt.Errorf("scc: unknown policy %q (want coloring, multireach, or the alias pipeline)", s)
 	}
 }

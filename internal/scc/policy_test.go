@@ -51,7 +51,7 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 }
 
 func TestParsePolicyErrors(t *testing.T) {
-	for _, bad := range []string{"", "auto", "color", "multireach+vgc", "fw-bw", "coloring "} {
+	for _, bad := range []string{"", "auto", "color", "multireach+vgc", "fw-bw", "coloring ", "fwbw"} {
 		if _, err := ParsePolicy(bad); err == nil {
 			t.Errorf("ParsePolicy(%q) accepted", bad)
 		}

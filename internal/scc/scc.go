@@ -3,10 +3,11 @@
 // the paper pipeline (§6.2 — iterated size-1/size-2 trims, one forward–
 // backward (FW-BW) sweep with the enhanced parallel BFS for the giant SCC,
 // and the coloring method for the long tail of small SCCs) is the `coloring`
-// cell, kept byte-identical; the `multireach` cell replaces the coloring tail
+// cell, kept byte-identical, and Options.NoAdaptive turns its tail into the
+// repeated-FW-BW baseline; the `multireach` cell replaces the coloring tail
 // with batched multi-source reachability over hash-bag frontiers (Wang et
-// al., PPoPP '23); and `fwbw` is the repeated-FW-BW baseline. ChoosePolicy
-// picks a cell from cheap graph statistics plus a post-trim liveness probe.
+// al., PPoPP '23). ChoosePolicy picks a cell from cheap graph statistics plus
+// a post-trim liveness probe.
 package scc
 
 import (
@@ -94,7 +95,7 @@ func Solve(g *graph.Directed, pol Policy, opt Options) *Result {
 	if pol.Tail == TailMultiReach {
 		runMultiReach(g, res, p, done, opt)
 	} else {
-		runPipeline(g, res, p, done, opt, pol.Tail == TailFWBW)
+		runPipeline(g, res, p, done, opt)
 	}
 	if parallel.Stopped(done) {
 		// Unlabeled vertices would crash the census; the cancelled caller
@@ -106,9 +107,9 @@ func Solve(g *graph.Directed, pol Policy, opt Options) *Result {
 }
 
 // runPipeline is the paper pipeline (§6.2): trims, FW-BW for the giant SCC,
-// then either the coloring sweep or (forceFWBW / Options.NoAdaptive) repeated
-// FW-BW for the remainder. This is the pre-matrix Run body, unchanged.
-func runPipeline(g *graph.Directed, res *Result, p int, done <-chan struct{}, opt Options, forceFWBW bool) {
+// then either the coloring sweep or (Options.NoAdaptive) repeated FW-BW for
+// the remainder. This is the pre-matrix Run body, unchanged.
+func runPipeline(g *graph.Directed, res *Result, p int, done <-chan struct{}, opt Options) {
 	n := g.NumVertices()
 	unassigned := func(v graph.V) bool { return res.Label[v] == graph.NoVertex }
 
@@ -130,7 +131,7 @@ func runPipeline(g *graph.Directed, res *Result, p int, done <-chan struct{}, op
 		res.Stats.GiantSize = fwbwAssign(g, master, res.Label, fwS, bwS, p, opt)
 	}
 
-	if forceFWBW || opt.NoAdaptive {
+	if opt.NoAdaptive {
 		// BFS-only baseline: repeated FW-BW from the highest-degree live pivot.
 		for {
 			if parallel.Stopped(done) {

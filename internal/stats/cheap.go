@@ -3,18 +3,16 @@ package stats
 import "aquila/internal/graph"
 
 // Cheap is the statistic bundle the adaptive CC policy chooser consumes
-// (degree skew, density, vertex/edge counts — the same family of signals
-// trim and plan already key on). Over an undirected graph it touches only
-// the CSR offset array, never the adjacency, so computing it before a kernel
-// is a rounding error next to the kernel itself.
+// (degree skew, average degree, vertex/edge counts — the same family of
+// signals trim and plan already key on). Over an undirected graph it touches
+// only the CSR offset array, never the adjacency, so computing it before a
+// kernel is a rounding error next to the kernel itself.
 type Cheap struct {
 	// Vertices and Edges are |V| and undirected |E|.
 	Vertices int
 	Edges    int64
 	// AvgDeg is the mean undirected degree 2|E|/|V| (0 on the empty graph).
 	AvgDeg float64
-	// Density is |E| over the complete-graph edge count |V|(|V|-1)/2.
-	Density float64
 	// MaxDeg is the maximum degree.
 	MaxDeg int
 	// Skew is MaxDeg/AvgDeg — the hub-dominance signal that separates
@@ -44,12 +42,9 @@ func CheapUndirected(g *graph.Undirected) Cheap {
 	return c
 }
 
-// derive fills the ratios from the counts of a non-empty undirected graph.
+// derive fills the ratios from the counts of a non-empty graph.
 func (c *Cheap) derive() {
 	c.AvgDeg = 2 * float64(c.Edges) / float64(c.Vertices)
-	if c.Vertices > 1 {
-		c.Density = float64(c.Edges) / (float64(c.Vertices) * float64(c.Vertices-1) / 2)
-	}
 	if c.AvgDeg > 0 {
 		c.Skew = float64(c.MaxDeg) / c.AvgDeg
 	}

@@ -20,7 +20,7 @@ func TestCheapAllIsolated(t *testing.T) {
 	if c.Vertices != 10 || c.Edges != 0 || c.Isolated != 10 {
 		t.Fatalf("isolated graph: %+v", c)
 	}
-	if c.AvgDeg != 0 || c.Skew != 0 || c.Density != 0 || c.MaxDeg != 0 {
+	if c.AvgDeg != 0 || c.Skew != 0 || c.MaxDeg != 0 {
 		t.Fatalf("isolated graph derived stats nonzero: %+v", c)
 	}
 }
@@ -40,9 +40,6 @@ func TestCheapStar(t *testing.T) {
 	}
 	if math.Abs(c.Skew-7.0/wantAvg) > 1e-12 {
 		t.Fatalf("Skew = %v, want %v", c.Skew, 7.0/wantAvg)
-	}
-	if math.Abs(c.Density-7.0/28.0) > 1e-12 {
-		t.Fatalf("Density = %v, want %v", c.Density, 7.0/28.0)
 	}
 }
 

@@ -36,8 +36,7 @@ type SCCProbe struct {
 
 // CheapDirected is CheapUndirected's directed sibling: Edges counts arcs,
 // degree is total (in+out) degree, AvgDeg is 2|A|/|V| (each arc contributes
-// one out- and one in-endpoint), and Density is |A| over the |V|(|V|-1)
-// ordered vertex pairs.
+// one out- and one in-endpoint).
 func CheapDirected(g *graph.Directed) Cheap {
 	c := Cheap{Vertices: g.NumVertices(), Edges: g.NumArcs()}
 	if c.Vertices == 0 {
@@ -53,13 +52,7 @@ func CheapDirected(g *graph.Directed) Cheap {
 			c.Isolated++
 		}
 	}
-	c.AvgDeg = 2 * float64(c.Edges) / float64(c.Vertices)
-	if c.Vertices > 1 {
-		c.Density = float64(c.Edges) / (float64(c.Vertices) * float64(c.Vertices-1))
-	}
-	if c.AvgDeg > 0 {
-		c.Skew = float64(c.MaxDeg) / c.AvgDeg
-	}
+	c.derive()
 	return c
 }
 

@@ -28,9 +28,6 @@ func TestCheapDirected(t *testing.T) {
 	if c.AvgDeg != 2 || c.Skew != 2 {
 		t.Fatalf("AvgDeg/Skew: %+v", c)
 	}
-	if want := 4.0 / 12.0; c.Density != want {
-		t.Fatalf("Density = %v, want %v", c.Density, want)
-	}
 }
 
 func TestProbeDirectedEmpty(t *testing.T) {

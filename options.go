@@ -73,9 +73,10 @@ type Options struct {
 	DisablePartial bool
 	// CCPolicy selects the connected-components matrix cell. "" or "auto"
 	// (the default) picks the cell adaptively from cheap graph statistics at
-	// solve time; any other value is a cc.ParsePolicy spec ("sampling+finish",
-	// e.g. "afforest+uf-async", or "pipeline" for the classic trim+BFS+LP
-	// cell). Every cell returns the same canonical labeling, so the choice is
+	// solve time; any other value is a cc.ParsePolicy spec: "pipeline" for
+	// the classic trim+BFS+LP cell, or "sampling+finish" with sampling none
+	// or afforest and finish uf-async or uf-rem (e.g. "afforest+uf-async").
+	// Every cell returns the same canonical labeling, so the choice is
 	// performance-only. An unparseable spec degrades to "auto" (NewEngine
 	// cannot error); front-ends validate with ValidateCCPolicy first.
 	CCPolicy string
@@ -83,9 +84,10 @@ type Options struct {
 	// or "auto" (the default) picks the cell adaptively from the directed-
 	// graph probe (cheap statistics plus a bounded post-trim liveness scan)
 	// at solve time; any other value is an scc.ParsePolicy spec ("coloring",
-	// "multireach", "fwbw", or the alias "pipeline" for the classic paper
-	// cell). Every cell returns the same canonical labeling, so the choice
-	// is performance-only; only directed engines consult it. An unparseable
+	// "multireach", or the alias "pipeline" for the classic paper cell;
+	// DisableAdaptive turns the coloring cell into the BFS-only baseline).
+	// Every cell returns the same canonical labeling, so the choice is
+	// performance-only; only directed engines consult it. An unparseable
 	// spec degrades to "auto" (NewEngine cannot error); front-ends validate
 	// with ValidateSCCPolicy first.
 	SCCPolicy string
@@ -119,38 +121,30 @@ type Options struct {
 	DisableDynamic bool
 }
 
+// validatePolicy reports whether spec is an acceptable policy value: "",
+// "auto", or a spec parse accepts.
+func validatePolicy[P any](spec string, parse func(string) (P, error)) error {
+	if spec == "" || spec == "auto" {
+		return nil
+	}
+	_, err := parse(spec)
+	return err
+}
+
 // ValidateCCPolicy reports whether s is an acceptable Options.CCPolicy value:
 // "", "auto", or a parseable matrix-cell spec. Front-ends call this to reject
 // a bad -cc-policy before building an engine.
-func ValidateCCPolicy(s string) error {
-	if s == "" || s == "auto" {
-		return nil
-	}
-	_, err := cc.ParsePolicy(s)
-	return err
-}
+func ValidateCCPolicy(s string) error { return validatePolicy(s, cc.ParsePolicy) }
 
 // ValidateSCCPolicy reports whether s is an acceptable Options.SCCPolicy
 // value: "", "auto", or a parseable matrix-cell spec. Front-ends call this
 // to reject a bad -scc-policy before building an engine.
-func ValidateSCCPolicy(s string) error {
-	if s == "" || s == "auto" {
-		return nil
-	}
-	_, err := scc.ParsePolicy(s)
-	return err
-}
+func ValidateSCCPolicy(s string) error { return validatePolicy(s, scc.ParsePolicy) }
 
 // ValidateBiCCPolicy reports whether s is an acceptable Options.BiCCPolicy
 // value: "", "auto", or a parseable matrix-cell spec. Front-ends call this
 // to reject a bad -bicc-policy before building an engine.
-func ValidateBiCCPolicy(s string) error {
-	if s == "" || s == "auto" {
-		return nil
-	}
-	_, err := bicc.ParsePolicy(s)
-	return err
-}
+func ValidateBiCCPolicy(s string) error { return validatePolicy(s, bicc.ParsePolicy) }
 
 // defaultRebuildThreshold is the delta fraction at which patching the
 // union-find stops paying off versus one fresh decomposition.
