@@ -30,7 +30,7 @@ bench:
 
 # Machine-readable snapshot of the perf-trajectory benchmarks: the PR 2
 # BFS / CC / scheduler set, the PR 3 ingestion set (build + parse
-# throughput in edges/s, reorder ablation), the PR 4 serving set (reader
+# throughput in edges/s), the PR 4 serving set (reader
 # throughput with/without singleflight, Apply latency under read load),
 # the PR 5 HTTP front-end throughput, the PR 6 CC algorithm-matrix sweep,
 # the SCC algorithm-matrix sweep (coloring vs multireach per directed
@@ -45,15 +45,16 @@ bench:
 # 2^16 and 2^20 vertices); plus the dynamic publish through a Server (B/op)
 # and the forest's bytes per live edge after promotion and churn (B/edge);
 # plus the directed WCC entry against Undirect + Solve (ns/op and B/op);
-# plus the engine's cold partial queries (BenchmarkEngineQueries), which run
-# on the engine's current epoch; the mmap'd container load also reports
-# resident-KiB, the bytes of the mapping left resident once it returns. The
-# benchmarks the last change moved (BenchmarkCCMatrix and BenchmarkSCCMatrix,
-# whose matrices shrank to the cells that win; every auto pick must stay the
-# same) also run, in the same session, on the tree of PARENT exported to a
-# temporary directory (default HEAD~1; PARENT=HEAD compares uncommitted
-# changes with the last commit); its rows carry the name prefix
-# BenchmarkParent/. The snapshot goes to BENCH_PR26.json, stamped by
+# the mmap'd container load also reports resident-KiB, the bytes of the
+# mapping left resident once it returns. The query paths the last change
+# touched — the engine's cold partial queries (BenchmarkEngineQueries) and
+# the served AP storm (BenchmarkServerThroughput) — are measured like for
+# like against the tree of PARENT exported to a temporary directory (default
+# HEAD~1; PARENT=HEAD compares uncommitted changes with the last commit):
+# each tree's root-package test binary is built once, and the two binaries
+# run alternately, 5 times each, with identical flags, each from its own
+# package directory. The parent's rows carry the name prefix
+# BenchmarkParent/. The snapshot goes to BENCH_PR27.json, stamped by
 # bench2json with the host (goos, goarch, cpu, GOMAXPROCS) and the Go
 # version.
 PARENT ?= HEAD~1
@@ -61,7 +62,7 @@ PARENT ?= HEAD~1
 bench-json:
 	( go test -bench='BFS|CC|Pool|Reach' -benchmem -benchtime=20x -run='^$$' \
 		. ./internal/bfs ./internal/parallel ; \
-	  go test -bench='Build|Parse|LoadEdgeList|Reorder|Undirect|EdgeIDs' -benchmem -benchtime=5x -run='^$$' \
+	  go test -bench='Build|Parse|LoadEdgeList|Undirect|EdgeIDs' -benchmem -benchtime=5x -run='^$$' \
 		./internal/bench ; \
 	  go test -bench='^BenchmarkContainer' -benchmem -benchtime=5x -run='^$$' \
 		./internal/bench ; \
@@ -71,20 +72,22 @@ bench-json:
 		./internal/bench ; \
 	  go test -bench='^BenchmarkBiCCMatrix$$' -benchmem -benchtime=10x -run='^$$' \
 		./internal/bench ; \
-	  go test -bench='ServerThroughput|ApplyUnderReadLoad|ServerApplyPublish' -benchmem -benchtime=5x -run='^$$' \
-		. ; \
-	  go test -bench='^BenchmarkEngineQueries$$' -benchmem -benchtime=20x -run='^$$' \
+	  go test -bench='ApplyUnderReadLoad|ServerApplyPublish' -benchmem -benchtime=5x -run='^$$' \
 		. ; \
 	  go test -bench='^BenchmarkDynamicApply$$' -benchmem -benchtime=3x -run='^$$' \
 		. ; \
 	  go test -bench='HTTPThroughput' -benchmem -benchtime=2s -run='^$$' \
 		./internal/httpd ; \
 	  parent=$$(mktemp -d) && git archive $(PARENT) | tar -x -C $$parent && \
-	  ( cd $$parent && \
-	    go test -bench='^Benchmark(CC|SCC)Matrix$$' -benchmem -benchtime=3x -run='^$$' ./internal/bench ) \
-		| sed 's/^Benchmark/BenchmarkParent\//' ; \
+	  go test -c -o $$parent/change.test . && \
+	  ( cd $$parent && go test -c -o parent.test . ) && \
+	  flags='-test.run=^$$ -test.bench=^Benchmark(EngineQueries|ServerThroughput)$$ -test.benchmem -test.benchtime=10x -test.timeout=10m' && \
+	  for i in 1 2 3 4 5; do \
+	    $$parent/change.test $$flags ; \
+	    ( cd $$parent && ./parent.test $$flags ) | sed 's/^Benchmark/BenchmarkParent\//' ; \
+	  done ; \
 	  rm -rf $$parent ) \
-		| go run ./cmd/bench2json > BENCH_PR26.json
+		| go run ./cmd/bench2json > BENCH_PR27.json
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -22,19 +22,12 @@ func (e *Engine) Condensation() (*Condensation, error) {
 	return e.current(true).condensation(nil)
 }
 
-// condensation builds the epoch's condensation in its own cell. The DAG's
-// vertex-keyed queries (component-of, reachability) must answer in caller
-// ids, so it always runs on the original-id graph rather than the reordered
-// compute graph.
+// condensation builds the epoch's condensation in its own cell.
 func (sn *Snapshot) condensation(ctx context.Context) (*Condensation, error) {
 	return getCell(sn, ctx, &sn.cond, func(cctx context.Context) (*Condensation, error) {
-		gs, err := sn.directed(cctx)
+		g, err := sn.directed(cctx)
 		if err != nil {
 			return nil, err
-		}
-		g := gs.dir
-		if sn.eng.perm != nil {
-			g = gs.origDir
 		}
 		return condense.Build(g, sn.eng.sccOptions()), nil
 	})
@@ -54,21 +47,15 @@ func (e *Engine) BetweennessCentrality() []float64 {
 // betweenness computes the epoch's betweenness scores in their own cell.
 func (sn *Snapshot) betweenness(ctx context.Context) ([]float64, error) {
 	return getCell(sn, ctx, &sn.btw, func(cctx context.Context) ([]float64, error) {
-		gs, err := sn.undirected(cctx)
+		g, err := sn.undirected(cctx)
 		if err != nil {
 			return nil, err
 		}
 		e := sn.eng
-		var raw []float64
 		if e.opt.DisablePartial || e.opt.DisableTrim {
-			raw = betweenness.Brandes(gs.und, e.opt.Threads)
-		} else {
-			raw = betweenness.Decomposed(gs.und, e.opt.Threads)
+			return betweenness.Brandes(g, e.opt.Threads), nil
 		}
-		if e.perm != nil {
-			raw = remapFloats(raw, e.perm, e.opt.Threads)
-		}
-		return raw, nil
+		return betweenness.Decomposed(g, e.opt.Threads), nil
 	})
 }
 
@@ -83,14 +70,10 @@ func (e *Engine) Coreness() []int32 {
 // coreness computes the epoch's k-core decomposition in its own cell.
 func (sn *Snapshot) coreness(ctx context.Context) ([]int32, error) {
 	return getCell(sn, ctx, &sn.core, func(cctx context.Context) ([]int32, error) {
-		gs, err := sn.undirected(cctx)
+		g, err := sn.undirected(cctx)
 		if err != nil {
 			return nil, err
 		}
-		raw := kcore.Decompose(gs.und).Coreness
-		if sn.eng.perm != nil {
-			raw = remapInt32s(raw, sn.eng.perm, sn.eng.opt.Threads)
-		}
-		return raw, nil
+		return kcore.Decompose(g).Coreness, nil
 	})
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // census answers the point and census queries of one epoch — connected,
-// component count, largest component, size histogram — in compute ids,
-// without a per-epoch label array. It is immutable: epochs share it
-// read-only, and an Apply that merges components advances the engine to a
-// new census instead of mutating a published one.
+// component count, largest component, size histogram — without a per-epoch
+// label array. It is immutable: epochs share it read-only, and an Apply that
+// merges components advances the engine to a new census instead of mutating
+// a published one.
 //
 // A census is a shared base plus a small per-epoch overlay. The base is the
 // canonical decomposition the incremental union-find was seeded from; its
@@ -193,18 +193,13 @@ func (c *census) histogram() map[int]int {
 	return h
 }
 
-// largestFromCensus answers LargestCC from a census. Caller ids translate
-// through the engine's permutation, and an out-of-range vertex is in no
+// largest answers LargestCC from the census; an out-of-range vertex is in no
 // component.
-func (e *Engine) largestFromCensus(c *census) *LargestResult {
+func (c *census) largest() *LargestResult {
 	n := len(c.base.res.Label)
 	lbl := c.largestLabel
-	pivot := V(lbl)
-	if n > 0 {
-		pivot = e.unmapV(pivot)
-	}
 	return &LargestResult{
-		Size: c.largestSize, Pivot: pivot,
-		contains: func(v V) bool { return int(v) < n && c.label(e.mapV(v)) == lbl },
+		Size: c.largestSize, Pivot: V(lbl),
+		contains: func(v V) bool { return int(v) < n && c.label(v) == lbl },
 	}
 }

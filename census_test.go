@@ -93,38 +93,36 @@ func TestCensusMatchesIncCCResult(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		batches = append(batches, random(1+rng.Intn(12)))
 	}
-	for _, mode := range []Reorder{ReorderNone, ReorderDegree} {
-		e := NewEngine(NewUndirected(n, censusLayout(n)), Options{Threads: 2, Reorder: mode, RebuildThreshold: -1})
-		bases := map[*censusBase]bool{}
-		overlays := 0
-		for bi, b := range batches {
-			if _, err := e.Apply(b); err != nil {
-				t.Fatal(err)
-			}
-			e.mu.Lock()
-			c := e.cen
-			want := e.inc.CCResult(2)
-			e.mu.Unlock()
-			if msg := sameCensus(c.result(2), want); msg != "" {
-				t.Fatalf("reorder=%v batch %d: census vs inc.CCResult: %s", mode, bi, msg)
-			}
-			if got := c.histogram(); !maps.Equal(got, sizeHistogram(want)) {
-				t.Fatalf("reorder=%v batch %d: histogram %v, want %v", mode, bi, got, sizeHistogram(want))
-			}
-			if c.num != e.CountCC() {
-				t.Fatalf("reorder=%v batch %d: census count %d, engine %d", mode, bi, c.num, e.CountCC())
-			}
-			if len(c.redirect) > n/overlayDiv {
-				t.Fatalf("reorder=%v batch %d: overlay %d entries past the bound %d", mode, bi, len(c.redirect), n/overlayDiv)
-			}
-			bases[c.base] = true
-			if len(c.redirect) > 0 {
-				overlays++
-			}
+	e := NewEngine(NewUndirected(n, censusLayout(n)), Options{Threads: 2, RebuildThreshold: -1})
+	bases := map[*censusBase]bool{}
+	overlays := 0
+	for bi, b := range batches {
+		if _, err := e.Apply(b); err != nil {
+			t.Fatal(err)
 		}
-		if len(bases) < 2 || overlays < 3 {
-			t.Fatalf("reorder=%v: %d bases, %d epochs with an overlay: the batches must cross the bound", mode, len(bases), overlays)
+		e.mu.Lock()
+		c := e.cen
+		want := e.inc.CCResult(2)
+		e.mu.Unlock()
+		if msg := sameCensus(c.result(2), want); msg != "" {
+			t.Fatalf("batch %d: census vs inc.CCResult: %s", bi, msg)
 		}
+		if got := c.histogram(); !maps.Equal(got, sizeHistogram(want)) {
+			t.Fatalf("batch %d: histogram %v, want %v", bi, got, sizeHistogram(want))
+		}
+		if c.num != e.CountCC() {
+			t.Fatalf("batch %d: census count %d, engine %d", bi, c.num, e.CountCC())
+		}
+		if len(c.redirect) > n/overlayDiv {
+			t.Fatalf("batch %d: overlay %d entries past the bound %d", bi, len(c.redirect), n/overlayDiv)
+		}
+		bases[c.base] = true
+		if len(c.redirect) > 0 {
+			overlays++
+		}
+	}
+	if len(bases) < 2 || overlays < 3 {
+		t.Fatalf("%d bases, %d epochs with an overlay: the batches must cross the bound", len(bases), overlays)
 	}
 }
 
@@ -257,8 +255,8 @@ func TestPublishAllocIndependentOfV(t *testing.T) {
 
 // TestSnapshotConnectedZeroAlloc pins the read path: on an insert-only
 // epoch whose census has a non-empty overlay, and on dynamic epochs of
-// undirected, directed and reordered engines, Connected is a census lookup
-// per endpoint. It allocates nothing, and it answers while another
+// undirected and directed engines, Connected is a census lookup per
+// endpoint. It allocates nothing, and it answers while another
 // goroutine holds the engine lock: the census is published at capture.
 func TestSnapshotConnectedZeroAlloc(t *testing.T) {
 	const n = 4096
@@ -266,14 +264,11 @@ func TestSnapshotConnectedZeroAlloc(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		directed bool
-		mode     Reorder
 	}{
-		{"undirected", false, ReorderNone},
-		{"undirected-degree", false, ReorderDegree},
-		{"directed", true, ReorderNone},
-		{"directed-degree", true, ReorderDegree},
+		{"undirected", false},
+		{"directed", true},
 	} {
-		opt := Options{Threads: 2, Reorder: c.mode}
+		opt := Options{Threads: 2}
 		e := NewEngine(NewUndirected(n, censusLayout(n)), opt)
 		if c.directed {
 			e = NewDirectedEngine(NewDirected(n, censusLayout(n)), opt)

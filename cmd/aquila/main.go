@@ -60,7 +60,6 @@ func main() {
 		ccPolicy   = flag.String("cc-policy", "auto", "CC algorithm matrix cell: auto, pipeline, or sampling+finish (e.g. afforest+uf-async); see the cc-policy query")
 		sccPolicy  = flag.String("scc-policy", "auto", "SCC algorithm matrix cell: auto, coloring, or multireach; see the scc-policy query")
 		biccPolicy = flag.String("bicc-policy", "auto", "BiCC algorithm matrix cell: auto, constrained, or skeleton; see the bicc-policy query")
-		reorder    = flag.String("reorder", "none", "cache-aware vertex reordering: none, degree, bfs")
 		noPartial  = flag.Bool("no-partial", false, "disable query transformation (always complete computation)")
 		serve      = flag.Bool("serve", false, "route updates and queries through the concurrent serving layer (snapshot isolation, singleflight, admission control)")
 		timeout    = flag.Duration("timeout", 0, "per-query deadline in serve mode (0 = none)")
@@ -79,12 +78,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(text)
-	}
-
-	reorderMode, err := parseReorder(*reorder)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "aquila:", err)
-		os.Exit(1)
 	}
 
 	if err := aquila.ValidateCCPolicy(*ccPolicy); err != nil {
@@ -119,7 +112,6 @@ func main() {
 	}
 	eng := aquila.NewDirectedEngine(g, aquila.Options{
 		Threads:          *threads,
-		Reorder:          reorderMode,
 		DisablePartial:   *noPartial,
 		RebuildThreshold: *rebuild,
 		CCPolicy:         *ccPolicy,
@@ -193,19 +185,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "aquila:", err)
 			os.Exit(1)
 		}
-	}
-}
-
-func parseReorder(s string) (aquila.Reorder, error) {
-	switch s {
-	case "", "none":
-		return aquila.ReorderNone, nil
-	case "degree":
-		return aquila.ReorderDegree, nil
-	case "bfs":
-		return aquila.ReorderBFS, nil
-	default:
-		return aquila.ReorderNone, fmt.Errorf("unknown reorder mode %q (want none, degree, bfs)", s)
 	}
 }
 

@@ -47,7 +47,6 @@ func main() {
 		scale      = flag.Int("scale", 12, "generator scale (rmat: log2 vertices; others: vertex count /1000)")
 		seed       = flag.Uint64("seed", 1, "generator seed")
 		threads    = flag.Int("threads", 0, "workers per kernel (0 = GOMAXPROCS)")
-		reorder    = flag.String("reorder", "none", "cache-aware vertex reordering: none, degree, bfs")
 		noPartial  = flag.Bool("no-partial", false, "disable query transformation (always complete computation)")
 		rebuild    = flag.Float64("rebuild-threshold", 0, "delta/base edge ratio forcing a static rebuild (0 = default 0.25, <0 = never)")
 		maxInFly   = flag.Int("max-inflight", 0, "concurrent kernel slots (0 = GOMAXPROCS/threads)")
@@ -64,7 +63,7 @@ func main() {
 	flag.Parse()
 
 	lg := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	if err := run(*listen, *graphPath, *genKind, *scale, *seed, *threads, *reorder,
+	if err := run(*listen, *graphPath, *genKind, *scale, *seed, *threads,
 		*ccPolicy, *sccPolicy, *biccPolicy, *noPartial, *rebuild, *maxInFly, *maxQueue, *defTimeout, *maxTimeout,
 		*retain, *grace, *quiet, lg); err != nil {
 		fmt.Fprintln(os.Stderr, "aquilad:", err)
@@ -73,14 +72,10 @@ func main() {
 }
 
 func run(listen, graphPath, genKind string, scale int, seed uint64, threads int,
-	reorder, ccPolicy, sccPolicy, biccPolicy string, noPartial bool, rebuild float64, maxInFly, maxQueue int,
+	ccPolicy, sccPolicy, biccPolicy string, noPartial bool, rebuild float64, maxInFly, maxQueue int,
 	defTimeout, maxTimeout time.Duration, retain int, grace time.Duration,
 	quiet bool, lg *slog.Logger) error {
 
-	reorderMode, err := parseReorder(reorder)
-	if err != nil {
-		return err
-	}
 	if err := aquila.ValidateCCPolicy(ccPolicy); err != nil {
 		return err
 	}
@@ -98,7 +93,6 @@ func run(listen, graphPath, genKind string, scale int, seed uint64, threads int,
 
 	eng := aquila.NewDirectedEngine(g, aquila.Options{
 		Threads:          threads,
-		Reorder:          reorderMode,
 		DisablePartial:   noPartial,
 		RebuildThreshold: rebuild,
 		CCPolicy:         ccPolicy,
@@ -162,23 +156,10 @@ func run(listen, graphPath, genKind string, scale int, seed uint64, threads int,
 	return err
 }
 
-func parseReorder(s string) (aquila.Reorder, error) {
-	switch s {
-	case "", "none":
-		return aquila.ReorderNone, nil
-	case "degree":
-		return aquila.ReorderDegree, nil
-	case "bfs":
-		return aquila.ReorderBFS, nil
-	default:
-		return aquila.ReorderNone, fmt.Errorf("unknown reorder mode %q (want none, degree, bfs)", s)
-	}
-}
-
 // obtainGraph mirrors cmd/aquila: load a graph file through the shared
-// auto-detecting loader (.aqg containers mmap'd, v1 binaries and text formats
-// streamed) or generate a synthetic graph. The returned release func unmaps
-// an mmap-backed graph; call it only after every kernel has drained.
+// auto-detecting loader (.aqg containers mmap'd, text formats streamed) or
+// generate a synthetic graph. The returned release func unmaps an
+// mmap-backed graph; call it only after every kernel has drained.
 func obtainGraph(path, kind string, scale int, seed uint64, threads int) (*aquila.Directed, func() error, error) {
 	noop := func() error { return nil }
 	if path != "" {

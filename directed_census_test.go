@@ -4,8 +4,7 @@ package aquila
 // the point and census queries, cold IsConnected and LargestCC, the first
 // Apply's seed and threshold rebuilds build neither the in-CSR nor the
 // undirected view, on the engine and through a Server alike; the queries
-// that walk them build each once per base. Reordered engines leave edge ids
-// unbuilt until an edge-indexed query asks for them.
+// that walk them build each once per base.
 
 import (
 	"bytes"
@@ -105,19 +104,19 @@ func arcsOf(d *Directed) []Edge {
 	return arcs
 }
 
-// undirectedBuilt reports whether any graph the engine holds has built its
+// undirectedBuilt reports whether the engine's base graph has built its
 // undirected view.
 func (e *Engine) undirectedBuilt() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.dir.UndirectedBuilt() || (e.origDir != nil && e.origDir.UndirectedBuilt())
+	return e.dir.UndirectedBuilt()
 }
 
-// inBuilt reports whether any graph the engine holds has built its in-CSR.
+// inBuilt reports whether the engine's base graph has built its in-CSR.
 func (e *Engine) inBuilt() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.dir.InBuilt() || (e.origDir != nil && e.origDir.InBuilt())
+	return e.dir.InBuilt()
 }
 
 // baseIn returns the first in-adjacency slot of the engine's base graph,
@@ -451,53 +450,6 @@ func TestPromoteFromUnionRows(t *testing.T) {
 		wl, wtree, _ := ref.EdgeState(ep[0], ep[1])
 		if !ok || l != wl || tree != wtree {
 			t.Fatalf("edge %v: level %d tree %v (live %v), CSR walk level %d tree %v", ep, l, tree, ok, wl, wtree)
-		}
-	}
-}
-
-// TestReorderedEdgeIDsOnDemand: reordered engines, undirected and directed,
-// answer the connectivity queries and an insert-only Apply without building
-// either undirected CSR's edge ids; the first bridge query builds them.
-func TestReorderedEdgeIDsOnDemand(t *testing.T) {
-	d := gen.Random(3000, 6000, 43)
-	wantBridges := 0
-	for _, b := range serialdfs.Bridges(graph.Undirect(NewDirected(3000, append(arcsOf(d), Edge{U: 3, V: 4}, Edge{U: 5, V: 2999})))) {
-		if b {
-			wantBridges++
-		}
-	}
-	for _, directed := range []bool{false, true} {
-		opt := Options{Threads: 2, Reorder: ReorderDegree, RebuildThreshold: -1}
-		var e *Engine
-		if directed {
-			e = NewDirectedEngine(d, opt)
-		} else {
-			e = NewEngine(graph.Undirect(d), opt)
-		}
-		// A cold IsConnected walks the undirected view, so a directed engine
-		// builds it here; edge ids it does not need.
-		e.IsConnected()
-		e.Connected(1, 2)
-		e.CC()
-		e.LargestCC()
-		e.CCSizeHistogram()
-		if _, err := e.Apply([]Edge{{U: 3, V: 4}, {U: 5, V: 2999}}); err != nil {
-			t.Fatal(err)
-		}
-		e.mu.Lock()
-		v := e.undirectedOf(e.base())
-		e.mu.Unlock()
-		if v.und.EdgeIDsBuilt() || v.origUnd.EdgeIDsBuilt() {
-			t.Fatalf("directed=%v: connectivity queries built edge ids", directed)
-		}
-		if got := len(e.Bridges()); got != wantBridges {
-			t.Fatalf("directed=%v: %d bridges, oracle %d", directed, got, wantBridges)
-		}
-		e.mu.Lock()
-		v = e.undirectedOf(e.base())
-		e.mu.Unlock()
-		if !v.und.EdgeIDsBuilt() || !v.origUnd.EdgeIDsBuilt() {
-			t.Fatalf("directed=%v: bridges remapped without both CSRs' edge ids", directed)
 		}
 	}
 }

@@ -69,22 +69,14 @@ type Engine struct {
 	n        int  // the vertex count: Apply never grows the vertex set
 
 	// dir (directed engines) or und (undirected ones) is the base graph
-	// every kernel runs on. A directed engine holds its out-CSR alone: the
-	// in-CSR and the undirected view are derived from it, built by the first
-	// query that walks them (see undirectedOf), while connectivity censuses
-	// run a union-find over dir's out-arcs. Under Options.Reorder
-	// the base is the cache-aware relabeled CSR; perm is then non-nil and
-	// origDir/origUnd keep the caller-id graph. Results are mapped back to
-	// original ids at cache-fill time (see remap.go), so the relabeling
-	// never leaks out of the engine. memo holds what is derived from the
-	// base on first use and is replaced with it.
-	mu      sync.Mutex
-	dir     *Directed   // nil for engines over undirected input
-	und     *Undirected // nil for directed engines
-	perm    *graph.Permutation
-	origDir *Directed
-	origUnd *Undirected
-	memo    *baseMemo
+	// every kernel runs on: the caller's graph, as of the last re-base. A
+	// directed engine holds its out-CSR alone: the in-CSR and the undirected
+	// view are derived from it, built by the first query that walks them
+	// (see undirectedOf), while connectivity censuses run a union-find over
+	// dir's out-arcs.
+	mu  sync.Mutex
+	dir *Directed   // nil for engines over undirected input
+	und *Undirected // nil for directed engines
 
 	// undEdges is the base's undirected edge count, or -1 until a directed
 	// engine first needs it (see undirectedEdgesLocked). A re-base adds the
@@ -93,13 +85,13 @@ type Engine struct {
 	undEdges int64
 
 	// The signed delta. The graphs above are the base: the CSRs as of the
-	// last re-base. arcLog (directed engines) and edgeLog record, in compute
-	// ids and in order, every arc and undirected edge (normalized U < V)
-	// inserted or deleted since then; only effective changes are logged, so
-	// each key's entries alternate. live indexes the logged keys of the
-	// primary relation (arcs on directed engines, edges otherwise) with
-	// their current presence. Both update modes keep this one
-	// representation; rebaseLocked merges both logs into the base.
+	// last re-base. arcLog (directed engines) and edgeLog record, in order,
+	// every arc and undirected edge (normalized U < V) inserted or deleted
+	// since then; only effective changes are logged, so each key's entries
+	// alternate. live indexes the logged keys of the primary relation (arcs
+	// on directed engines, edges otherwise) with their current presence.
+	// Both update modes keep this one representation; rebaseLocked merges
+	// both logs into the base.
 	arcLog  []graph.Change
 	edgeLog []graph.Change
 	live    map[uint64]bool
@@ -128,11 +120,11 @@ type Engine struct {
 	// every epoch.
 	reach bfs.ScratchPool
 
-	// cen is the compute-space census once updates have begun; its base
-	// labels are min-id canonical in compute space, which inc.FromLabels
-	// requires. Apply advances it in O(batch + overlay). In dynamic mode a
-	// batch that merges or splits components clears it, and the next capture
-	// re-derives it from the forest.
+	// cen is the census once updates have begun; its base labels are min-id
+	// canonical, which inc.FromLabels requires. Apply advances it in
+	// O(batch + overlay). In dynamic mode a batch that merges or splits
+	// components clears it, and the next capture re-derives it from the
+	// forest.
 	cen *census
 
 	// snap is the engine's own handle on its current epoch, nil until first
@@ -150,21 +142,9 @@ type Engine struct {
 }
 
 // NewEngine returns an Engine over an undirected graph. SCC queries on an
-// undirected engine degenerate to CC. With Options.Reorder set, the engine
-// builds a relabeled copy once here and computes on it from then on.
+// undirected engine degenerate to CC.
 func NewEngine(g *Undirected, opt Options) *Engine {
-	e := &Engine{opt: opt, n: g.NumVertices(), und: g, memo: new(baseMemo), undEdges: g.NumEdges()}
-	if opt.Reorder != ReorderNone {
-		switch opt.Reorder {
-		case ReorderDegree:
-			e.perm = graph.DegreeOrder(g, opt.Threads)
-		default:
-			e.perm = graph.BFSOrder(g, opt.Threads)
-		}
-		e.origUnd = g
-		e.und = e.perm.ApplyUndirected(g, opt.Threads)
-	}
-	return e
+	return &Engine{opt: opt, n: g.NumVertices(), und: g, undEdges: g.NumEdges()}
 }
 
 // NewDirectedEngine returns an Engine over a directed graph. CC (that is,
@@ -173,60 +153,27 @@ func NewEngine(g *Undirected, opt Options) *Engine {
 // source's out-row. SCC also walks the in-CSR, and BiCC, BgCC and the
 // traversal fast paths walk the undirected view; each is built by the first
 // query that needs it and kept from then on, so an engine that answers only
-// connectivity never transposes the graph. With Options.Reorder set, the
-// graph is relabeled (ranked by total degree across the two CSRs), and so is
-// every view derived from it.
+// connectivity never transposes the graph.
 func NewDirectedEngine(g *Directed, opt Options) *Engine {
-	e := &Engine{opt: opt, n: g.NumVertices(), directed: true, dir: g, memo: new(baseMemo), undEdges: -1}
-	if opt.Reorder != ReorderNone {
-		switch opt.Reorder {
-		case ReorderDegree:
-			e.perm = graph.DegreeOrderDirected(g, opt.Threads)
-		default:
-			e.perm = graph.BFSOrderDirected(g, opt.Threads)
-		}
-		e.origDir = g
-		e.dir = e.perm.ApplyDirected(g, opt.Threads)
-	}
-	return e
+	return &Engine{opt: opt, n: g.NumVertices(), directed: true, dir: g, undEdges: -1}
 }
 
 // NumVertices returns the vertex count, fixed for the engine's life: Apply
 // and ApplyUpdates never grow the vertex set.
 func (e *Engine) NumVertices() int { return e.n }
 
-// mapV translates an original vertex id into the compute id space.
-func (e *Engine) mapV(v V) V {
-	if e.perm == nil {
-		return v
-	}
-	return e.perm.Perm[v]
-}
-
-// unmapV translates a compute-space vertex id back to the original space.
-func (e *Engine) unmapV(v V) V {
-	if e.perm == nil {
-		return v
-	}
-	return e.perm.Inv[v]
-}
-
 // Undirected returns the current (possibly derived) undirected view of the
-// engine's graph in original vertex ids, materializing any pending Apply
-// batches first. On a directed engine the first call builds the view.
+// engine's graph, materializing any pending Apply batches first. On a
+// directed engine the first call builds the view.
 func (e *Engine) Undirected() *Undirected {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rebaseLocked()
-	v := e.undirectedOf(e.base())
-	if e.perm != nil {
-		return v.origUnd
-	}
-	return v.und
+	return e.undirectedOf(e.base())
 }
 
-// Directed returns the current directed graph in original vertex ids
-// (materializing pending Apply batches), or nil for undirected engines.
+// Directed returns the current directed graph (materializing pending Apply
+// batches), or nil for undirected engines.
 func (e *Engine) Directed() *Directed {
 	if !e.directed {
 		return nil
@@ -234,9 +181,6 @@ func (e *Engine) Directed() *Directed {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rebaseLocked()
-	if e.perm != nil {
-		return e.origDir
-	}
 	return e.dir
 }
 
@@ -386,7 +330,7 @@ func (e *Engine) BiCCPolicy() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rebaseLocked()
-	return e.resolveBiCCPolicy(e.undirectedOf(e.base()).und).String()
+	return e.resolveBiCCPolicy(e.undirectedOf(e.base())).String()
 }
 
 func (e *Engine) bgccOptions(bridgeOnly bool) bgcc.Options {
@@ -496,16 +440,14 @@ func (e *Engine) applyLocked(batch []Edge) (*ApplyResult, error) {
 	e.stale = true
 
 	// Log the batch's genuinely new arcs and undirected edges, checking the
-	// delta's index first and the base graphs after it. Under a reorder the
-	// delta (like everything the kernels see) lives in compute ids, so
-	// endpoints are translated up front.
+	// delta's index first and the base graphs after it.
 	var newUnd []graph.Edge
 	newArcs := 0
 	for _, ed := range batch {
-		if ed.U == ed.V {
+		u, v := ed.U, ed.V
+		if u == v {
 			continue
 		}
-		u, v := e.mapV(ed.U), e.mapV(ed.V)
 		if e.directed {
 			if e.hasArc(u, v) {
 				continue // the arc exists, so its undirected edge does too
@@ -547,8 +489,8 @@ func (e *Engine) applyLocked(batch []Edge) (*ApplyResult, error) {
 // delta's membership index.
 func liveKey(u, v V) uint64 { return uint64(u)<<32 | uint64(v) }
 
-// hasArc reports whether the arc u→v (compute ids) is live: the delta's
-// index decides for every arc it has logged, the base for the rest.
+// hasArc reports whether the arc u→v is live: the delta's index decides for
+// every arc it has logged, the base for the rest.
 func (e *Engine) hasArc(u, v V) bool {
 	if p, ok := e.live[liveKey(u, v)]; ok {
 		return p
@@ -595,72 +537,26 @@ func (e *Engine) logEdge(u, v V, del bool) {
 	}
 }
 
-// directedView is the directed side of an epoch's graph: the compute CSR
-// and, under a reorder, the caller-id CSR.
-type directedView struct {
-	dir, origDir *Directed
-}
-
-// undirectedView is the undirected side of an epoch's graph: the compute
-// CSR and, under a reorder, the caller-id CSR with the edge-id translation
-// between them, which eidMap computes on first use.
-type undirectedView struct {
-	und, origUnd *Undirected
-	eid          *eidMemo
-}
-
-// eidMemo holds a reordered undirected view's edge-id translation, from the
-// caller-id CSR's dense edge ids to the compute CSR's. Only edge-indexed
-// results need it (the BiCC and BgCC remaps, which bridges go through), so
-// the first of those computes it.
-type eidMemo struct {
-	once sync.Once
-	m    []int64
-}
-
-// eidMap returns view v's edge-id translation, computing it on first use.
-// Only reordered engines call it.
-func (e *Engine) eidMap(v undirectedView) []int64 {
-	v.eid.once.Do(func() { v.eid.m = e.perm.EdgeIDMap(v.origUnd, v.und, e.opt.Threads) })
-	return v.eid.m
-}
-
 // graphSet is the engine's base graph, as a serving epoch captures it: the
-// directed CSRs of a directed engine or the undirected CSR of an undirected
-// one (each with its caller-id twin under a reorder), plus what is derived
-// from them on first use.
+// directed CSR of a directed engine or the undirected CSR of an undirected
+// one.
 type graphSet struct {
-	directedView
-	und, origUnd *Undirected // undirected engines only
-	memo         *baseMemo
-}
-
-// baseMemo holds what is derived from one base graph on first use. The
-// engine and every serving epoch on that base share it; a re-base starts a
-// new one.
-type baseMemo struct {
-	// eid is the base undirected view's edge-id translation.
-	eid eidMemo
+	dir *Directed   // directed engines only
+	und *Undirected // undirected engines only
 }
 
 // base returns the engine's base graph pointers.
-func (e *Engine) base() graphSet {
-	return graphSet{directedView{e.dir, e.origDir}, e.und, e.origUnd, e.memo}
-}
+func (e *Engine) base() graphSet { return graphSet{e.dir, e.und} }
 
 // undirectedOf returns base b's undirected view. An undirected engine's base
 // is that view. A directed engine derives it from its directed CSRs, which
 // build it on the first call and keep it (graph.Directed.Undirected), so
 // every epoch on the base shares one copy.
-func (e *Engine) undirectedOf(b graphSet) undirectedView {
-	v := undirectedView{und: b.und, origUnd: b.origUnd, eid: &b.memo.eid}
+func (e *Engine) undirectedOf(b graphSet) *Undirected {
 	if b.dir != nil {
-		v.und = b.dir.Undirected(e.opt.Threads)
-		if b.origDir != nil {
-			v.origUnd = b.origDir.Undirected(e.opt.Threads)
-		}
+		return b.dir.Undirected(e.opt.Threads)
 	}
-	return v
+	return b.und
 }
 
 // undirectedEdgesLocked returns the base's undirected edge count. A
@@ -710,43 +606,24 @@ func (e *Engine) pastThreshold() bool {
 	return over(e.baseEdges)
 }
 
-// toOrig translates a compute-id change log into caller ids.
-func toOrig(perm *graph.Permutation, log []graph.Change) []graph.Change {
-	out := make([]graph.Change, len(log))
-	for i, c := range log {
-		out[i] = graph.Change{U: perm.Inv[c.U], V: perm.Inv[c.V], Del: c.Del}
-	}
-	return out
-}
-
-// patchDirected merges an arc log into the base's directed CSRs: one
-// linear merge per CSR direction, no edge list and no global sort. It reads
-// its inputs but never mutates them, so the engine (under e.mu) and serving
-// snapshots (outside any lock) build views through the same function.
-func (e *Engine) patchDirected(b directedView, arcs []graph.Change) directedView {
+// patchDirected merges an arc log into a directed base: one linear merge
+// per CSR direction, no edge list and no global sort. It reads its inputs but
+// never mutates them, so the engine (under e.mu) and serving snapshots
+// (outside any lock) build views through the same function.
+func (e *Engine) patchDirected(g *Directed, arcs []graph.Change) *Directed {
 	if len(arcs) == 0 {
-		return b
+		return g
 	}
-	v := directedView{dir: b.dir.Patch(arcs, e.opt.Threads)}
-	if e.perm != nil {
-		v.origDir = b.origDir.Patch(toOrig(e.perm, arcs), e.opt.Threads)
-	}
-	return v
+	return g.Patch(arcs, e.opt.Threads)
 }
 
-// patchUndirected merges an undirected-edge log into an undirected view.
-// Under a reorder the caller-id CSR takes the same log in caller ids, and
-// the patched view gets its own edge-id translation: dense ids shift when
-// edges come and go.
-func (e *Engine) patchUndirected(b undirectedView, edges []graph.Change) undirectedView {
+// patchUndirected merges an undirected-edge log into an undirected view; see
+// patchDirected.
+func (e *Engine) patchUndirected(g *Undirected, edges []graph.Change) *Undirected {
 	if len(edges) == 0 {
-		return b
+		return g
 	}
-	v := undirectedView{und: b.und.Patch(edges, e.opt.Threads), eid: new(eidMemo)}
-	if e.perm != nil {
-		v.origUnd = b.origUnd.Patch(toOrig(e.perm, edges), e.opt.Threads)
-	}
-	return v
+	return g.Patch(edges, e.opt.Threads)
 }
 
 // rebaseLocked merges the delta into a fresh base and starts empty logs. A
@@ -774,17 +651,11 @@ func (e *Engine) rebaseLocked() {
 		e.undEdges += net
 	}
 	e.foldedNet += net
-	th := e.opt.Threads
 	if e.directed {
-		e.dir = e.dir.PatchWithView(e.arcLog, e.edgeLog, th)
-		if e.perm != nil {
-			e.origDir = e.origDir.PatchWithView(toOrig(e.perm, e.arcLog), toOrig(e.perm, e.edgeLog), th)
-		}
+		e.dir = e.dir.PatchWithView(e.arcLog, e.edgeLog, e.opt.Threads)
 	} else {
-		u := e.patchUndirected(e.undirectedOf(e.base()), e.edgeLog)
-		e.und, e.origUnd = u.und, u.origUnd
+		e.und = e.patchUndirected(e.und, e.edgeLog)
 	}
-	e.memo = new(baseMemo)
 	e.arcLog, e.edgeLog, e.live = nil, nil, nil
 	e.stale = true
 	if e.snap != nil {

@@ -3,8 +3,7 @@ package aquila
 // Engine-level tests for Options.BiCCPolicy — the BiCC face of the policy
 // plumbing TestEngineCCPolicy*/TestEngineSCCPolicy* cover for CC/SCC:
 // explicit cells, the depth-probe-fed auto default, invalid-spec degradation,
-// Apply re-resolution, reorder parity, and cancellation, all against the
-// serial oracle.
+// Apply re-resolution and cancellation, all against the serial oracle.
 
 import (
 	"context"
@@ -118,28 +117,6 @@ func TestEngineBiCCPolicyApply(t *testing.T) {
 		// The oracle runs on the engine's own post-Apply graph, so edge ids
 		// line up by construction.
 		engineBiCCCheck(t, e, serialdfs.BiCC(e.Undirected()))
-	}
-}
-
-// TestEngineBiCCPolicyReorder: reordering must stay observationally invisible
-// under both explicit cells — BlockOf comes back in original edge ids through
-// remapBiCC, partition-identical to the unreordered engine.
-func TestEngineBiCCPolicyReorder(t *testing.T) {
-	g := gen.CliqueChain(gen.CliqueChainConfig{
-		Cliques: 25, CliqueSize: 5, Tail: 15, Shuffle: true, Seed: 103,
-	})
-	truth := serialdfs.BiCC(g)
-	for _, pol := range bicc.Policies() {
-		for mname, mode := range reorderModes {
-			t.Run(pol.String()+"/"+mname, func(t *testing.T) {
-				e := NewEngine(g, Options{Threads: 2, Reorder: mode, BiCCPolicy: pol.String()})
-				res := e.BiCC()
-				if res.Policy != pol {
-					t.Fatalf("Result.Policy = %v, want %v", res.Policy, pol)
-				}
-				engineBiCCCheck(t, e, truth)
-			})
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package aquila
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -476,37 +477,95 @@ func TestUndirectedViewExposed(t *testing.T) {
 
 // TestEdgeIDsLazy pins what the edge-id index is not built for: graph-level
 // counting, adjacency tests and endpoint listing, and the connectivity
-// serving path of a directed engine — insert-only Apply, Connected and
-// LargestCC answer from the CSR and the union-find alone.
+// serving path of directed and undirected engines — insert-only Apply,
+// IsConnected, Connected, CC, LargestCC and the histogram answer from the
+// CSR and the census alone.
 func TestEdgeIDsLazy(t *testing.T) {
-	d := gen.Random(2000, 8000, 3)
-	e := NewDirectedEngine(d, Options{Threads: 2, RebuildThreshold: -1})
-	u := e.Undirected()
-	if u.NumEdges() == 0 || len(u.EdgeEndpoints()) != int(u.NumEdges()) {
-		t.Fatalf("endpoint listing disagrees with NumEdges %d", u.NumEdges())
-	}
-	ep := u.EdgeEndpoints()[0]
-	if !u.HasEdge(ep[1], ep[0]) || u.HasEdge(ep[0], ep[0]) {
-		t.Fatal("HasEdge wrong on an endpoint pair")
-	}
+	d := gen.Random(2000, 4000, 3)
+	var batches [][]Edge
 	for i := 0; i < 4; i++ {
-		batch := []Edge{{U: V(i), V: V(1000 + i)}, {U: V(1999 - i), V: V(7 * i)}}
-		if _, err := e.Apply(batch); err != nil {
-			t.Fatal(err)
-		}
-		if !e.Connected(V(i), V(1000+i)) {
-			t.Fatalf("batch %d: inserted edge endpoints not connected", i)
-		}
-		if e.LargestCC().Size == 0 {
-			t.Fatalf("batch %d: empty largest component", i)
+		batches = append(batches, []Edge{{U: V(i), V: V(1000 + i)}, {U: V(1999 - i), V: V(7 * i)}})
+	}
+	wantBridges := 0
+	for _, b := range serialdfs.Bridges(graph.Undirect(NewDirected(2000, append(arcsOf(d), slices.Concat(batches...)...)))) {
+		if b {
+			wantBridges++
 		}
 	}
-	if u.EdgeIDsBuilt() {
-		t.Fatal("connectivity serving built the edge-id index")
+	opt := Options{Threads: 2, RebuildThreshold: -1}
+	for _, e := range []*Engine{NewDirectedEngine(d, opt), NewEngine(graph.Undirect(d), opt)} {
+		name := "undirected"
+		if e.directed {
+			name = "directed"
+		}
+		u := e.Undirected()
+		if u.NumEdges() == 0 || len(u.EdgeEndpoints()) != int(u.NumEdges()) {
+			t.Fatalf("%s: endpoint listing disagrees with NumEdges %d", name, u.NumEdges())
+		}
+		ep := u.EdgeEndpoints()[0]
+		if !u.HasEdge(ep[1], ep[0]) || u.HasEdge(ep[0], ep[0]) {
+			t.Fatalf("%s: HasEdge wrong on an endpoint pair", name)
+		}
+		e.IsConnected()
+		e.CC()
+		e.CCSizeHistogram()
+		for i, batch := range batches {
+			if _, err := e.Apply(batch); err != nil {
+				t.Fatal(err)
+			}
+			if !e.Connected(V(i), V(1000+i)) {
+				t.Fatalf("%s batch %d: inserted edge endpoints not connected", name, i)
+			}
+			if e.LargestCC().Size == 0 {
+				t.Fatalf("%s batch %d: empty largest component", name, i)
+			}
+		}
+		if u.EdgeIDsBuilt() {
+			t.Fatalf("%s: connectivity serving built the edge-id index", name)
+		}
+		// The first edge-indexed query pays the build.
+		if got := len(e.Bridges()); got != wantBridges {
+			t.Fatalf("%s: %d bridges, oracle %d", name, got, wantBridges)
+		}
+		if !e.Undirected().EdgeIDsBuilt() {
+			t.Fatalf("%s: Bridges ran without the edge-id index", name)
+		}
 	}
-	// The first edge-indexed query pays the build.
-	e.BiCC()
-	if !e.Undirected().EdgeIDsBuilt() {
-		t.Fatal("BiCC ran without the edge-id index")
+}
+
+// TestEngineLargestCCContainsOutOfRange mirrors the snapshot-layer
+// regression on the Engine path: every LargestCC/LargestSCC contains closure
+// (partial traversal, census fallback) must answer false for out-of-range
+// vertices instead of indexing the bitmap or the label array past its end.
+func TestEngineLargestCCContainsOutOfRange(t *testing.T) {
+	edges := []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4},
+		{U: 4, V: 5}, {U: 5, V: 6}, {U: 6, V: 7}}
+	const n = 10
+	for _, disablePartial := range []bool{false, true} {
+		e := NewEngine(NewUndirected(n, edges), Options{Threads: 2, DisablePartial: disablePartial})
+		res := e.LargestCC()
+		if res.Size != 8 || !res.Contains(0) || res.Contains(9) {
+			t.Fatalf("partial=%v: in-range answers wrong", !disablePartial)
+		}
+		for _, v := range []V{n, 1 << 20, graph.NoVertex} {
+			if res.Contains(v) {
+				t.Fatalf("partial=%v: Contains(%d) = true out of range", !disablePartial, v)
+			}
+		}
+		if e.InLargestCC(graph.NoVertex) {
+			t.Fatalf("partial=%v: InLargestCC out of range = true", !disablePartial)
+		}
+	}
+	d := NewDirectedEngine(NewDirected(n, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0},
+		{U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 2}, {U: 4, V: 5}, {U: 5, V: 6}, {U: 6, V: 4}}),
+		Options{Threads: 2})
+	sres, err := d.LargestSCC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []V{n, graph.NoVertex} {
+		if sres.Contains(v) {
+			t.Fatalf("LargestSCC.Contains(%d) = true out of range", v)
+		}
 	}
 }

@@ -1,9 +1,9 @@
 package bench
 
-// Build-throughput and reorder-ablation benchmarks (the PR 3 ingestion
-// pipeline). The serial builders/parsers are the pinned seed baselines; the
-// parallel variants sweep 1..8 workers. Every build/parse benchmark reports
-// edges/s alongside ns/op so BENCH_PR3.json captures throughput directly.
+// Build-throughput benchmarks (the PR 3 ingestion pipeline). The serial
+// builders/parsers are the pinned seed baselines; the parallel variants sweep
+// 1..8 workers. Every build/parse benchmark reports edges/s alongside ns/op
+// so BENCH_PR3.json captures throughput directly.
 
 import (
 	"bytes"
@@ -13,8 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"aquila/internal/bfs"
-	"aquila/internal/cc"
 	"aquila/internal/cli"
 	"aquila/internal/gen"
 	"aquila/internal/graph"
@@ -184,55 +182,6 @@ func BenchmarkLoadEdgeListFile(b *testing.B) {
 				}
 			}
 			reportEdgesPerSec(b, len(edges))
-		})
-	}
-}
-
-// reorderedViews builds the undirected benchmark graph under each layout once.
-var reorderOnce struct {
-	sync.Once
-	views map[string]*graph.Undirected
-}
-
-func reorderViews(b *testing.B) map[string]*graph.Undirected {
-	b.Helper()
-	reorderOnce.Do(func() {
-		edges, n := buildBenchInput(b)
-		u := graph.BuildUndirected(n, edges)
-		reorderOnce.views = map[string]*graph.Undirected{
-			"none":   u,
-			"degree": graph.DegreeOrder(u, 0).ApplyUndirected(u, 0),
-			"bfs":    graph.BFSOrder(u, 0).ApplyUndirected(u, 0),
-		}
-	})
-	return reorderOnce.views
-}
-
-// BenchmarkReorderCC is the locality ablation on the CC kernel: same graph,
-// three vertex layouts. Neutral-or-better is the acceptance bar.
-func BenchmarkReorderCC(b *testing.B) {
-	for _, name := range []string{"none", "degree", "bfs"} {
-		u := reorderViews(b)[name]
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cc.Run(u, cc.Options{})
-			}
-		})
-	}
-}
-
-// BenchmarkReorderReach is the same ablation on the partial-query traversal
-// (one full-component reach from the hub).
-func BenchmarkReorderReach(b *testing.B) {
-	for _, name := range []string{"none", "degree", "bfs"} {
-		u := reorderViews(b)[name]
-		b.Run(name, func(b *testing.B) {
-			rs := bfs.NewReachScratch(u.NumVertices(), 0)
-			pivot := u.MaxDegreeVertex()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rs.Reach(bfs.UndirectedAdj(u), pivot, nil, bfs.Options{}, bfs.ModeEnhanced)
-			}
 		})
 	}
 }

@@ -106,8 +106,8 @@ func BuildUndirectedSerial(n int, edges []Edge) *Undirected {
 // BiCC and BgCC, per paper §6.1: create a reverse edge for any vertex pair
 // that shares only one directed edge, keeping the vertex count unchanged.
 //
-// It relies on the invariant every Directed carries (the builders, the v1
-// and .aqg loaders and the relabelings all establish it): out-segments are
+// It relies on the invariant every Directed carries (the builders and the
+// .aqg loaders establish it, and Patch keeps it): out-segments are
 // strictly increasing and loop-free, and so are the segments of the in-CSR,
 // its transpose. Vertex u's undirected list is then exactly the sorted union
 // Out(u) ∪ In(u), which a linear merge produces directly.

@@ -503,7 +503,7 @@ func ReadContainer(r io.Reader) (*Container, error) {
 		if err := skipTo(h.sec[i].off); err != nil {
 			return nil, err
 		}
-		out, err := readInt64Section(r, h.sec[i].size/8, sectionName(i))
+		out, err := readSection[int64](r, h.sec[i].size/8, sectionName(i))
 		pos += h.sec[i].size
 		return out, err
 	}
@@ -511,7 +511,7 @@ func ReadContainer(r io.Reader) (*Container, error) {
 		if err := skipTo(h.sec[i].off); err != nil {
 			return nil, err
 		}
-		out, err := readVSection(r, h.sec[i].size/4, sectionName(i))
+		out, err := readSection[V](r, h.sec[i].size/4, sectionName(i))
 		pos += h.sec[i].size
 		return out, err
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -430,6 +431,27 @@ func TestReadBinaryAllocBudget(t *testing.T) {
 	if budget := csrBytes + csrBytes/2; alloc > budget {
 		t.Fatalf("ReadContainer allocated %d bytes for a %d-byte CSR (%.1fx), budget %d",
 			alloc, csrBytes, float64(alloc)/float64(csrBytes), budget)
+	}
+}
+
+// TestReadContainerHeaderOnlyAllocBudget feeds the stream reader a bare,
+// valid header that claims 2^24−1 vertices and no section bytes: it must
+// fail "truncated" having allocated under 1 MiB, as the slices grow with the
+// bytes delivered rather than with the header's claim.
+func TestReadContainerHeaderOnlyAllocBudget(t *testing.T) {
+	h := &aqgHeader{n: 1<<24 - 1}
+	h.layout()
+	var buf bytes.Buffer
+	if err := newContainerWriter(&buf, h).bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	alloc := totalAlloc(func() { _, err = ReadContainer(bytes.NewReader(buf.Bytes())) })
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("header-only container: err = %v, want a truncated section", err)
+	}
+	if alloc >= 1<<20 {
+		t.Fatalf("header-only container: ReadContainer allocated %d bytes, want under 1 MiB", alloc)
 	}
 }
 

@@ -245,27 +245,3 @@ func TestUndirectedBuilderProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestReorderDirectedLeavesInCSRUnbuilt checks that ranking and laying out
-// a directed graph builds no in-CSR into it, and that the permutations equal
-// those computed from a prebuilt in-CSR.
-func TestReorderDirectedLeavesInCSRUnbuilt(t *testing.T) {
-	edges := testEdges(5000, 40000, 11)
-	for name, order := range map[string]func(*Directed, int) *Permutation{
-		"degree": DegreeOrderDirected, "bfs": BFSOrderDirected,
-	} {
-		t.Run(name, func(t *testing.T) {
-			g := BuildDirected(5000, edges)
-			got := order(g, 2)
-			if g.InBuilt() {
-				t.Fatal("ordering built the graph's in-CSR")
-			}
-			prebuilt := BuildDirected(5000, edges)
-			prebuilt.InCSR()
-			want := order(prebuilt, 2)
-			if !slices.Equal(got.Perm, want.Perm) || !slices.Equal(got.Inv, want.Inv) {
-				t.Fatal("permutation differs from the one computed with the in-CSR built")
-			}
-		})
-	}
-}

@@ -360,68 +360,48 @@ func WriteEdgeList(w io.Writer, g *Directed) error {
 	return bw.Flush()
 }
 
-// Section readers of the v2 streaming container loader. Plausibly-sized sections are allocated exactly once (the ~1×
-// memory property); only absurd header claims beyond maxExactSection fall
-// back to growth tracking delivered bytes, so a corrupt header cannot force
-// a huge allocation before the missing data is noticed. Decoding goes
-// through a small reused byte buffer — unlike binary.Read, which allocates
-// an internal buffer per call.
-const (
-	sectionChunkElems = 1 << 16 // elements decoded per read: ≤512 KiB transient buffer
-	maxExactSection   = 1 << 24 // elements allocated up front when the header is plausible
-)
+// sectionChunkElems is the number of elements the streaming container
+// loader decodes per read: at most a 512 KiB transient byte buffer, reused
+// across reads (unlike binary.Read, which allocates one per call).
+const sectionChunkElems = 1 << 16
 
-func readInt64Section(r io.Reader, count int64, what string) ([]int64, error) {
+// readSection reads a section of count little-endian int64 or V elements.
+// The slice grows with the bytes the reader delivers, never from the
+// header's claim alone: it starts at one chunk and grows to at most 8× what
+// has arrived, capped at count, so a corrupt header that claims a huge
+// section fails "truncated" before it can force a large allocation, while a
+// valid section ends in a slice of exactly count elements.
+func readSection[T int64 | V](r io.Reader, count int64, what string) ([]T, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("graph: negative %s section", what)
 	}
-	buf := make([]byte, 8*min64(count, sectionChunkElems))
-	out := make([]int64, min64(count, maxExactSection))
-	filled := int64(0)
-	for filled < count {
-		c := min64(count-filled, sectionChunkElems)
-		b := buf[:8*c]
+	var zero T
+	size := int64(binary.Size(zero))
+	buf := make([]byte, size*min(count, sectionChunkElems))
+	var out []T
+	for n := int64(0); n < count; {
+		c := min(count-n, sectionChunkElems)
+		b := buf[:size*c]
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, fmt.Errorf("graph: truncated %s: %w", what, err)
 		}
-		if int64(len(out)) < filled+c {
-			out = append(out, make([]int64, filled+c-int64(len(out)))...)
+		if int64(cap(out)) < n+c {
+			grown := make([]T, n, min(count, max(n+c, 8*n)))
+			copy(grown, out)
+			out = grown
 		}
-		for i := int64(0); i < c; i++ {
-			out[filled+i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		out = out[:n+c]
+		dst := out[n:]
+		if size == 8 {
+			for i := range dst {
+				dst[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+		} else {
+			for i := range dst {
+				dst[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+			}
 		}
-		filled += c
+		n += c
 	}
 	return out, nil
-}
-
-func readVSection(r io.Reader, count int64, what string) ([]V, error) {
-	if count < 0 {
-		return nil, fmt.Errorf("graph: negative %s section", what)
-	}
-	buf := make([]byte, 4*min64(count, sectionChunkElems))
-	out := make([]V, min64(count, maxExactSection))
-	filled := int64(0)
-	for filled < count {
-		c := min64(count-filled, sectionChunkElems)
-		b := buf[:4*c]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, fmt.Errorf("graph: truncated %s: %w", what, err)
-		}
-		if int64(len(out)) < filled+c {
-			out = append(out, make([]V, filled+c-int64(len(out)))...)
-		}
-		for i := int64(0); i < c; i++ {
-			out[filled+i] = V(binary.LittleEndian.Uint32(b[4*i:]))
-		}
-		filled += c
-	}
-	return out, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

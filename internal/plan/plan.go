@@ -153,13 +153,19 @@ func Classify(q Query) (*Plan, error) {
 
 func completeSteps(a Algorithm) []string {
 	switch a {
-	case CC, WCC:
+	case CC:
 		return []string{
-			"choose a {sampling × finish} matrix cell from cheap graph statistics (auto policy)",
-			"default cell: trim orphans and isolated pairs",
-			"enhanced parallel BFS for the large component (data parallel)",
-			"label propagation sweep for the small components (task parallel)",
-			"sampled cells: Afforest/k-out/BFS sampling, then a union-find or label-prop finish that skips the provisional largest component",
+			"auto policy: the pipeline cell up to 4096 vertices or with no edges, else a union-find cell picked from cheap graph statistics",
+			"pipeline: trim orphans and isolated pairs",
+			"pipeline: enhanced parallel BFS for the large component (data parallel)",
+			"pipeline: label propagation sweep for the small components (task parallel)",
+			"union-find cell: afforest+uf-async or afforest+uf-rem (Afforest sampling, then a union-find finish that skips the provisional largest component); none+uf-rem on forest-like graphs",
+		}
+	case WCC:
+		return []string{
+			"auto policy: the pipeline cell up to 4096 vertices, else afforest+uf-rem",
+			"pipeline: trim, enhanced parallel BFS and label propagation on the undirected view",
+			"afforest+uf-rem: the arc census, a union-find over the out-arcs (Afforest sampling, then a finish that skips the provisional largest component); builds neither the in-CSR nor the undirected view",
 		}
 	case SCC:
 		return []string{

@@ -59,6 +59,22 @@ func TestStrategiesMentionTheRightTechniques(t *testing.T) {
 	if !strings.Contains(strings.Join(p.Steps, " "), "trim check") {
 		t.Errorf("small-CC plan must lead with the trim check")
 	}
+	// The complete CC and WCC plans name the cells that run and none of the
+	// retired ones.
+	for _, alg := range []Algorithm{CC, WCC} {
+		p, _ = Classify(Query{alg, "count"})
+		joined = strings.Join(p.Steps, " | ")
+		for _, frag := range []string{"pipeline", "afforest+uf-"} {
+			if !strings.Contains(joined, frag) {
+				t.Errorf("%v complete plan missing %q: %s", alg, frag, joined)
+			}
+		}
+		for _, frag := range []string{"k-out", "BFS sampling", "label-prop"} {
+			if strings.Contains(joined, frag) {
+				t.Errorf("%v complete plan names the retired %q: %s", alg, frag, joined)
+			}
+		}
+	}
 	// A directed graph's partial CC queries name the arc census they take.
 	for _, kind := range []string{"connected", "largest-size"} {
 		p, _ = Classify(Query{WCC, kind})

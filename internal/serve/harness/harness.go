@@ -122,11 +122,6 @@ func runSchedule(cls Class, cfg Config, seed uint64) error {
 	}
 	opt := aquila.Options{Threads: threads}
 	if rng.Intn(4) == 0 {
-		// Occasionally exercise the cache-aware relabeling layer: snapshot
-		// answers must be identical in original ids.
-		opt.Reorder = aquila.ReorderDegree
-	}
-	if rng.Intn(4) == 0 {
 		// Occasionally pin a union-find cell: the harness graphs are too
 		// small for auto to pick one, and on the directed classes these
 		// cells run the census on the out-arcs alone.

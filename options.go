@@ -32,25 +32,6 @@ func (t Traversal) mode() bfs.Mode {
 	}
 }
 
-// Reorder selects the cache-aware vertex relabeling applied when an Engine is
-// built. The engine computes on the relabeled CSR (hubs and traversal
-// neighborhoods packed onto adjacent rows) and transparently maps every
-// result — labels, AP/bridge sets, Contains closures, pair queries — back to
-// the caller's original vertex ids, so reordering is observationally
-// invisible apart from speed.
-type Reorder int
-
-const (
-	// ReorderNone computes on the input graph as-is (default).
-	ReorderNone Reorder = iota
-	// ReorderDegree relabels vertices in degree-descending order, clustering
-	// hubs at the front of the CSR (frequent-first layout).
-	ReorderDegree
-	// ReorderBFS relabels vertices in a hub-seeded breadth-first order, so
-	// vertices a traversal touches together sit on nearby CSR rows.
-	ReorderBFS
-)
-
 // Options configures an Engine. The zero value uses all techniques with
 // GOMAXPROCS workers.
 type Options struct {
@@ -58,8 +39,6 @@ type Options struct {
 	Threads int
 	// Traversal selects the large-task BFS flavour.
 	Traversal Traversal
-	// Reorder selects the cache-aware vertex relabeling (default: none).
-	Reorder Reorder
 	// DisableTrim turns off trivial-pattern trimming (Fig. 7).
 	DisableTrim bool
 	// DisableSPO turns off single-parent-only pruning (Fig. 5) in BiCC/BgCC.

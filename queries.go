@@ -116,7 +116,7 @@ func (e *Engine) Connected(u, v V) bool {
 		// The forest is not safe for concurrent mutation, so unlike the
 		// union-find branch this query holds e.mu — still O(log n), no
 		// traversal, and consistent with any in-flight ApplyUpdates.
-		c := e.dyn.Connected(e.mapV(u), e.mapV(v))
+		c := e.dyn.Connected(u, v)
 		e.mu.Unlock()
 		return c
 	}
@@ -130,9 +130,7 @@ func (e *Engine) Connected(u, v V) bool {
 		c, _ := sn.Connected(nil, u, v)
 		return c
 	}
-	// The union-find lives in compute ids; translate the pair on the way in
-	// (mapV is the identity for unreordered engines).
-	return s.Connected(e.mapV(u), e.mapV(v))
+	return s.Connected(u, v)
 }
 
 // CCSizeHistogram maps component size to the number of components of that
@@ -180,8 +178,7 @@ func (e *Engine) IsStronglyConnected() (bool, error) {
 		return res.NumComponents == 1, nil
 	}
 	return getCell(sn, nil, &sn.strong, func(context.Context) (bool, error) {
-		gs, _ := sn.directed(nil)
-		g := gs.dir
+		g, _ := sn.directed(nil)
 		n := g.NumVertices()
 		if n <= 1 {
 			return true, nil
@@ -248,7 +245,7 @@ func (e *Engine) LargestCCContext(ctx context.Context) (*LargestResult, error) {
 	sn := e.current(false)
 	if l, ok := sn.largest.Peek(); ok && l.Partial {
 		if c, ok := sn.cen.Peek(); ok {
-			return e.largestFromCensus(c), nil
+			return c.largest(), nil
 		}
 	}
 	return sn.LargestCC(ctx)
@@ -272,8 +269,7 @@ func (e *Engine) LargestSCC() (*LargestResult, error) {
 		return largestFromSCC(res), nil
 	}
 	return getCell(sn, nil, &sn.largestSCC, func(context.Context) (*LargestResult, error) {
-		gs, _ := sn.directed(nil)
-		g := gs.dir
+		g, _ := sn.directed(nil)
 		n := g.NumVertices()
 		if !e.opt.DisablePartial && n > 0 {
 			// One FW-BW from the max-degree pivot. Both halves run through
@@ -293,20 +289,13 @@ func (e *Engine) LargestSCC() (*LargestResult, error) {
 				}
 			}
 			if 2*size >= n {
-				// Both bitmaps escape into the result's contains closure;
-				// like LargestCC, the bitmaps are compute-space so
-				// membership checks translate in.
+				// Both bitmaps escape into the result's contains closure,
+				// which rejects out-of-range vertices like LargestCC's.
 				rs.DetachVisited()
 				e.reach.Put(rs)
 				return &LargestResult{
-					Size: size, Pivot: e.unmapV(master), Partial: true,
-					contains: func(v V) bool {
-						if int(v) >= n {
-							return false
-						}
-						v = e.mapV(v)
-						return fw.Get(v) && bw.Get(v)
-					},
+					Size: size, Pivot: master, Partial: true,
+					contains: func(v V) bool { return int(v) < n && fw.Get(v) && bw.Get(v) },
 				}, nil
 			}
 			e.reach.Put(rs)

@@ -45,8 +45,8 @@ type epoch struct {
 	eng *Engine
 	st  snapState
 
-	dirView serve.Cell[directedView]
-	undView serve.Cell[undirectedView]
+	dirView serve.Cell[*Directed]
+	undView serve.Cell[*Undirected]
 	cen     serve.Cell[*census]
 	ccRes   serve.Cell[*cc.Result]
 	isConn  serve.Cell[bool]
@@ -95,7 +95,7 @@ func (e *Engine) epochLocked() *Snapshot {
 	// A view with nothing to merge is the base itself. A directed engine's
 	// undirected view may not be built yet, so its cell fills on first use.
 	if len(ep.st.arcs) == 0 {
-		ep.dirView.Seed(ep.st.base.directedView)
+		ep.dirView.Seed(ep.st.base.dir)
 	}
 	if len(ep.st.edges) == 0 && !e.directed {
 		ep.undView.Seed(e.undirectedOf(ep.st.base))
@@ -509,9 +509,9 @@ func (sn *Snapshot) withSlot(ctx context.Context, f func() error) error {
 // epoch's arc delta merged in, once per current epoch. Not gated: it is a
 // graph build, not a kernel, and it runs inside callers that already hold a
 // slot.
-func (sn *Snapshot) directed(ctx context.Context) (directedView, error) {
-	return getCell(sn, ctx, &sn.dirView, func(context.Context) (directedView, error) {
-		return sn.eng.patchDirected(sn.st.base.directedView, sn.st.arcs), nil
+func (sn *Snapshot) directed(ctx context.Context) (*Directed, error) {
+	return getCell(sn, ctx, &sn.dirView, func(context.Context) (*Directed, error) {
+		return sn.eng.patchDirected(sn.st.base.dir, sn.st.arcs), nil
 	})
 }
 
@@ -519,8 +519,8 @@ func (sn *Snapshot) directed(ctx context.Context) (directedView, error) {
 // undirected view and the epoch's edge delta; see directed. On a directed
 // engine the base's view is built by the first caller on that base and kept
 // by its directed CSRs, so every epoch on the base merges into one copy.
-func (sn *Snapshot) undirected(ctx context.Context) (undirectedView, error) {
-	return getCell(sn, ctx, &sn.undView, func(context.Context) (undirectedView, error) {
+func (sn *Snapshot) undirected(ctx context.Context) (*Undirected, error) {
+	return getCell(sn, ctx, &sn.undView, func(context.Context) (*Undirected, error) {
 		return sn.eng.patchUndirected(sn.eng.undirectedOf(sn.st.base), sn.st.edges), nil
 	})
 }
@@ -563,7 +563,7 @@ func (sn *Snapshot) Connected(ctx context.Context, u, v V) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return c.connected(sn.eng.mapV(u), sn.eng.mapV(v)), nil
+	return c.connected(u, v), nil
 }
 
 // CountCC returns the number of connected components as of this epoch.
@@ -575,19 +575,15 @@ func (sn *Snapshot) CountCC(ctx context.Context) (int, error) {
 	return c.num, nil
 }
 
-// CC returns the complete CC decomposition (original vertex ids) for this
-// epoch, materialized from the census once per epoch.
+// CC returns the complete CC decomposition for this epoch, materialized from
+// the census once per epoch.
 func (sn *Snapshot) CC(ctx context.Context) (*CCResult, error) {
 	return getCell(sn, ctx, &sn.ccRes, func(cctx context.Context) (*cc.Result, error) {
 		c, err := sn.censusGet(cctx)
 		if err != nil {
 			return nil, err
 		}
-		raw := c.result(sn.eng.opt.Threads)
-		if sn.eng.perm != nil {
-			return remapCC(raw, sn.eng.perm, sn.eng.opt.Threads), nil
-		}
-		return raw, nil
+		return c.result(sn.eng.opt.Threads), nil
 	})
 }
 
@@ -633,11 +629,10 @@ func (sn *Snapshot) IsConnected(ctx context.Context) (bool, error) {
 	return getCell(sn, ctx, &sn.isConn, func(cctx context.Context) (bool, error) {
 		var connected bool
 		err := sn.withSlot(cctx, func() error {
-			gs, err := sn.undirected(cctx)
+			g, err := sn.undirected(cctx)
 			if err != nil {
 				return err
 			}
-			g := gs.und
 			if hasTrimmedComponent(g) {
 				return nil
 			}
@@ -683,17 +678,16 @@ func hasTrimmedComponent(g *Undirected) bool {
 func (sn *Snapshot) LargestCC(ctx context.Context) (*LargestResult, error) {
 	return getCell(sn, ctx, &sn.largest, func(cctx context.Context) (*LargestResult, error) {
 		if c, ok := sn.cen.Peek(); ok {
-			return sn.eng.largestFromCensus(c), nil
+			return c.largest(), nil
 		}
 		n := sn.NumVertices()
 		if !sn.eng.opt.DisablePartial && n > 0 && !sn.eng.arcCensus(sn.st.base) {
 			var partial *LargestResult
 			err := sn.withSlot(cctx, func() error {
-				gs, err := sn.undirected(cctx)
+				g, err := sn.undirected(cctx)
 				if err != nil {
 					return err
 				}
-				g := gs.und
 				master := g.MaxDegreeVertex()
 				rs := sn.eng.reach.Get(n, sn.eng.opt.Threads)
 				visited := rs.Reach(bfs.UndirectedAdj(g), master, nil,
@@ -708,16 +702,11 @@ func (sn *Snapshot) LargestCC(ctx context.Context) (*LargestResult, error) {
 					// scratch's next checkout.
 					rs.DetachVisited()
 					sn.eng.reach.Put(rs)
-					// Both closures reject out-of-range vertices instead of
-					// indexing the permutation (or bitmap) past its end: an
-					// unknown vertex is in no component.
-					contains := func(v V) bool { return int(v) < n && visited.Get(v) }
-					if p := sn.eng.perm; p != nil {
-						contains = func(v V) bool { return int(v) < n && visited.Get(p.Perm[v]) }
-					}
+					// An out-of-range vertex is in no component, rather than
+					// an index past the bitmap's end.
 					partial = &LargestResult{
-						Size: size, Pivot: sn.eng.unmapV(master), Partial: true,
-						contains: contains,
+						Size: size, Pivot: master, Partial: true,
+						contains: func(v V) bool { return int(v) < n && visited.Get(v) },
 					}
 					return nil
 				}
@@ -735,7 +724,7 @@ func (sn *Snapshot) LargestCC(ctx context.Context) (*LargestResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return sn.eng.largestFromCensus(c), nil
+		return c.largest(), nil
 	})
 }
 
@@ -748,21 +737,14 @@ func (sn *Snapshot) SCC(ctx context.Context) (*SCCResult, error) {
 	return getCell(sn, ctx, &sn.sccRes, func(cctx context.Context) (*scc.Result, error) {
 		var res *scc.Result
 		err := sn.withSlot(cctx, func() error {
-			gs, err := sn.directed(cctx)
+			g, err := sn.directed(cctx)
 			if err != nil {
 				return err
 			}
 			// Policy-resolved against this snapshot's pinned graph (auto
 			// re-resolves per epoch).
-			raw := sn.eng.sccSolve(gs.dir, cctx)
-			if err := ctxErr(cctx); err != nil {
-				return err
-			}
-			if sn.eng.perm != nil {
-				raw = remapSCC(raw, sn.eng.perm, sn.eng.opt.Threads)
-			}
-			res = raw
-			return nil
+			res = sn.eng.sccSolve(g, cctx)
+			return ctxErr(cctx)
 		})
 		return res, err
 	})
@@ -781,18 +763,12 @@ func (sn *Snapshot) BiCC(ctx context.Context) (*BiCCResult, error) {
 // that view (auto re-resolves per epoch).
 func (sn *Snapshot) solveBiCC(cctx context.Context, apOnly bool) (res *bicc.Result, err error) {
 	err = sn.withSlot(cctx, func() error {
-		gs, err := sn.undirected(cctx)
+		g, err := sn.undirected(cctx)
 		if err != nil {
 			return err
 		}
-		res = sn.eng.biccSolve(gs.und, cctx, apOnly)
-		if err := ctxErr(cctx); err != nil {
-			return err
-		}
-		if sn.eng.perm != nil {
-			res = remapBiCC(res, sn.eng.perm, sn.eng.eidMap(gs), sn.eng.opt.Threads)
-		}
-		return nil
+		res = sn.eng.biccSolve(g, cctx, apOnly)
+		return ctxErr(cctx)
 	})
 	return res, err
 }
@@ -808,27 +784,21 @@ func (sn *Snapshot) BgCC(ctx context.Context) (*BgCCResult, error) {
 
 // solveBgCC runs the complete BgCC, or the bridge-only plan, on the epoch's
 // undirected view inside one kernel slot, and returns the view with it.
-func (sn *Snapshot) solveBgCC(cctx context.Context, bridgeOnly bool) (res *bgcc.Result, gs undirectedView, err error) {
+func (sn *Snapshot) solveBgCC(cctx context.Context, bridgeOnly bool) (res *bgcc.Result, g *Undirected, err error) {
 	err = sn.withSlot(cctx, func() error {
-		if gs, err = sn.undirected(cctx); err != nil {
+		if g, err = sn.undirected(cctx); err != nil {
 			return err
 		}
 		opt := sn.eng.bgccOptions(bridgeOnly)
 		opt.Ctx = cctx
-		res = bgcc.Run(gs.und, opt)
-		if err := ctxErr(cctx); err != nil {
-			return err
-		}
-		if sn.eng.perm != nil {
-			res = remapBgCC(res, sn.eng.perm, sn.eng.eidMap(gs), sn.eng.opt.Threads)
-		}
-		return nil
+		res = bgcc.Run(g, opt)
+		return ctxErr(cctx)
 	})
-	return res, gs, err
+	return res, g, err
 }
 
-// ArticulationPoints lists the articulation points as of this epoch
-// (original vertex ids, ascending). Every caller gets a private copy.
+// ArticulationPoints lists the articulation points as of this epoch, in
+// ascending order. Every caller gets a private copy.
 func (sn *Snapshot) ArticulationPoints(ctx context.Context) ([]V, error) {
 	a, err := sn.apList(ctx)
 	return slices.Clone(a), err
@@ -858,29 +828,25 @@ func (sn *Snapshot) apList(ctx context.Context) ([]V, error) {
 	})
 }
 
-// Bridges lists the bridges as of this epoch as ordered endpoint pairs in
-// original vertex ids. It runs the §3 bridge-only plan — the complete BgCC
-// under Options.DisablePartial — in its own cell, resolves the endpoints
-// inside it and keeps only the list, so a superseded epoch answers from the
-// cell without its graph. Every caller gets a private copy of the list.
+// Bridges lists the bridges as of this epoch as ordered endpoint pairs. It
+// runs the §3 bridge-only plan — the complete BgCC under
+// Options.DisablePartial — in its own cell, resolves the endpoints inside it
+// and keeps only the list, so a superseded epoch answers from the cell
+// without its graph. Every caller gets a private copy of the list.
 func (sn *Snapshot) Bridges(ctx context.Context) ([][2]V, error) {
 	b, err := getCell(sn, ctx, &sn.bridges, func(cctx context.Context) ([][2]V, error) {
 		var res *bgcc.Result
-		var gs undirectedView
+		var g *Undirected
 		var err error
 		if sn.eng.opt.DisablePartial {
 			if res, err = sn.BgCC(cctx); err == nil {
-				gs, err = sn.undirected(cctx)
+				g, err = sn.undirected(cctx)
 			}
 		} else {
-			res, gs, err = sn.solveBgCC(cctx, true)
+			res, g, err = sn.solveBgCC(cctx, true)
 		}
 		if err != nil {
 			return nil, err
-		}
-		g := gs.und
-		if sn.eng.perm != nil {
-			g = gs.origUnd
 		}
 		return bridgeList(g, res.IsBridge), nil
 	})

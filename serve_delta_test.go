@@ -204,28 +204,18 @@ func seededOracle(n int, directed bool, und *Undirected, dir *Directed) *dynEngi
 }
 
 // TestSnapshotPartialAPsAndBridges pins the served §3 partial plans: on
-// insert and delete epochs of directed and undirected engines, with and
-// without a reorder, Snapshot.ArticulationPoints and Snapshot.Bridges equal
-// the engine's answers and the oracle's, and the complete BiCC and BgCC
-// cells stay empty. Under DisablePartial the lists come from those cells.
+// insert and delete epochs of directed and undirected engines,
+// Snapshot.ArticulationPoints and Snapshot.Bridges equal the engine's
+// answers and the oracle's, and the complete BiCC and BgCC cells stay empty.
+// Under DisablePartial the lists come from those cells.
 func TestSnapshotPartialAPsAndBridges(t *testing.T) {
 	ctx := context.Background()
-	type tc struct {
-		directed, complete bool
-		mode               Reorder
-	}
-	var cases []tc
-	for _, directed := range []bool{false, true} {
-		for _, mode := range []Reorder{ReorderNone, ReorderDegree} {
-			cases = append(cases, tc{directed: directed, mode: mode})
-		}
-	}
-	cases = append(cases, tc{directed: true, complete: true})
-	for _, c := range cases {
-		reorder := map[Reorder]string{ReorderNone: "none", ReorderDegree: "degree"}[c.mode]
-		t.Run(fmt.Sprintf("directed=%v/reorder=%s/complete=%v", c.directed, reorder, c.complete), func(t *testing.T) {
+	for _, c := range []struct{ directed, complete bool }{
+		{directed: false}, {directed: true}, {directed: true, complete: true},
+	} {
+		t.Run(fmt.Sprintf("directed=%v/complete=%v", c.directed, c.complete), func(t *testing.T) {
 			const n = 400
-			opt := Options{Threads: 2, Reorder: c.mode, DisablePartial: c.complete, RebuildThreshold: -1}
+			opt := Options{Threads: 2, DisablePartial: c.complete, RebuildThreshold: -1}
 			var e *Engine
 			var o *dynEngineOracle
 			if c.directed {

@@ -292,11 +292,10 @@ func TestSnapshotHistogramCellDefensiveCopy(t *testing.T) {
 	}
 }
 
-// TestSnapshotLargestCCOutOfRange is the regression for the reorder-mode
-// panic: LargestCC's partial-path contains closure indexed perm.Perm[v]
-// unchecked, so an out-of-range vertex from a caller panicked instead of
-// returning false. Swept across reorder × partial/complete so every contains
-// closure (traversal bitmap, permuted bitmap, census) is covered.
+// TestSnapshotLargestCCOutOfRange pins that LargestCC's contains closures
+// reject an out-of-range vertex from a caller instead of indexing past their
+// bitmap or label array. Swept across partial/complete so every closure
+// (traversal bitmap, census) is covered.
 func TestSnapshotLargestCCOutOfRange(t *testing.T) {
 	// A path of 8 vertices (the majority component: partial computation
 	// stops after one traversal) plus two isolated vertices.
@@ -304,40 +303,37 @@ func TestSnapshotLargestCCOutOfRange(t *testing.T) {
 		{U: 4, V: 5}, {U: 5, V: 6}, {U: 6, V: 7}}
 	const n = 10
 	ctx := context.Background()
-	for _, mode := range []Reorder{ReorderNone, ReorderDegree} {
-		for _, disablePartial := range []bool{false, true} {
-			s := NewServer(NewEngine(NewUndirected(n, edges),
-				Options{Threads: 2, Reorder: mode, DisablePartial: disablePartial}), ServerConfig{})
-			res, err := s.LargestCC(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Size != 8 {
-				t.Fatalf("reorder=%v partial=%v: Size = %d, want 8", mode, !disablePartial, res.Size)
-			}
-			if !res.Contains(0) || res.Contains(8) {
-				t.Fatalf("reorder=%v partial=%v: in-range Contains wrong", mode, !disablePartial)
-			}
-			for _, v := range []V{n, n + 1, 1 << 20, NoVertex} {
-				if res.Contains(v) {
-					t.Fatalf("reorder=%v partial=%v: Contains(%d) = true for out-of-range vertex", mode, !disablePartial, v)
-				}
-			}
-
-			// The census-backed closure (largestFromRaw) must be safe too:
-			// warm the CC cell first so LargestCC answers from the census.
-			s2 := NewServer(NewEngine(NewUndirected(n, edges),
-				Options{Threads: 2, Reorder: mode}), ServerConfig{})
-			if _, err := s2.CountCC(ctx); err != nil {
-				t.Fatal(err)
-			}
-			res2, err := s2.LargestCC(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res2.Contains(NoVertex) || !res2.Contains(7) {
-				t.Fatalf("reorder=%v census path: Contains wrong on boundary ids", mode)
+	for _, disablePartial := range []bool{false, true} {
+		s := NewServer(NewEngine(NewUndirected(n, edges),
+			Options{Threads: 2, DisablePartial: disablePartial}), ServerConfig{})
+		res, err := s.LargestCC(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Size != 8 {
+			t.Fatalf("partial=%v: Size = %d, want 8", !disablePartial, res.Size)
+		}
+		if !res.Contains(0) || res.Contains(8) {
+			t.Fatalf("partial=%v: in-range Contains wrong", !disablePartial)
+		}
+		for _, v := range []V{n, n + 1, 1 << 20, NoVertex} {
+			if res.Contains(v) {
+				t.Fatalf("partial=%v: Contains(%d) = true for out-of-range vertex", !disablePartial, v)
 			}
 		}
+	}
+
+	// The census-backed closure must be safe too: warm the census first so
+	// LargestCC answers from it.
+	s := NewServer(NewEngine(NewUndirected(n, edges), Options{Threads: 2}), ServerConfig{})
+	if _, err := s.CountCC(ctx); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.LargestCC(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Contains(NoVertex) || !res.Contains(7) {
+		t.Fatal("census path: Contains wrong on boundary ids")
 	}
 }

@@ -175,8 +175,8 @@ func dynFits(n int, live int64, batch []Update) error {
 }
 
 // applyUpdatesDynLocked processes one mixed batch against the dynamic
-// forest. Every effective change, in compute ids, goes to the forest and to
-// the signed delta; the CSRs are re-based lazily.
+// forest. Every effective change goes to the forest and to the signed delta;
+// the CSRs are re-based lazily.
 func (e *Engine) applyUpdatesDynLocked(batch []Update) (*ApplyResult, error) {
 	if err := dynFits(e.dyn.NumVertices(), int64(e.dyn.NumEdges()), batch); err != nil {
 		return nil, err
@@ -184,7 +184,7 @@ func (e *Engine) applyUpdatesDynLocked(batch []Update) (*ApplyResult, error) {
 	e.stale = true
 	res := &ApplyResult{Dynamic: true}
 	for _, up := range batch {
-		u, v := e.mapPair(up.U, up.V)
+		u, v := up.U, up.V
 		if u == v {
 			continue // self-loops never enter the CSRs; mirror Apply
 		}
